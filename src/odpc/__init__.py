@@ -41,7 +41,6 @@ from .knn_detector import (
     build_bank,
     calibrate_threshold,
     detect,
-    knn_score,
     knn_scores,
 )
 from .losses import (

@@ -15,7 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import persist
 from .encoders import EmbeddingMatrix, ToyEncoderConfig, toy_encode_images, toy_encode_texts
@@ -227,6 +226,18 @@ def openness_literal(n_train_classes: int, n_total_test_classes: int, n_unknown:
     return float(100.0 * (1.0 - np.sqrt(ratio)))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; each run of tied values gets the mean of its
+    positions, an exact half-integer."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """P(ood score > id score) + 0.5 * P(tie), via rank statistics.
 
@@ -236,7 +247,10 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     ood_scores = np.asarray(ood_scores, dtype=np.float64).ravel()
     if id_scores.size == 0 or ood_scores.size == 0:
         raise InvalidArgumentError("auroc needs non-empty score lists for both classes")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
+    scores = np.concatenate([id_scores, ood_scores])
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _average_ranks(scores)
     n_id, n_ood = id_scores.size, ood_scores.size
     u = ranks[n_id:].sum() - n_ood * (n_ood + 1) / 2.0
     return float(u / (n_id * n_ood))
@@ -446,13 +460,15 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
     if train_rows.size == 0 or id_rows.size == 0 or ood_rows.size == 0:
         raise InvalidArgumentError("split leaves an empty train/ID-test/OOD-test set")
 
-    feats = dataset.features.values.astype(np.float64)
-    train_x = feats[train_rows]
+    values = dataset.features.values
+    train_x, id_x, ood_x = (
+        np.asarray(values[rows], dtype=np.float64) for rows in (train_rows, id_rows, ood_rows)
+    )
 
     if settings.variant == "passthrough":
         bank_vecs = passthrough_transform(train_x)
-        id_q = passthrough_transform(feats[id_rows])
-        ood_q = passthrough_transform(feats[ood_rows])
+        id_q = passthrough_transform(id_x)
+        ood_q = passthrough_transform(ood_x)
         bank = bank_from_vectors(bank_vecs)
     else:
         name_to_local = {name: i for i, name in enumerate(known)}
@@ -492,8 +508,8 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
         train(train_x, train_y, class_texts, peer_texts, head, cfg)
 
         bank = build_bank(head, train_x)
-        id_q = bank_transform(head, feats[id_rows])
-        ood_q = bank_transform(head, feats[ood_rows])
+        id_q = bank_transform(head, id_x)
+        ood_q = bank_transform(head, ood_x)
 
     k = min(settings.knn.k, bank.rows)
     id_scores = knn_scores(id_q, bank, k, settings.knn.backend)

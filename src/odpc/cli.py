@@ -60,7 +60,6 @@ class PipelineConfig:
     pcc_form: str = "per_anchor"
     knn_k: int = 200
     target_tpr: float = 0.95
-    knn_backend: str = "exact"
     peers_per_class: int = 3
     prompt_template: str = PeerGenConfig().prompt_template
     description_template: str = PeerGenConfig().description_template
@@ -96,7 +95,7 @@ class PipelineConfig:
         )
 
     def knn_config(self) -> KnnConfig:
-        return KnnConfig(k=self.knn_k, target_tpr=self.target_tpr, backend=self.knn_backend)
+        return KnnConfig(k=self.knn_k, target_tpr=self.target_tpr)
 
     def peer_config(self) -> PeerGenConfig:
         return PeerGenConfig(

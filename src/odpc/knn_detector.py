@@ -7,8 +7,12 @@ closest bank row: the farther a sample sits from the training manifold, the
 higher the score. A threshold calibrated to accept a target fraction of
 held-out ID scores turns scores into ID/OOD decisions.
 
-Two scoring backends: ``exact`` (full pairwise distance scan, the
-correctness oracle) and ``indexed`` (scipy KD-tree).
+Scoring is one exact scan. Per chunk of queries, one GEMM gives the squared
+distances ``|q|^2 + |b|^2 - 2 q.b`` to every bank row, ``argpartition``
+picks the k-th closest row, and that row's distance is recomputed by direct
+float64 subtraction, so GEMM rounding never reaches the returned score (a
+query equal to a bank row scores exactly 0 at k=1). The tests check the scan
+against a float64 direct-subtraction full scan over every bank row.
 """
 
 from __future__ import annotations
@@ -18,15 +22,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from . import persist
 from .encoders import EmbeddingMatrix
 from .errors import ConfigError, InvalidArgumentError, ShapeError
 from .head import MlpHead, forward
 
-BACKENDS = ("exact", "indexed")
+# The scan is the only backend; ``KnnConfig.backend`` and the ``backend``
+# argument remain because perfbench/workloads.py passes the latter.
+BACKENDS = ("exact",)
+
+# Elements of one chunk's (queries x bank rows) float64 distance block: 16 MiB.
+SCAN_BLOCK_ELEMS = 1 << 21
+# Most feature rows per ``forward`` call while mapping features to bank space.
+BANK_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -61,30 +70,48 @@ class FeatureBank:
         return int(self.vectors.shape[1])
 
 
-def _normalize_segments(per_layer: list[np.ndarray]) -> np.ndarray:
-    segments = []
+def _write_normalized(out: np.ndarray, per_layer: list[np.ndarray]) -> None:
+    """Write each layer's rows, L2-normalized, into its column segment of ``out``."""
+    off = 0
     for l, h in enumerate(per_layer, start=1):
-        h = np.asarray(h, dtype=np.float64)
         norms = np.linalg.norm(h, axis=1)
         if np.any(norms < 1e-12):
             raise InvalidArgumentError(
                 f"layer {l} produced a zero activation row; cannot normalize"
             )
-        segments.append(h / norms[:, None])
-    return np.concatenate(segments, axis=1)
+        np.divide(h, norms[:, None], out=out[:, off : off + h.shape[1]])
+        off += h.shape[1]
 
 
 def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """Map encoder features to bank space: forward, per-layer normalize, concatenate."""
-    acts = forward(head, features)
-    return _normalize_segments(acts.per_layer)
+    """Map encoder features to bank space: forward, per-layer normalize, concatenate.
+
+    Rows go through ``forward`` in near-equal chunks of at most
+    ``BANK_CHUNK_ROWS``; each chunk's normalized layers are written straight
+    into the output. Equal chunks never leave a one- or two-row tail, which
+    BLAS would multiply by its matrix-vector path and round differently from
+    the same rows in a larger batch.
+    """
+    values = features.values if isinstance(features, EmbeddingMatrix) else np.asarray(features)
+    if values.ndim != 2:
+        raise ShapeError(f"expected a 2-D batch, got shape {values.shape}")
+    n = values.shape[0]
+    out = np.empty((n, sum(int(w.shape[0]) for w in head.weights)))
+    n_chunks = max(1, -(-n // BANK_CHUNK_ROWS))
+    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _write_normalized(out[lo:hi], forward(head, values[lo:hi]).per_layer)
+    return out
 
 
 def passthrough_transform(features: EmbeddingMatrix | np.ndarray, copies: int = 3) -> np.ndarray:
     """Bank-space stand-in without a trained head: the feature rows stacked
     ``copies`` times, each copy normalized. Matches the bank dimensionality."""
     values = features.values if isinstance(features, EmbeddingMatrix) else features
-    return _normalize_segments([np.asarray(values, dtype=np.float64)] * copies)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty((values.shape[0], copies * values.shape[1]))
+    _write_normalized(out, [values] * copies)
+    return out
 
 
 def build_bank(
@@ -119,35 +146,35 @@ def _check_k(k: int, bank: FeatureBank) -> None:
         raise InvalidArgumentError(f"k={k} outside valid range [1, {bank.rows}]")
 
 
+def _query_chunk(bank_rows: int) -> int:
+    """Queries per scan chunk, so one distance block holds SCAN_BLOCK_ELEMS."""
+    return max(1, SCAN_BLOCK_ELEMS // bank_rows)
+
+
 def knn_scores(
     queries: np.ndarray, bank: FeatureBank, k: int, backend: str = "exact"
 ) -> np.ndarray:
     """K-th nearest-neighbor distance of each query row to the bank."""
+    if backend not in BACKENDS:
+        raise InvalidArgumentError(f"unknown backend {backend!r}; the only one is 'exact'")
     _check_k(k, bank)
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != bank.dim:
         raise ShapeError(f"queries must be (n, {bank.dim}), got {q.shape}")
-    if q.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    if backend == "exact":
-        dists = cdist(q, bank.vectors, metric="euclidean")
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-        return np.asarray(kth, dtype=np.float64)
-    if backend == "indexed":
-        tree = cKDTree(bank.vectors)
-        dists, _ = tree.query(q, k=k)
-        if k == 1:
-            return np.asarray(dists, dtype=np.float64).reshape(-1)
-        return np.asarray(dists[:, k - 1], dtype=np.float64)
-    raise InvalidArgumentError(f"unknown backend {backend!r}")
-
-
-def knn_score(query_row: np.ndarray, bank: FeatureBank, k: int, backend: str = "exact") -> float:
-    """Score a single query vector; higher means farther from the ID data."""
-    q = np.asarray(query_row, dtype=np.float64)
-    if q.ndim != 1:
-        raise ShapeError(f"query must be 1-D, got shape {q.shape}")
-    return float(knn_scores(q[None, :], bank, k, backend)[0])
+    b = bank.vectors
+    b_sq = np.einsum("ij,ij->i", b, b)
+    scores = np.empty(q.shape[0])
+    step = _query_chunk(bank.rows)
+    for lo in range(0, q.shape[0], step):
+        qc = q[lo : lo + step]
+        d2 = qc @ b.T
+        d2 *= -2.0
+        d2 += np.einsum("ij,ij->i", qc, qc)[:, None]
+        d2 += b_sq
+        kth = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
+        diff = qc - b[kth]
+        scores[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return scores
 
 
 def calibrate_threshold(id_holdout_scores: np.ndarray, target_tpr: float) -> float:

@@ -158,6 +158,17 @@ def knn_kth_distance_reference(query, bank_rows, k):
     return dists[k - 1]
 
 
+def knn_full_scan_reference(queries, bank_rows):
+    """Euclidean distances from each query to every bank row by direct float64
+    subtraction (no Gram-matrix expansion), one query at a time; each row is
+    sorted ascending, so column k-1 holds the k-th nearest distance."""
+    bank_rows = np.asarray(bank_rows, dtype=np.float64)
+    out = np.empty((len(queries), bank_rows.shape[0]))
+    for i, q in enumerate(np.asarray(queries, dtype=np.float64)):
+        out[i] = np.sort(np.sqrt(np.sum((bank_rows - q) ** 2, axis=1)))
+    return out
+
+
 def auroc_pair_count_reference(id_scores, ood_scores) -> Fraction:
     """O(n^2) pair counting; OOD is the positive class."""
     wins = 0

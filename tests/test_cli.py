@@ -55,6 +55,19 @@ def test_load_config_validates_values(tmp_path):
         load_config(path)
 
 
+def test_removed_knn_backend_key_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"knn_backend": "exact"})
+    out = tmp_path / "results.csv"
+    rc = main(["eval", "--config", config, "--repeats", "1", "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError"
+    assert "knn_backend" in doc["message"]
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     rc = main(["gen-peers", "--out", str(tmp_path / "p.json")])  # no classes given
     assert rc == 2

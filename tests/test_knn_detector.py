@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import knn_kth_distance_reference, unit_rows
+from conftest import knn_full_scan_reference, knn_kth_distance_reference, unit_rows
 from odpc.errors import ConfigError, InvalidArgumentError, ShapeError
-from odpc.head import init_head
+from odpc.head import forward, init_head
 from odpc.knn_detector import (
+    BANK_CHUNK_ROWS,
     Decision,
     KnnConfig,
     bank_from_vectors,
@@ -13,7 +14,7 @@ from odpc.knn_detector import (
     calibrate_threshold,
     detect,
     export_scores,
-    knn_score,
+    _query_chunk,
     knn_scores,
     load_bank,
     passthrough_transform,
@@ -55,7 +56,7 @@ def test_query_transform_matches_bank_transform(rng):
 
 def test_self_query_first_neighbor_zero(rng):
     bank = bank_from_vectors(unit_rows(rng, 9, 12))
-    assert knn_score(bank.vectors[4], bank, 1) == pytest.approx(0.0, abs=1e-12)
+    assert knn_scores(bank.vectors[4][None], bank, 1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonal_segment_distance():
@@ -64,16 +65,16 @@ def test_orthogonal_segment_distance():
     r1 = np.array([1.0, 0.0] * 3)
     r2 = np.array([0.0, 1.0] * 3)
     bank = bank_from_vectors(np.stack([r1, r2]), layer_dims=(2, 2, 2))
-    assert knn_score(r1, bank, 2) == pytest.approx(np.sqrt(6.0), abs=1e-12)
+    assert knn_scores(r1[None], bank, 2)[0] == pytest.approx(np.sqrt(6.0), abs=1e-12)
     assert knn_kth_distance_reference(r1, [r1, r2], 2) == pytest.approx(np.sqrt(6.0))
 
 
 def test_k_beyond_rows_rejected(rng):
     bank = bank_from_vectors(unit_rows(rng, 2, 6))
     with pytest.raises(InvalidArgumentError):
-        knn_score(bank.vectors[0], bank, 3)
+        knn_scores(bank.vectors[:1], bank, 3)
     with pytest.raises(InvalidArgumentError):
-        knn_score(bank.vectors[0], bank, 0)
+        knn_scores(bank.vectors[:1], bank, 0)
 
 
 def test_query_dim_mismatch(rng):
@@ -89,20 +90,54 @@ def test_exact_matches_loop_reference(seed):
     queries = r.standard_normal((7, 10))
     bank = bank_from_vectors(bank_rows)
     for k in (1, 3, 40):
-        ours = knn_scores(queries, bank, k, backend="exact")
+        ours = knn_scores(queries, bank, k)
         for qi, q in enumerate(queries):
             assert ours[qi] == pytest.approx(knn_kth_distance_reference(q, bank_rows, k), abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_indexed_matches_exact(seed):
-    r = np.random.default_rng(seed)
-    bank = bank_from_vectors(r.standard_normal((120, 24)))
-    queries = r.standard_normal((15, 24))
-    for k in (1, 5, 120):
-        exact = knn_scores(queries, bank, k, backend="exact")
-        indexed = knn_scores(queries, bank, k, backend="indexed")
-        assert np.max(np.abs(exact - indexed)) < 1e-5
+# Bank rows chosen so a scan chunk holds 1024 queries.
+_SCAN_BANK_ROWS = 2048
+_SCAN_CHUNK = _query_chunk(_SCAN_BANK_ROWS)
+
+
+@pytest.mark.parametrize(
+    "n_queries",
+    [0, 1, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1],
+    ids=["0", "1", "chunk-1", "chunk", "chunk+1"],
+)
+def test_scan_matches_full_scan_at_chunk_boundaries(n_queries):
+    r = np.random.default_rng(n_queries)
+    bank_rows = r.standard_normal((_SCAN_BANK_ROWS, 8))
+    bank = bank_from_vectors(bank_rows)
+    queries = r.standard_normal((n_queries, 8))
+    full = knn_full_scan_reference(queries, bank_rows)
+    for k in (1, 5, _SCAN_BANK_ROWS):
+        ours = knn_scores(queries, bank, k)
+        assert ours.shape == (n_queries,)
+        assert np.all(np.abs(ours - full[:, k - 1]) < 1e-9), k
+
+
+def _unchunked_bank_transform(head, feats):
+    per_layer = forward(head, feats).per_layer
+    return np.concatenate([h / np.linalg.norm(h, axis=1)[:, None] for h in per_layer], axis=1)
+
+
+@pytest.mark.parametrize("rows", [BANK_CHUNK_ROWS - 1, BANK_CHUNK_ROWS, BANK_CHUNK_ROWS + 1])
+def test_bank_transform_chunks_bit_equal_to_one_batch(rows):
+    r = np.random.default_rng(rows)
+    head = init_head(3, 2, seed=4, feature_dim=16)
+    feats = unit_rows(r, rows, 16)
+    want = _unchunked_bank_transform(head, feats)
+    assert np.array_equal(bank_transform(head, feats), want)
+    assert np.array_equal(build_bank(head, feats).vectors, want)
+
+
+def test_bank_transform_zero_row_in_second_chunk_raises(rng):
+    head = init_head(3, 2, seed=4, feature_dim=16)
+    feats = unit_rows(rng, BANK_CHUNK_ROWS + 1, 16)
+    feats[-1] = 0.0  # zero biases: a zero input row stays zero through layer 1
+    with pytest.raises(InvalidArgumentError, match="layer 1"):
+        bank_transform(head, feats)
 
 
 def test_scores_monotone_in_k(rng):
@@ -183,6 +218,14 @@ def test_knn_config_validation():
         KnnConfig(target_tpr=0.0)
     with pytest.raises(ConfigError):
         KnnConfig(backend="fancy")
+    with pytest.raises(ConfigError):
+        KnnConfig(backend="indexed")
+
+
+def test_unknown_scan_backend_rejected(rng):
+    bank = bank_from_vectors(unit_rows(rng, 4, 6))
+    with pytest.raises(InvalidArgumentError):
+        knn_scores(unit_rows(rng, 2, 6), bank, 1, "indexed")
 
 
 def test_bank_immutable(rng):
