@@ -7,7 +7,8 @@ image features are ever classified; peer logits exist as extra rejection
 capacity and receive no cross-entropy supervision.
 
 Parameters are held as float32 (the storage precision); all math upcasts
-to float64.
+to float64. ``float64_head`` makes that upcast once, so a caller that runs
+the forward and the backward of one step shares a single copy.
 
 Checkpoint layout:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,21 @@ def init_head(
     )
 
 
+def _f64(arr: np.ndarray) -> np.ndarray:
+    return np.asarray(arr, dtype=np.float64)
+
+
+def float64_head(head: MlpHead) -> MlpHead:
+    """The head with every parameter cast to float64; float64 ones are shared."""
+    return replace(
+        head,
+        weights=[_f64(w) for w in head.weights],
+        biases=[_f64(b) for b in head.biases],
+        clf_weight=_f64(head.clf_weight),
+        clf_bias=_f64(head.clf_bias),
+    )
+
+
 def _as_batch(features: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     values = features.values if isinstance(features, EmbeddingMatrix) else features
     arr = np.asarray(values, dtype=np.float64)
@@ -133,7 +149,8 @@ def forward_with_cache(
     """Forward pass keeping what backprop needs.
 
     Returns (hs, zs, logits) where hs[0] is the input and hs[l] the
-    post-ReLU output of layer l, zs[l-1] its pre-activation.
+    post-ReLU output of layer l, zs[l-1] its pre-activation. Parameters
+    are cast to float64 here unless they already are (see ``float64_head``).
     """
     x = _as_batch(features)
     if x.shape[1] != head.feature_dim:
@@ -143,10 +160,10 @@ def forward_with_cache(
     hs = [x]
     zs = []
     for w, b in zip(head.weights, head.biases):
-        z = hs[-1] @ w.T.astype(np.float64) + b.astype(np.float64)
+        z = hs[-1] @ _f64(w).T + _f64(b)
         zs.append(z)
         hs.append(np.maximum(z, 0.0))
-    logits = hs[-1] @ head.clf_weight.T.astype(np.float64) + head.clf_bias.astype(np.float64)
+    logits = hs[-1] @ _f64(head.clf_weight).T + _f64(head.clf_bias)
     return hs, zs, logits
 
 

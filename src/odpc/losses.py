@@ -15,19 +15,23 @@ Two readings of the objective are supported:
       positive absent from the denominator.
 
 All math runs in float64 with max-subtraction, regardless of input dtype.
+
+A batch repeats text rows: every row of one label holds the same class
+description, and every row of one (label, peer choice) pair the same mixed
+text. loss_and_grad forwards each distinct text row once, gathers the
+per-row activations back for the contrastive terms, and sums their adjoints
+into the distinct rows before the backward pass. A batch whose rows break
+that contract raises InvalidArgumentError.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
-from .head import MlpHead, forward_with_cache, softmax
-
-logger = logging.getLogger(__name__)
+from .head import MlpHead, float64_head, forward_with_cache, softmax
 
 PCC_FORMS = ("per_anchor", "literal")
 
@@ -36,7 +40,6 @@ PCC_FORMS = ("per_anchor", "literal")
 class LossConfig:
     temperature: float = 0.005
     mix_lambda: float = 0.5
-    layer_count: int = 3
     pcc_form: str = "per_anchor"
     use_pcc: bool = True
     use_ce: bool = True
@@ -47,8 +50,6 @@ class LossConfig:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ConfigError(f"mix_lambda must lie in [0, 1], got {self.mix_lambda}")
-        if self.layer_count != 3:
-            raise ConfigError("exactly 3 shared layers are supported")
         if self.pcc_form not in PCC_FORMS:
             raise ConfigError(f"pcc_form must be one of {PCC_FORMS}, got {self.pcc_form!r}")
         if not (self.use_pcc or self.use_ce):
@@ -59,7 +60,8 @@ class LossConfig:
 class TrainingBatch:
     """Paired image/text features with integer class labels.
 
-    text_features row i is the encoded description of class labels[i].
+    text_features row i is the encoded description of class labels[i], so
+    rows sharing a label are equal.
     """
 
     image_features: np.ndarray
@@ -89,7 +91,11 @@ class TrainingBatch:
 
 @dataclass
 class NegativeSet:
-    """Feature-space mixup negatives plus the sampling provenance."""
+    """Feature-space mixup negatives plus the sampling provenance.
+
+    mixed_texts row i blends batch text row i with peer p_choices[i] of class
+    labels[i], so rows sharing a (label, p_choices) pair are equal.
+    """
 
     mixed_images: np.ndarray
     mixed_texts: np.ndarray
@@ -339,6 +345,36 @@ def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | 
         raise InvalidArgumentError(
             f"batch label {batch.labels.max()} out of range for {head.num_id_classes} ID classes"
         )
+    if cfg.use_pcc and cfg.use_mixup:
+        shape = batch.image_features.shape
+        for name in ("mixed_images", "mixed_texts"):
+            got = np.shape(getattr(negatives, name))
+            if got != shape:
+                raise ShapeError(f"{name} shape {got} does not match images {shape}")
+        peer = np.asarray(negatives.p_choices)
+        if peer.shape != (batch.size,):
+            raise ShapeError("p_choices must be one peer index per batch row")
+        if batch.size and peer.min() < 0:
+            raise InvalidArgumentError("p_choices must be non-negative peer indices")
+
+
+def _distinct_rows(keys: np.ndarray, rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each distinct key, and the inverse index that gathers them back.
+
+    Rows sharing a key must be equal (the TrainingBatch/NegativeSet contract);
+    otherwise forwarding one of them for all would be wrong, so it raises.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = rows[first]
+    if not np.array_equal(distinct[inverse], rows):
+        raise InvalidArgumentError(f"{what} differ")
+    return distinct, inverse
+
+
+def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.ndarray:
+    """Sum per-row adjoints into their distinct rows with a one-hot GEMM."""
+    one_hot = (np.arange(count)[:, None] == inverse[None, :]).astype(np.float64)
+    return one_hot @ per_row
 
 
 def loss_and_grad(
@@ -359,17 +395,25 @@ def loss_and_grad(
     n = batch.size
     use_mix = cfg.use_pcc and cfg.use_mixup and negatives is not None
 
-    streams = [batch.image_features, batch.text_features]
+    texts, text_inv = _distinct_rows(
+        batch.labels, batch.text_features, "text_features rows with the same label"
+    )
+    streams = [batch.image_features, texts]
     if use_mix:
-        streams += [negatives.mixed_images, negatives.mixed_texts]
-    stacked = np.vstack(streams)
-    hs, zs, logits_all = forward_with_cache(head, stacked)
+        peer = np.asarray(negatives.p_choices, dtype=np.int64)
+        pair_keys = batch.labels * (peer.max(initial=0) + 1) + peer
+        mixed_texts, mixed_inv = _distinct_rows(
+            pair_keys, negatives.mixed_texts, "mixed_texts rows with the same (label, p_choices) pair"
+        )
+        streams += [negatives.mixed_images, mixed_texts]
+    bounds = np.cumsum([0] + [len(s) for s in streams])
+    params = float64_head(head)
+    hs, zs, logits_all = forward_with_cache(params, np.vstack(streams))
     n_layers = len(head.weights)
 
     def block(arr: np.ndarray, s: int) -> np.ndarray:
-        return arr[s * n : (s + 1) * n]
+        return arr[bounds[s] : bounds[s + 1]]
 
-    n_streams = len(streams)
     # Adjoints w.r.t. post-ReLU activations, per layer, stacked over streams.
     adj = [np.zeros_like(hs[l + 1]) for l in range(n_layers)]
 
@@ -377,20 +421,21 @@ def loss_and_grad(
     if cfg.use_pcc:
         for l in range(1, n_layers + 1):
             h = hs[l]
+            h_txt = block(h, 1)[text_inv]
             value, grads = _pcc_value_and_input_grads(
-                block(h, 0), block(h, 1), block(h, 1),
+                block(h, 0), h_txt, h_txt,
                 block(h, 2) if use_mix else None,
-                block(h, 3) if use_mix else None,
+                block(h, 3)[mixed_inv] if use_mix else None,
                 cfg.temperature, cfg.pcc_form, want_grad,
             )
             pcc_values.append(value)
             if want_grad:
                 g_img, g_pos, g_all, g_mimg, g_mtxt = grads
-                adj[l - 1][0 * n : 1 * n] += g_img
-                adj[l - 1][1 * n : 2 * n] += g_pos + g_all
+                block(adj[l - 1], 0)[...] = g_img
+                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(texts), g_pos + g_all)
                 if use_mix:
-                    adj[l - 1][2 * n : 3 * n] += g_mimg
-                    adj[l - 1][3 * n : 4 * n] += g_mtxt
+                    block(adj[l - 1], 2)[...] = g_mimg
+                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(mixed_texts), g_mtxt)
     else:
         pcc_values = [0.0] * n_layers
 
@@ -410,26 +455,24 @@ def loss_and_grad(
     if not want_grad:
         return breakdown, None
 
-    w64 = [w.astype(np.float64) for w in head.weights]
-    d_weights = [np.zeros_like(w) for w in w64]
-    d_biases = [np.zeros(w.shape[0]) for w in w64]
-    d_clf_w = np.zeros(head.clf_weight.shape, dtype=np.float64)
-    d_clf_b = np.zeros(head.clf_bias.shape, dtype=np.float64)
-
     running = adj[n_layers - 1]
     if g_logits is not None:
         h_top_img = block(hs[n_layers], 0)
         d_clf_w = g_logits.T @ h_top_img
         d_clf_b = g_logits.sum(axis=0)
-        running = running.copy()
-        running[0:n] += g_logits @ head.clf_weight.astype(np.float64)
+        running[0:n] += g_logits @ params.clf_weight
+    else:
+        d_clf_w = np.zeros(head.clf_weight.shape, dtype=np.float64)
+        d_clf_b = np.zeros(head.clf_bias.shape, dtype=np.float64)
 
+    d_weights: list[np.ndarray] = [None] * n_layers
+    d_biases: list[np.ndarray] = [None] * n_layers
     for li in range(n_layers - 1, -1, -1):
         dz = running * (zs[li] > 0)
         d_weights[li] = dz.T @ hs[li]
         d_biases[li] = dz.sum(axis=0)
         if li > 0:
-            running = dz @ w64[li] + adj[li - 1]
+            running = dz @ params.weights[li] + adj[li - 1]
 
     grads = HeadGrads(
         weights=d_weights, biases=d_biases, clf_weight=d_clf_w, clf_bias=d_clf_b

@@ -112,6 +112,60 @@ def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
     raise RuntimeError(f"no kink-free gradient instance found for seed {seed}")
 
 
+def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
+                                    negatives: NegativeSet | None, cfg: LossConfig):
+    """loss_and_grad without row deduplication: every one of the 4N stacked
+    rows (images, texts, mixed images, mixed texts) is forwarded and
+    backpropagated on its own, and parameters are cast to float64 where used.
+    Returns (total loss, gradients in HeadGrads.param_items order)."""
+    from odpc.head import forward_with_cache, softmax
+    from odpc.losses import _pcc_value_and_input_grads
+
+    n = batch.size
+    use_mix = cfg.use_pcc and cfg.use_mixup
+    streams = [batch.image_features, batch.text_features]
+    if use_mix:
+        streams += [negatives.mixed_images, negatives.mixed_texts]
+    hs, zs, logits = forward_with_cache(head, np.vstack(streams))
+    adj = [np.zeros_like(h) for h in hs[1:]]
+    total = 0.0
+    for l in range(1, 4):
+        if not cfg.use_pcc:
+            break
+        parts = [hs[l][s * n : (s + 1) * n] for s in range(len(streams))]
+        value, grads = _pcc_value_and_input_grads(
+            parts[0], parts[1], parts[1],
+            parts[2] if use_mix else None, parts[3] if use_mix else None,
+            cfg.temperature, cfg.pcc_form, True,
+        )
+        total += value
+        g_img, g_pos, g_all, g_mimg, g_mtxt = grads
+        adj[l - 1][:n] += g_img
+        adj[l - 1][n : 2 * n] += g_pos + g_all
+        if use_mix:
+            adj[l - 1][2 * n : 3 * n] += g_mimg
+            adj[l - 1][3 * n :] += g_mtxt
+    d_clf_w = np.zeros(head.clf_weight.shape)
+    d_clf_b = np.zeros(head.clf_bias.shape)
+    if cfg.use_ce:
+        total += ce_reference(logits[:n], batch.labels)
+        g_logits = softmax(logits[:n])
+        g_logits[np.arange(n), batch.labels] -= 1.0
+        g_logits /= n
+        d_clf_w = g_logits.T @ hs[3][:n]
+        d_clf_b = g_logits.sum(axis=0)
+        adj[2][:n] += g_logits @ head.clf_weight.astype(np.float64)
+    d_w, d_b = [None] * 3, [None] * 3
+    running = adj[2]
+    for li in (2, 1, 0):
+        dz = running * (zs[li] > 0)
+        d_w[li] = dz.T @ hs[li]
+        d_b[li] = dz.sum(axis=0)
+        if li > 0:
+            running = dz @ head.weights[li].astype(np.float64) + adj[li - 1]
+    return total, [d_w[0], d_b[0], d_w[1], d_b[1], d_w[2], d_b[2], d_clf_w, d_clf_b]
+
+
 def fd_max_rel_error(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None,
                      cfg: LossConfig, h: float = 1e-4) -> float:
     """Max relative error between analytic gradients and central differences,

@@ -6,13 +6,17 @@ import pytest
 from conftest import (
     ce_reference,
     fd_max_rel_error,
+    loss_and_grad_per_row_reference,
     make_grad_instance,
     pcc_reference,
     unit_rows,
 )
 from odpc.errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
+import odpc.losses
+from odpc.head import init_head
 from odpc.losses import (
     LossConfig,
+    NegativeSet,
     TrainingBatch,
     build_negative_set,
     ce_loss,
@@ -310,6 +314,90 @@ def test_gradients_no_mixup_match_finite_differences():
     head, batch, negatives, cfg = make_grad_instance(60, dim=10, use_mixup=False)
     assert negatives is None
     assert fd_max_rel_error(head, batch, None, cfg) < 1e-4
+
+
+def _mixup_batch(seed, n=32, n_classes=6, n_peers=3, dim=16):
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([[0, 1], rng.integers(0, n_classes, size=n - 2)])
+    class_txt = unit_rows(rng, n_classes, dim)
+    batch = TrainingBatch(unit_rows(rng, n, dim), labels, class_txt[labels])
+    peers = {c: unit_rows(rng, n_peers, dim) for c in range(n_classes)}
+    return batch, build_negative_set(batch, peers, 0.5, rng)
+
+
+@pytest.mark.parametrize("use_mixup", [True, False])
+def test_loss_and_grad_forwards_each_distinct_text_row_once(monkeypatch, use_mixup):
+    batch, negatives = _mixup_batch(7)
+    head = init_head(6, 6, seed=7, feature_dim=16)
+    seen_rows = []
+    real = odpc.losses.forward_with_cache
+
+    def spy(head, features):
+        seen_rows.append(features.shape[0])
+        return real(head, features)
+
+    monkeypatch.setattr(odpc.losses, "forward_with_cache", spy)
+    cfg = LossConfig(temperature=0.05, use_mixup=use_mixup)
+    loss_and_grad(head, batch, negatives if use_mixup else None, cfg)
+    expected = 32 + np.unique(batch.labels).size
+    if use_mixup:
+        pairs = {(int(y), int(p)) for y, p in zip(batch.labels, negatives.p_choices)}
+        assert len(pairs) < 32
+        expected += 32 + len(pairs)
+    assert np.unique(batch.labels).size < 32
+    assert seen_rows == [expected]
+
+
+@pytest.mark.parametrize("form,use_mixup", [("per_anchor", True), ("literal", True), ("per_anchor", False)])
+def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
+    head, batch, negatives, cfg = make_grad_instance(70, dim=12, n=8, n_id=3,
+                                                     use_mixup=use_mixup, form=form)
+    assert np.unique(batch.labels).size < batch.size
+    if use_mixup:
+        pairs = {(int(y), int(p)) for y, p in zip(batch.labels, negatives.p_choices)}
+        assert len(pairs) < batch.size
+    breakdown, grads = loss_and_grad(head, batch, negatives, cfg)
+    ref_total, ref_grads = loss_and_grad_per_row_reference(head, batch, negatives, cfg)
+    assert abs(breakdown.total - ref_total) <= 1e-10 * abs(ref_total)
+    for (name, ours), ref in zip(grads.param_items(), ref_grads):
+        assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+
+def test_text_rows_of_one_label_must_be_equal():
+    batch, negatives = _mixup_batch(8)
+    twin = np.flatnonzero(batch.labels == batch.labels[0])[1]
+    text = batch.text_features.copy()
+    text[twin] *= 1.0 + 1e-12
+    broken = TrainingBatch(batch.image_features, batch.labels, text)
+    head = init_head(6, 6, seed=8, feature_dim=16)
+    for neg, cfg in ((negatives, LossConfig()), (None, LossConfig(use_mixup=False))):
+        with pytest.raises(InvalidArgumentError):
+            loss_and_grad(head, broken, neg, cfg)
+
+
+def test_mixed_texts_of_one_peer_pair_must_be_equal():
+    batch, negatives = _mixup_batch(9, n_peers=1)
+    twin = np.flatnonzero(batch.labels == batch.labels[0])[1]
+    mixed = negatives.mixed_texts.copy()
+    mixed[twin] *= 1.0 + 1e-12
+    broken = NegativeSet(negatives.mixed_images, mixed, negatives.q_indices, negatives.p_choices)
+    head = init_head(6, 6, seed=9, feature_dim=16)
+    with pytest.raises(InvalidArgumentError):
+        loss_and_grad(head, batch, broken, LossConfig())
+
+
+def test_malformed_negative_set_rejected():
+    batch, negatives = _mixup_batch(10)
+    head = init_head(6, 6, seed=10, feature_dim=16)
+    mi, mt, q, p = negatives.mixed_images, negatives.mixed_texts, negatives.q_indices, negatives.p_choices
+    for bad, error in (
+        (NegativeSet(mi[:-1], mt, q, p), ShapeError),
+        (NegativeSet(mi, mt[:, :-1], q, p), ShapeError),
+        (NegativeSet(mi, mt, q, p[:-1]), ShapeError),
+        (NegativeSet(mi, mt, q, p - 1 - p.max()), InvalidArgumentError),
+    ):
+        with pytest.raises(error):
+            loss_and_grad(head, batch, bad, LossConfig())
 
 
 def test_ce_classifier_bias_gradient_closed_form(rng):

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import unit_rows
 from odpc.errors import ConfigError, InvalidArgumentError
-from odpc.head import init_head
+from odpc.head import MlpHead, init_head
 from odpc.losses import HeadGrads, LossConfig
 from odpc.trainer import (
+    SGD_BLOCK_ELEMS,
     TrainingConfig,
     TrainingState,
     lr_at,
@@ -65,6 +66,44 @@ def test_sgd_zero_lr_updates_buffers_only():
     sgd_step(state, _grads_like(state.head, 1.0), lr=0.0, momentum=0.5)
     assert np.array_equal(state.head.weights[0], before)
     assert state.velocities["fc1.weight"][0, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_sgd_blocked_update_bit_equal_to_whole_array(delta):
+    rng = np.random.default_rng(40 + delta)
+    cols = 64
+    rows = SGD_BLOCK_ELEMS // cols + delta
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    head = MlpHead(
+        weights=[f32(rows, cols) for _ in range(3)],
+        biases=[f32(SGD_BLOCK_ELEMS + delta) for _ in range(3)],   # 1-D: a row is one element
+        clf_weight=f32(5, cols), clf_bias=f32(5),
+        num_id_classes=3, num_peer_outputs=2, seed=0,
+    )
+    state = TrainingState.fresh(head)
+    expected = {name: p.copy() for name, p in head.param_items()}
+    velocity = {name: np.zeros(p.shape) for name, p in head.param_items()}
+    lr, momentum = 1e-3, 0.9
+    for _ in range(2):
+        grads = HeadGrads(
+            weights=[rng.standard_normal(w.shape) for w in head.weights],
+            biases=[rng.standard_normal(b.shape) for b in head.biases],
+            clf_weight=rng.standard_normal(head.clf_weight.shape),
+            clf_bias=rng.standard_normal(head.clf_bias.shape),
+        )
+        for name, g in grads.param_items():
+            velocity[name] *= momentum
+            velocity[name] += g
+            updated = expected[name].astype(np.float64) - lr * velocity[name]
+            expected[name] = updated.astype(np.float32)
+        sgd_step(state, grads, lr, momentum)
+    for name, p in head.param_items():
+        assert p.dtype == np.float32
+        assert np.array_equal(p, expected[name]), name
+        assert np.array_equal(state.velocities[name], velocity[name]), name
 
 
 def _toy_training_setup(seed=0, n_per_class=20, n_classes=3, dim=16):
@@ -144,6 +183,25 @@ def test_train_skips_single_class_batches(caplog):
     if total_skipped:
         assert any("single-class batch" in rec.message for rec in caplog.records)
     assert len(state.history) == 6
+
+
+def test_train_logs_one_skip_warning_per_epoch(caplog):
+    rng = np.random.default_rng(1)
+    # one class-1 row among 16: at least three of the four batches of 4 hold
+    # class 0 alone in every epoch
+    features = unit_rows(rng, 16, 8)
+    labels = np.array([0] * 15 + [1])
+    peer_text = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
+    cfg = TrainingConfig(epochs=3, batch_size=4, lr=1e-4, seed=0,
+                         loss=LossConfig(temperature=0.05))
+    with caplog.at_level("WARNING", logger="odpc.trainer"):
+        state = train(features, labels, unit_rows(rng, 2, 8), peer_text,
+                      init_head(2, 2, seed=0, feature_dim=8), cfg)
+    warnings = [rec.getMessage() for rec in caplog.records if "single-class batch" in rec.getMessage()]
+    assert len(warnings) == 3
+    for st, message in zip(state.history, warnings):
+        assert st.skipped >= 3
+        assert f"epoch {st.epoch}: skipped {st.skipped} " in message
 
 
 def test_train_requires_two_classes():
