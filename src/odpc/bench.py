@@ -348,23 +348,46 @@ def synthetic_feature_dataset(spec: SyntheticSpec, encoder: ToyEncoderConfig) ->
 
 
 def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) -> FeatureDataset:
-    """Bind a labels manifest to an imported feature bank (row i = samples[i])."""
+    """Bind a labels manifest to an imported feature bank (row i = samples[i]).
+
+    A malformed manifest raises ConfigError; a bad sample is named by its
+    index, with the key it lacks or the class it names that is not listed.
+    """
     doc = persist.read_json(manifest_path)
     if not isinstance(doc, dict) or "samples" not in doc or "classes" not in doc:
         raise ConfigError(f"{manifest_path}: not a valid labels manifest")
-    samples = doc["samples"]
+    samples, classes = doc["samples"], doc["classes"]
+    if not (isinstance(samples, list) and isinstance(classes, list)
+            and all(isinstance(name, str) for name in classes)):
+        raise ConfigError(f"{manifest_path}: samples and classes must be lists, classes of names")
     if len(samples) != features.rows:
         raise ConfigError(
             f"{manifest_path}: {len(samples)} samples but feature bank has {features.rows} rows"
         )
-    classes = list(doc["classes"])
     index = {name: i for i, name in enumerate(classes)}
-    labels = np.array([index[s["class"]] for s in samples], dtype=np.int64)
-    is_train = np.array([s["split"] == "train" for s in samples], dtype=bool)
-    ids = [str(s["id"]) for s in samples]
+    try:
+        labels = np.array([index[s["class"]] for s in samples], dtype=np.int64)
+        is_train = np.array([s["split"] == "train" for s in samples], dtype=bool)
+        ids = [str(s["id"]) for s in samples]
+    except (KeyError, TypeError):
+        raise _bad_sample(manifest_path, samples, index) from None
     return FeatureDataset(
         class_names=classes, features=features, labels=labels, is_train=is_train, sample_ids=ids
     )
+
+
+def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int]) -> ConfigError:
+    """The error naming the first manifest sample that cannot be bound."""
+    for i, sample in enumerate(samples):
+        if not isinstance(sample, dict):
+            return ConfigError(f"{manifest_path}: sample {i} is not an object")
+        missing = [key for key in ("class", "split", "id") if key not in sample]
+        if missing:
+            return ConfigError(f"{manifest_path}: sample {i} lacks {', '.join(map(repr, missing))}")
+        name = sample["class"]
+        if not isinstance(name, str) or name not in index:
+            return ConfigError(f"{manifest_path}: sample {i} names class {name!r}, not in classes")
+    return ConfigError(f"{manifest_path}: not a valid labels manifest")
 
 
 def catalog_from_manifest(manifest_path: str | Path) -> ClassCatalog:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
+from .blocks import row_chunks
 from .encoders import EmbeddingMatrix
 from .errors import ConfigError, InvalidArgumentError, ShapeError
 from .head import MlpHead, forward
@@ -87,19 +88,16 @@ def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.
     """Map encoder features to bank space: forward, per-layer normalize, concatenate.
 
     Rows go through ``forward`` in near-equal chunks of at most
-    ``BANK_CHUNK_ROWS``; each chunk's normalized layers are written straight
-    into the output. Equal chunks never leave a one- or two-row tail, which
-    BLAS would multiply by its matrix-vector path and round differently from
-    the same rows in a larger batch.
+    ``BANK_CHUNK_ROWS`` (``blocks.row_chunks``, so the result is bit-equal
+    to one batch); each chunk's normalized layers are written straight into
+    the output.
     """
     values = features.values if isinstance(features, EmbeddingMatrix) else np.asarray(features)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-D batch, got shape {values.shape}")
     n = values.shape[0]
     out = np.empty((n, sum(int(w.shape[0]) for w in head.weights)))
-    n_chunks = max(1, -(-n // BANK_CHUNK_ROWS))
-    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
         _write_normalized(out[lo:hi], forward(head, values[lo:hi]).per_layer)
     return out
 

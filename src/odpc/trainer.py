@@ -152,8 +152,9 @@ def train(
     dropped, and single-class batches are skipped; an epoch that skips any
     logs one warning with their count.
     """
-    x = features.values if isinstance(features, EmbeddingMatrix) else features
-    x = np.asarray(x, dtype=np.float64)
+    # No float64 copy of the whole matrix: TrainingBatch casts each batch,
+    # and float32 -> float64 is exact, so the results are the same bits.
+    x = np.asarray(features.values if isinstance(features, EmbeddingMatrix) else features)
     labels = np.asarray(labels, dtype=np.int64)
     class_text = np.asarray(class_text_features, dtype=np.float64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):

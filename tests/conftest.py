@@ -8,11 +8,15 @@ counting, full eigendecompositions. Keep them that way.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from odpc import persist
+from odpc.encoders import _projection
 from odpc.head import MlpHead, init_head
 from odpc.losses import LossConfig, NegativeSet, TrainingBatch, build_negative_set, loss_and_grad
 
@@ -250,3 +254,24 @@ def best_rank2_reconstruction_reference(data):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix oracles for the streamed ingest path
+
+def bank_bytes_reference(matrix, normalized: bool) -> bytes:
+    """The feature bank file for ``matrix``, assembled from one whole-file copy."""
+    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+    n_rows, dim = np.shape(matrix)
+    return (
+        b"ODPCFB01"
+        + struct.pack("<IIIB", persist.BANK_VERSION, n_rows, dim, int(normalized))
+        + payload
+        + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    )
+
+
+def toy_encode_reference(raw, cfg) -> np.ndarray:
+    """The toy image encoding computed on the whole matrix at once."""
+    projected = np.asarray(raw, dtype=np.float64) @ _projection(cfg)
+    return (projected / np.linalg.norm(projected, axis=1)[:, None]).astype(np.float32)

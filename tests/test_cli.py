@@ -205,3 +205,75 @@ def test_gen_peers_http_without_endpoint_is_usage_error(tmp_path, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc["error"] == "ConfigError"
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    """A synthetic bank, its labels manifest, peers and the config that made them."""
+    root = tmp_path_factory.mktemp("train_inputs")
+    cfg = write_config(root, {"epochs": 0})
+    data_dir = root / "data"
+    assert main(["encode", "--config", cfg, "--protocol", "synthetic", "--out", str(data_dir)]) == 0
+    peers = root / "peers.json"
+    assert main(["gen-peers", "--config", cfg, "--labels", str(data_dir / "labels.json"),
+                 "--cache", str(root / "llm_cache.json"), "--out", str(peers)]) == 0
+    return {"config": cfg, "features": str(data_dir / "all.fb"),
+            "labels": str(data_dir / "labels.json"), "peers": str(peers)}
+
+
+def _train_usage_error(tmp_path, capsys, inputs, **replaced):
+    """Run ``train`` with some inputs replaced; return its single stderr JSON line."""
+    paths = dict(inputs, **{key: str(path) for key, path in replaced.items()})
+    ckpt, hist = tmp_path / "head.ckpt", tmp_path / "history.csv"
+    capsys.readouterr()
+    rc = main(["train", "--config", paths["config"], "--features", paths["features"],
+               "--labels", paths["labels"], "--peers", paths["peers"],
+               "--out", str(ckpt), "--history", str(hist)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert not ckpt.exists() and not hist.exists()
+    return json.loads(lines[0])
+
+
+def _edited_manifest(tmp_path, inputs, edit):
+    doc = persist.read_json(inputs["labels"])
+    edit(doc["samples"])
+    path = tmp_path / "labels.json"
+    persist.write_json(path, doc)
+    return path
+
+
+def test_train_manifest_unknown_class_is_usage_error(tmp_path, capsys, train_inputs):
+    labels = _edited_manifest(tmp_path, train_inputs, lambda samples: samples[3].update({"class": "nope"}))
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, labels=labels)
+    assert doc["error"] == "ConfigError"
+    assert "sample 3" in doc["message"] and "'nope'" in doc["message"]
+
+
+def test_train_manifest_sample_without_split_is_usage_error(tmp_path, capsys, train_inputs):
+    labels = _edited_manifest(tmp_path, train_inputs, lambda samples: samples[5].pop("split"))
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, labels=labels)
+    assert doc["error"] == "ConfigError"
+    assert "sample 5" in doc["message"] and "'split'" in doc["message"]
+
+
+@pytest.mark.parametrize("which", ["config", "labels", "peers"])
+def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which):
+    path = tmp_path / f"{which}.json"
+    text = open(train_inputs[which], encoding="utf-8").read()
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, **{which: path})
+    assert doc["error"] == "ConfigError"
+    assert str(path) in doc["message"]
+
+
+def test_gen_peers_truncated_llm_cache_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "llm_cache.json"
+    cache.write_text('{"entries": {', encoding="utf-8")
+    out = tmp_path / "peers.json"
+    rc = main(["gen-peers", "--classes", "cat,dog", "--cache", str(cache), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()

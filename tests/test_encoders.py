@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from odpc import persist
+from conftest import toy_encode_reference, unit_rows
+from odpc import encoders, persist
+from odpc.blocks import CHECK_BLOCK_ELEMS, rows_per_block
 from odpc.encoders import (
     EmbeddingMatrix,
     ToyEncoderConfig,
@@ -41,6 +43,51 @@ def test_zero_vector_rejected(rng):
     raw[1] = 0.0
     with pytest.raises(InvalidArgumentError):
         toy_encode_images(raw, CFG)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+def test_image_encoding_chunks_bit_equal_to_whole_matrix(delta):
+    rng = np.random.default_rng(60 + delta)
+    raw = rng.standard_normal((encoders.ENCODE_CHUNK_ROWS + delta, 32))
+    out = toy_encode_images(raw, CFG)
+    assert out.values.dtype == np.float32
+    assert out.values.tobytes() == toy_encode_reference(raw, CFG).tobytes()
+
+
+def test_zero_row_in_second_chunk_names_its_global_index(rng):
+    raw = rng.standard_normal((encoders.ENCODE_CHUNK_ROWS + 7, 32))
+    bad = raw.shape[0] - 3
+    raw[bad] = 0.0
+    with pytest.raises(InvalidArgumentError, match=f"row {bad} "):
+        toy_encode_images(raw, CFG)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_norms_bit_equal_to_linalg_norm(rng, dtype):
+    rows = (rng.standard_normal((37, 48)) * 3.0).astype(dtype)
+    got = encoders._row_norms(rows, np.empty(rows.shape))
+    assert got.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+
+
+def _rows_to_last_check_block(dim):
+    # Two full validation blocks and a short third one.
+    return 2 * rows_per_block(dim, CHECK_BLOCK_ELEMS) + 3
+
+
+def test_embedding_matrix_rejects_non_finite_in_last_block(rng):
+    values = unit_rows(rng, _rows_to_last_check_block(48), 48).astype(np.float32)
+    EmbeddingMatrix(values, normalized=True)
+    values[-1, 7] = np.inf
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        EmbeddingMatrix(values)
+
+
+def test_embedding_matrix_rejects_off_unit_row_in_last_block(rng):
+    values = unit_rows(rng, _rows_to_last_check_block(48), 48).astype(np.float32)
+    values[-1] *= np.float32(1.001)
+    EmbeddingMatrix(values)
+    with pytest.raises(InvalidArgumentError, match="deviates by 1.00e-03"):
+        EmbeddingMatrix(values, normalized=True)
 
 
 def test_dimension_mismatch(rng):

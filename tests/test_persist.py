@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from conftest import bank_bytes_reference
 from odpc import persist
-from odpc.errors import CorruptFileError, FormatError, InvalidArgumentError
+from odpc.blocks import CHECK_BLOCK_ELEMS
+from odpc.errors import ConfigError, CorruptFileError, FormatError, InvalidArgumentError
 
 
 def test_bank_roundtrip_bitwise(tmp_path, rng):
@@ -67,6 +70,53 @@ def test_bank_rejects_non_finite(tmp_path):
     mat = np.array([[1.0, np.inf]], dtype=np.float32)
     with pytest.raises(InvalidArgumentError):
         persist.write_bank(mat, tmp_path / "x.fb")
+
+
+@pytest.mark.parametrize("layout", ["float64", "fortran", "strided", "empty"])
+def test_bank_bytes_equal_whole_file_oracle(tmp_path, rng, layout):
+    base = rng.standard_normal((40, 24))
+    matrix = {
+        "float64": base,
+        "fortran": np.asfortranarray(base.astype(np.float32)),
+        "strided": base.astype(np.float32)[::3, ::2],
+        "empty": np.zeros((0, 24), dtype=np.float32),
+    }[layout]
+    path = tmp_path / "bank.fb"
+    persist.write_bank(matrix, path, normalized=True)
+    assert path.read_bytes() == bank_bytes_reference(matrix, normalized=True)
+
+
+def test_bank_rejects_non_finite_in_last_check_block(tmp_path, rng):
+    rows = CHECK_BLOCK_ELEMS // 16
+    mat = rng.standard_normal((2 * rows + 3, 16)).astype(np.float32)
+    mat[-1, -1] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        persist.write_bank(mat, tmp_path / "x.fb")
+    assert not (tmp_path / "x.fb").exists()
+
+
+def test_bank_header_declaring_more_than_the_file_holds(tmp_path):
+    path = tmp_path / "huge.fb"
+    blob = persist.BANK_MAGIC + struct.pack("<III B", persist.BANK_VERSION, 2**31, 2**31, 0)
+    path.write_bytes(blob + bytes(40 - len(blob)))
+    with pytest.raises(FormatError, match="payload size mismatch"):
+        persist.read_bank(path)
+
+
+def test_bank_trailing_byte_is_format_error(tmp_path, rng):
+    path = tmp_path / "bank.fb"
+    persist.write_bank(rng.standard_normal((3, 5)).astype(np.float32), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError):
+        persist.read_bank(path)
+
+
+@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'{"a": "\xff"}'], ids=["truncated", "not-utf8"])
+def test_read_json_bad_text_is_config_error(tmp_path, blob):
+    path = tmp_path / "doc.json"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match="doc.json"):
+        persist.read_json(path)
 
 
 def test_json_stable_key_order(tmp_path):

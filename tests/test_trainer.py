@@ -136,6 +136,18 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(pa, pb)
 
 
+def test_train_float32_features_bit_equal_to_float64_cast():
+    features, labels, class_text, peer_text = _toy_training_setup()
+    f32 = features.astype(np.float32)
+    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
+                         loss=LossConfig(temperature=0.05))
+    runs = [train(x, labels, class_text, peer_text, init_head(3, 6, seed=1, feature_dim=16), cfg)
+            for x in (f32, f32.astype(np.float64))]
+    assert runs[0].history == runs[1].history
+    for (_, pa), (_, pb) in zip(runs[0].head.param_items(), runs[1].head.param_items()):
+        assert pa.tobytes() == pb.tobytes()
+
+
 def test_train_zero_epochs_leaves_head_unchanged():
     features, labels, class_text, peer_text = _toy_training_setup()
     head = init_head(3, 6, seed=1, feature_dim=16)
