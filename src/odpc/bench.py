@@ -18,7 +18,7 @@ import numpy as np
 
 from . import persist
 from .encoders import EmbeddingMatrix, ToyEncoderConfig, toy_encode_images, toy_encode_texts
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, FormatError, InvalidArgumentError
 from .head import init_head
 from .knn_detector import (
     KnnConfig,
@@ -29,8 +29,15 @@ from .knn_detector import (
     passthrough_transform,
 )
 from .losses import LossConfig
-from .peer_gen import PeerClassSet, PeerGenConfig, StubProvider, generate_peer_classes, render_description
-from .trainer import TrainingConfig, train
+from .peer_gen import (
+    PeerClassSet,
+    PeerGenConfig,
+    StubProvider,
+    generate_peer_classes,
+    normalize_label,
+    render_description,
+)
+from .trainer import TrainingConfig, TrainingState, train
 
 PROTOCOLS = (
     "cifar10_6v4",
@@ -357,8 +364,7 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
     if not isinstance(doc, dict) or "samples" not in doc or "classes" not in doc:
         raise ConfigError(f"{manifest_path}: not a valid labels manifest")
     samples, classes = doc["samples"], doc["classes"]
-    if not (isinstance(samples, list) and isinstance(classes, list)
-            and all(isinstance(name, str) for name in classes)):
+    if not (isinstance(samples, list) and _is_name_list(classes)):
         raise ConfigError(f"{manifest_path}: samples and classes must be lists, classes of names")
     if len(samples) != features.rows:
         raise ConfigError(
@@ -390,14 +396,19 @@ def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int])
     return ConfigError(f"{manifest_path}: not a valid labels manifest")
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def catalog_from_manifest(manifest_path: str | Path) -> ClassCatalog:
+    """The classes, and animal markers, a labels manifest lists."""
     doc = persist.read_json(manifest_path)
     if not isinstance(doc, dict) or "classes" not in doc:
         raise ConfigError(f"{manifest_path}: not a valid labels manifest")
-    return ClassCatalog(
-        classes=tuple(doc["classes"]),
-        animal_classes=frozenset(doc.get("animal_classes", [])),
-    )
+    classes, animals = doc["classes"], doc.get("animal_classes", [])
+    if not (_is_name_list(classes) and _is_name_list(animals)):
+        raise ConfigError(f"{manifest_path}: classes and animal_classes must be lists of class names")
+    return ClassCatalog(classes=tuple(classes), animal_classes=frozenset(animals))
 
 
 def write_manifest(
@@ -437,7 +448,6 @@ class PipelineSettings:
     encoder: ToyEncoderConfig = field(default_factory=ToyEncoderConfig)
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     variant: str = "pcc_ce"
-    peers: PeerClassSet | None = None   # pre-generated peers; stub-generated if None
     hidden_dims: tuple[int, ...] | None = None  # None -> (feature_dim,) * 3
 
     def __post_init__(self):
@@ -474,6 +484,40 @@ def _variant_loss(base: LossConfig, variant: str) -> LossConfig:
     raise ConfigError(f"variant {variant!r} has no loss configuration")
 
 
+def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
+        settings: PipelineSettings, seed: int) -> TrainingState:
+    """Train a head on the train rows of the ``known`` classes.
+
+    Known class i is label i. Its description and those of its peers are
+    rendered with ``settings.peer`` and encoded with ``settings.encoder``;
+    the classifier gets one peer output per distinct peer label of the
+    known classes. ``seed`` seeds the head and the training run, and
+    ``settings.variant`` picks the loss terms.
+    """
+    if settings.variant == "passthrough":
+        raise ConfigError("variant 'passthrough' trains no head")
+    missing = [name for name in known if name not in peers.peers]
+    if missing:
+        raise ConfigError(f"peers lack entries for classes {missing}")
+    rows = dataset.rows_for(known, train=True)
+    to_local = np.full(len(dataset.class_names), -1, dtype=np.int64)
+    to_local[[dataset.class_names.index(name) for name in known]] = np.arange(len(known))
+
+    def encode(labels: list[str]) -> np.ndarray:
+        texts = [render_description(label, settings.peer) for label in labels]
+        return toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
+
+    class_texts = encode(known)
+    peer_texts = {i: encode(peers.peers[name]) for i, name in enumerate(known) if peers.peers[name]}
+    distinct = len({normalize_label(p) for name in known for p in peers.peers[name]})
+    head = init_head(len(known), distinct, seed=seed, feature_dim=dataset.features.dim,
+                     hidden_dims=settings.hidden_dims)
+    cfg = replace(settings.training, seed=seed,
+                  loss=_variant_loss(settings.training.loss, settings.variant))
+    values = dataset.features.values
+    return train(values[rows], to_local[dataset.labels[rows]], class_texts, peer_texts, head, cfg)
+
+
 def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: PipelineSettings, seed: int) -> float:
     """Train (unless passthrough), build the bank, score ID/OOD test rows, AUROC."""
     known = list(split.known_classes)
@@ -483,10 +527,9 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
     if train_rows.size == 0 or id_rows.size == 0 or ood_rows.size == 0:
         raise InvalidArgumentError("split leaves an empty train/ID-test/OOD-test set")
 
+    # Rows stay float32: the transforms cast to float64, which is exact.
     values = dataset.features.values
-    train_x, id_x, ood_x = (
-        np.asarray(values[rows], dtype=np.float64) for rows in (train_rows, id_rows, ood_rows)
-    )
+    train_x, id_x, ood_x = (values[rows] for rows in (train_rows, id_rows, ood_rows))
 
     if settings.variant == "passthrough":
         bank_vecs = passthrough_transform(train_x)
@@ -494,42 +537,8 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
         ood_q = passthrough_transform(ood_x)
         bank = bank_from_vectors(bank_vecs)
     else:
-        name_to_local = {name: i for i, name in enumerate(known)}
-        global_to_local = {
-            dataset.class_names.index(name): name_to_local[name] for name in known
-        }
-        train_y = np.array([global_to_local[int(g)] for g in dataset.labels[train_rows]])
-
-        peers = settings.peers
-        if peers is None:
-            provider = StubProvider(seed=seed)
-            peers = generate_peer_classes(known, settings.peer, provider)
-        class_texts = toy_encode_texts(
-            [render_description(name, settings.peer) for name in known], settings.encoder
-        ).values.astype(np.float64)
-        peer_texts = {
-            name_to_local[name]: toy_encode_texts(
-                [render_description(p, settings.peer) for p in peers.peers[name]],
-                settings.encoder,
-            ).values.astype(np.float64)
-            for name in known
-            if peers.peers.get(name)
-        }
-
-        head = init_head(
-            num_id_classes=len(known),
-            num_peer_outputs=peers.distinct_peer_count(),
-            seed=seed,
-            feature_dim=dataset.features.dim,
-            hidden_dims=settings.hidden_dims,
-        )
-        cfg = replace(
-            settings.training,
-            seed=seed,
-            loss=_variant_loss(settings.training.loss, settings.variant),
-        )
-        train(train_x, train_y, class_texts, peer_texts, head, cfg)
-
+        peers = generate_peer_classes(known, settings.peer, StubProvider(seed=seed))
+        head = fit(dataset, known, peers, settings, seed).head
         bank = build_bank(head, train_x)
         id_q = bank_transform(head, id_x)
         ood_q = bank_transform(head, ood_x)
@@ -591,13 +600,22 @@ def write_results_csv(results: list[EvalResult], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
+    """One dict per result row, keyed by the header; blank lines are skipped.
+
+    A row whose field count differs from the header's raises FormatError
+    naming the file and the line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                continue
+                raise FormatError(
+                    f"{path}: line {lineno} has {len(parts)} fields, the header {len(header)}"
+                )
             rows.append(dict(zip(header, parts)))
     return rows
 

@@ -4,10 +4,14 @@ One JSON config drives everything; flags override config values. Commands:
 
     gen-peers   generate peer labels -> peers.json
     encode      produce feature bank files (synthetic toy data, or re-validate imports)
-    train       train the head -> checkpoint + loss_history.csv
+    train       train the head on the manifest's train rows, with the config's
+                variant (not passthrough) -> checkpoint + loss_history.csv
     eval        repeated split/train/score runs -> results.csv
     report      aggregate results.csv -> table.md
     project     2-D PCA of a feature bank -> proj.csv
+
+``train`` and ``eval`` fit the head through the same ``bench.fit``, so a
+config trains the same way in both.
 
 Usage errors (bad config, missing inputs) exit with code 2; runtime
 failures exit with code 1; each prints a one-line JSON error to stderr.
@@ -24,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, persist
-from .encoders import ToyEncoderConfig, import_embeddings, toy_encode_images, toy_encode_texts
+from .encoders import ToyEncoderConfig, import_embeddings, toy_encode_images
 from .errors import ConfigError, InvalidArgumentError, OdpcError
-from .head import init_head, save_checkpoint
+from .head import save_checkpoint
 from .knn_detector import KnnConfig
 from .losses import LossConfig
 from .peer_gen import (
@@ -36,10 +40,15 @@ from .peer_gen import (
     StubProvider,
     generate_peer_classes,
     load_peers,
-    render_description,
     save_peers,
 )
-from .trainer import TrainingConfig, train, write_loss_history
+from .trainer import TrainingConfig, write_loss_history
+
+# Not called here since ``train`` fits through ``bench.fit``: perfbench's
+# tracer (perfbench/spans.py TARGETS) wraps these attributes of odpc.cli.
+from .encoders import toy_encode_texts  # noqa: F401
+from .head import init_head  # noqa: F401
+from .trainer import train  # noqa: F401
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
@@ -102,7 +111,6 @@ class PipelineConfig:
             peers_per_class=self.peers_per_class,
             prompt_template=self.prompt_template,
             description_template=self.description_template,
-            provider_kind="http_llm" if self.provider == "http" else "stub",
             max_requery_attempts=self.max_requery_attempts,
             offline=self.offline,
         )
@@ -188,10 +196,7 @@ def _read_class_list(args: argparse.Namespace) -> list[str]:
     if getattr(args, "classes", None):
         return [c.strip() for c in args.classes.split(",") if c.strip()]
     if getattr(args, "labels", None):
-        doc = persist.read_json(args.labels)
-        if not isinstance(doc, dict) or "classes" not in doc:
-            raise ConfigError(f"{args.labels}: not a valid labels manifest")
-        return list(doc["classes"])
+        return list(bench.catalog_from_manifest(args.labels).classes)
     raise ConfigError("provide --classes or --labels")
 
 
@@ -241,34 +246,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     features = import_embeddings(args.features)
     dataset = bench.load_manifest_dataset(args.labels, features)
     peer_set, peers_doc = load_peers(args.peers)
-    peer_cfg = replace(cfg.peer_config(), description_template=peers_doc.get(
+    settings = cfg.settings()
+    peer_cfg = replace(settings.peer, description_template=peers_doc.get(
         "description_template", cfg.description_template))
-
-    train_rows = np.flatnonzero(dataset.is_train)
-    train_labels_global = dataset.labels[train_rows]
-    present = sorted(set(int(g) for g in train_labels_global))
-    known = [dataset.class_names[g] for g in present]
-    missing = [name for name in known if not peer_set.peers.get(name)]
-    if missing:
-        raise ConfigError(f"peers file lacks entries for classes {missing}")
-    remap = {g: i for i, g in enumerate(present)}
-    train_y = np.array([remap[int(g)] for g in train_labels_global])
-
-    encoder_cfg = cfg.encoder_config()
-    class_texts = toy_encode_texts(
-        [render_description(name, peer_cfg) for name in known], encoder_cfg
-    ).values
-    peer_texts = {
-        i: toy_encode_texts(
-            [render_description(p, peer_cfg) for p in peer_set.peers[name]], encoder_cfg
-        ).values
-        for i, name in enumerate(known)
-    }
-    distinct = len({p.strip().casefold() for name in known for p in peer_set.peers[name]})
-    head = init_head(len(known), distinct, seed=cfg.seed, feature_dim=features.dim,
-                     hidden_dims=tuple(cfg.hidden_dims))
-    state = train(features.values[train_rows], train_y, class_texts, peer_texts, head,
-                  cfg.training_config())
+    known = [dataset.class_names[g] for g in np.unique(dataset.labels[dataset.is_train])]
+    state = bench.fit(dataset, known, peer_set, replace(settings, peer=peer_cfg), cfg.seed)
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
     print(f"trained {cfg.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")

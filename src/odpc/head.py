@@ -60,13 +60,21 @@ class MlpHead:
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Named parameters in canonical (checkpoint) order."""
-        items: list[tuple[str, np.ndarray]] = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            items.append((f"fc{i}.weight", w))
-            items.append((f"fc{i}.bias", b))
-        items.append(("classifier.weight", self.clf_weight))
-        items.append(("classifier.bias", self.clf_bias))
-        return items
+        return named_tensors(self)
+
+
+def tensor_names(n_layers: int = N_SHARED_LAYERS) -> list[str]:
+    """Parameter names in canonical (checkpoint) order."""
+    names = [f"fc{i}.{kind}" for i in range(1, n_layers + 1) for kind in ("weight", "bias")]
+    return names + ["classifier.weight", "classifier.bias"]
+
+
+def named_tensors(params) -> list[tuple[str, np.ndarray]]:
+    """(name, array) pairs of a head, or of anything laid out like one
+    (``weights``, ``biases``, ``clf_weight``, ``clf_bias``), in canonical order."""
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    arrays += [params.clf_weight, params.clf_bias]
+    return list(zip(tensor_names(len(params.weights)), arrays))
 
 
 @dataclass
@@ -257,9 +265,7 @@ def load_checkpoint(path: str | Path) -> MlpHead:
         arrays[t["name"]] = arr.reshape(t["shape"]).copy()
         cursor += size
 
-    expected = [f"fc{i}.{kind}" for i in range(1, N_SHARED_LAYERS + 1) for kind in ("weight", "bias")]
-    expected += ["classifier.weight", "classifier.bias"]
-    if sorted(arrays) != sorted(expected):
+    if sorted(arrays) != sorted(tensor_names()):
         raise FormatError(f"{path}: unexpected tensor set {sorted(arrays)}")
     head = MlpHead(
         weights=[arrays[f"fc{i}.weight"] for i in range(1, N_SHARED_LAYERS + 1)],

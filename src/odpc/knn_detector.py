@@ -60,7 +60,6 @@ class FeatureBank:
 
     vectors: np.ndarray          # (n_train, sum(layer_dims)), float64
     layer_dims: tuple[int, ...]
-    built_from: str | None = None
 
     @property
     def rows(self) -> int:
@@ -112,11 +111,7 @@ def passthrough_transform(features: EmbeddingMatrix | np.ndarray, copies: int = 
     return out
 
 
-def build_bank(
-    head: MlpHead,
-    train_features: EmbeddingMatrix | np.ndarray,
-    built_from: str | None = None,
-) -> FeatureBank:
+def build_bank(head: MlpHead, train_features: EmbeddingMatrix | np.ndarray) -> FeatureBank:
     """Forward all training features and freeze them into a search bank."""
     values = train_features.values if isinstance(train_features, EmbeddingMatrix) else train_features
     if np.asarray(values).shape[0] == 0:
@@ -124,11 +119,11 @@ def build_bank(
     vectors = bank_transform(head, train_features)
     dims = tuple(int(w.shape[0]) for w in head.weights)
     vectors.setflags(write=False)
-    return FeatureBank(vectors=vectors, layer_dims=dims, built_from=built_from)
+    return FeatureBank(vectors=vectors, layer_dims=dims)
 
 
 def bank_from_vectors(vectors: np.ndarray, layer_dims: tuple[int, ...] | None = None) -> FeatureBank:
-    """Wrap precomputed bank-space vectors (e.g. passthrough or loaded from disk)."""
+    """Wrap precomputed bank-space vectors (e.g. the passthrough transform's)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise InvalidArgumentError(f"bank vectors must be a non-empty 2-D array, got {vectors.shape}")
@@ -195,15 +190,6 @@ def detect(score: float, threshold: float) -> Decision:
     if not (np.isfinite(score) and np.isfinite(threshold)):
         raise InvalidArgumentError("score and threshold must be finite")
     return Decision.OOD if score > threshold else Decision.ID
-
-
-def save_bank(bank: FeatureBank, path: str | Path) -> None:
-    persist.write_bank(bank.vectors.astype(np.float32), path, normalized=False)
-
-
-def load_bank(path: str | Path, layer_dims: tuple[int, ...] | None = None) -> FeatureBank:
-    matrix, _ = persist.read_bank(path)
-    return bank_from_vectors(matrix, layer_dims)
 
 
 def export_scores(

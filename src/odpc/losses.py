@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
-from .head import MlpHead, float64_head, forward_with_cache, softmax
+from .head import MlpHead, float64_head, forward_with_cache, named_tensors, softmax
 
 PCC_FORMS = ("per_anchor", "literal")
 
@@ -329,13 +329,7 @@ class HeadGrads:
     clf_bias: np.ndarray
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            items.append((f"fc{i}.weight", w))
-            items.append((f"fc{i}.bias", b))
-        items.append(("classifier.weight", self.clf_weight))
-        items.append(("classifier.bias", self.clf_bias))
-        return items
+        return named_tensors(self)
 
 
 def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None, cfg: LossConfig):

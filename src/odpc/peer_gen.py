@@ -13,7 +13,6 @@ in case, and nothing else in the pipeline should care.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -28,7 +27,8 @@ DEFAULT_DESCRIPTION_TEMPLATE = "This is a photo of a [CLASS]"
 
 REQUERY_SUFFIX = " (give different answers)"
 
-PROVIDER_KINDS = ("http_llm", "stub")
+# Candidate labels the stub provider returns per query.
+STUB_CANDIDATES = 12
 
 
 def normalize_label(label: str) -> str:
@@ -41,7 +41,6 @@ class PeerGenConfig:
     peers_per_class: int = 3
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
     description_template: str = DEFAULT_DESCRIPTION_TEMPLATE
-    provider_kind: str = "stub"
     max_requery_attempts: int = 5
     offline: bool = False
 
@@ -52,8 +51,6 @@ class PeerGenConfig:
             raise ConfigError("prompt_template must contain the placeholder [class] exactly once")
         if self.description_template.count("[CLASS]") != 1:
             raise ConfigError("description_template must contain the placeholder [CLASS] exactly once")
-        if self.provider_kind not in PROVIDER_KINDS:
-            raise ConfigError(f"provider_kind must be one of {PROVIDER_KINDS}")
         if self.max_requery_attempts < 1:
             raise ConfigError("max_requery_attempts must be >= 1")
 
@@ -125,11 +122,8 @@ class StubProvider:
 
     requires_network = False
 
-    def __init__(self, seed: int = 0, candidates_per_query: int = 12):
-        if candidates_per_query < 1:
-            raise ConfigError("candidates_per_query must be >= 1")
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.candidates_per_query = candidates_per_query
         self.identifier = f"stub:seed={seed}"
 
     def request(self, prompt: str) -> list[str]:
@@ -139,7 +133,7 @@ class StubProvider:
         key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=key))
         n_combos = len(_ADJECTIVES) * len(_NOUNS)
-        count = min(self.candidates_per_query, n_combos)
+        count = min(STUB_CANDIDATES, n_combos)
         picks = rng.choice(n_combos, size=count, replace=False)
         return [f"{_ADJECTIVES[p // len(_NOUNS)]} {_NOUNS[p % len(_NOUNS)]}" for p in picks]
 
@@ -216,14 +210,6 @@ def parse_label_list(content: str) -> list[str]:
         if label:
             labels.append(label)
     return labels
-
-
-def make_provider(cfg: PeerGenConfig, seed: int = 0, endpoint: str = "", model: str = "") -> LlmProvider:
-    if cfg.provider_kind == "stub":
-        return StubProvider(seed=seed)
-    if not endpoint or not model:
-        raise ConfigError("http_llm provider needs an endpoint and a model name")
-    return HttpLlmProvider(endpoint=endpoint, model=model)
 
 
 class LlmCache:
@@ -357,11 +343,24 @@ def save_peers(peer_set: PeerClassSet, cfg: PeerGenConfig, path: str | Path) -> 
 
 
 def load_peers(path: str | Path) -> tuple[PeerClassSet, dict]:
-    """Read peers.json; returns the peer set and the raw document."""
+    """Read peers.json; returns the peer set and the raw document.
+
+    ``classes`` must map each class name to a list of non-empty peer
+    labels, and a ``description_template`` must be a string; anything else
+    raises ConfigError naming the file.
+    """
     doc = persist.read_json(path)
     if not isinstance(doc, dict) or "classes" not in doc:
         raise ConfigError(f"{path}: not a valid peers file")
+    if not isinstance(doc.get("description_template", ""), str):
+        raise ConfigError(f"{path}: description_template must be a string")
     classes = doc["classes"]
+    if not isinstance(classes, dict):
+        raise ConfigError(f"{path}: classes must map each class name to a list of peer labels")
+    for name, peers in classes.items():
+        if not (isinstance(peers, list)
+                and all(isinstance(p, str) and p.strip() for p in peers)):
+            raise ConfigError(f"{path}: peers of class {name!r} must be a list of non-empty labels")
     peer_set = PeerClassSet(
         id_labels=list(classes.keys()),
         peers={k: list(v) for k, v in classes.items()},

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +13,9 @@ from odpc.bench import (
     SyntheticSpec,
     auroc,
     builtin_catalog,
+    catalog_from_manifest,
     export_projection,
+    fit,
     generate_synthetic_raw,
     load_manifest_dataset,
     make_split,
@@ -24,7 +31,8 @@ from odpc.bench import (
     write_table_md,
 )
 from odpc.encoders import EmbeddingMatrix, ToyEncoderConfig
-from odpc.errors import ConfigError, InvalidArgumentError
+from odpc.errors import ConfigError, FormatError, InvalidArgumentError
+from odpc.peer_gen import PeerClassSet
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +279,69 @@ def test_run_benchmark_imported_dataset(tmp_path, rng):
 def test_run_benchmark_validates_repeats():
     with pytest.raises(InvalidArgumentError):
         run_benchmark("synthetic", 0, _fast_settings())
+
+
+def _fit_inputs(variant="pcc_ce"):
+    from odpc.trainer import TrainingConfig
+
+    settings = replace(_fast_settings(variant), training=TrainingConfig(epochs=0))
+    dataset = synthetic_feature_dataset(settings.synthetic, settings.encoder)
+    known = dataset.class_names[:3]
+    peers = {name: ["wolf", f"Peer {i}"] for i, name in enumerate(dataset.class_names[:4])}
+    peers["extra"] = ["x"]
+    peers = PeerClassSet(id_labels=list(peers), peers=peers, provenance={})
+    return dataset, known, peers, settings
+
+
+def test_fit_sizes_classifier_by_distinct_peers_of_known_classes():
+    dataset, known, peers, settings = _fit_inputs()
+    head = fit(dataset, known, peers, settings, seed=0).head
+    # "wolf" is shared; the fourth class and "extra" are not known.
+    assert (head.num_id_classes, head.num_peer_outputs) == (3, 4)
+
+
+def test_fit_rejects_known_class_without_peers():
+    dataset, known, peers, settings = _fit_inputs()
+    del peers.peers[known[1]]
+    with pytest.raises(ConfigError, match=repr(known[1])):
+        fit(dataset, known, peers, settings, seed=0)
+
+
+def test_fit_rejects_passthrough():
+    dataset, known, peers, settings = _fit_inputs("passthrough")
+    with pytest.raises(ConfigError, match="passthrough"):
+        fit(dataset, known, peers, settings, seed=0)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"classes": "cat,dog"}, {"classes": ["cat", 3]}, {"classes": ["cat"], "animal_classes": "cat"}],
+    ids=["classes-string", "classes-number", "animals-string"],
+)
+def test_catalog_from_manifest_requires_name_lists(tmp_path, doc):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match="labels.json"):
+        catalog_from_manifest(path)
+
+
+def test_read_results_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "results.csv"
+    # The blank line is skipped, not reported.
+    path.write_text("protocol,repeat,seed,auroc,openness\n\nsynthetic,0,7\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 3"):
+        read_results_csv(path)
+
+
+def test_tracer_targets_resolve():
+    """Every attribute perfbench's tracer wraps is still bound in its module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bound = spans.originals()
+    assert len(bound) == len(spans.TARGETS)
+    assert all(callable(fn) for fn in bound.values())
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,70 @@ def test_gen_peers_truncated_llm_cache_is_usage_error(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
     assert not out.exists()
+
+
+def _history_after_train(tmp_path, inputs, extra):
+    config = write_config(tmp_path, extra)
+    hist = tmp_path / "history.csv"
+    rc = main(["train", "--config", config, "--features", inputs["features"],
+               "--labels", inputs["labels"], "--peers", inputs["peers"],
+               "--out", str(tmp_path / "head.ckpt"), "--history", str(hist)])
+    assert rc == 0
+    lines = hist.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_train_honours_ce_only_variant(tmp_path, train_inputs):
+    rows = _history_after_train(tmp_path, train_inputs, {"epochs": 2, "variant": "ce_only"})
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["pcc1"], row["pcc2"], row["pcc3"]) == ("0.0", "0.0", "0.0")
+        assert row["total"] == row["ce"]
+
+
+def test_train_passthrough_variant_is_usage_error(tmp_path, capsys, train_inputs):
+    config = write_config(tmp_path, {"epochs": 0, "variant": "passthrough"})
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, config=config)
+    assert doc["error"] == "ConfigError"
+    assert "passthrough" in doc["message"]
+
+
+@pytest.mark.parametrize("classes", [["a"], {"a": "wolf"}], ids=["list", "string-peers"])
+def test_train_malformed_peers_is_usage_error(tmp_path, capsys, train_inputs, classes):
+    peers = tmp_path / "peers.json"
+    persist.write_json(peers, {"classes": classes})
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, peers=peers)
+    assert doc["error"] == "ConfigError"
+    assert str(peers) in doc["message"]
+
+
+def test_gen_peers_labels_classes_not_a_list_is_usage_error(tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    persist.write_json(labels, {"classes": "cat,dog"})
+    out = tmp_path / "peers.json"
+    rc = main(["gen-peers", "--labels", str(labels), "--cache", str(tmp_path / "c.json"),
+               "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "protocol,repeat,seed,auroc,openness\n"
+        "synthetic,0,7,0.81,13.39\n"
+        "synthetic,1,8\n",
+        encoding="utf-8",
+    )
+    table = tmp_path / "table.md"
+    rc = main(["report", "--results", str(results), "--out", str(table)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "FormatError"
+    assert str(results) in doc["message"] and "line 3" in doc["message"]
+    assert not table.exists()

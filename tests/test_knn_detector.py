@@ -16,9 +16,7 @@ from odpc.knn_detector import (
     export_scores,
     _query_chunk,
     knn_scores,
-    load_bank,
     passthrough_transform,
-    save_bank,
 )
 
 
@@ -191,15 +189,6 @@ def test_detect_boundary_convention():
     assert detect(0.0, 0.5) is Decision.ID
     with pytest.raises(InvalidArgumentError):
         detect(float("nan"), 1.0)
-
-
-def test_bank_save_load_roundtrip(tmp_path, rng):
-    vecs = rng.standard_normal((6, 9)).astype(np.float32)
-    bank = bank_from_vectors(vecs, layer_dims=(3, 3, 3))
-    path = tmp_path / "bank.fb"
-    save_bank(bank, path)
-    back = load_bank(path, layer_dims=(3, 3, 3))
-    assert np.allclose(back.vectors, bank.vectors)
 
 
 def test_export_scores_csv(tmp_path):

@@ -185,7 +185,7 @@ class FailingNetworkProvider:
 
 
 def test_offline_without_cache_raises():
-    cfg = PeerGenConfig(peers_per_class=1, offline=True, provider_kind="http_llm")
+    cfg = PeerGenConfig(peers_per_class=1, offline=True)
     with pytest.raises(OfflineError):
         generate_peer_classes(["dog", "cat"], cfg, FailingNetworkProvider())
 
@@ -197,7 +197,7 @@ def test_offline_served_from_warm_cache(tmp_path):
     warm.identifier = "http:test"
     generate_peer_classes(["dog", "cat"], cfg, warm, LlmCache(path))
 
-    offline_cfg = PeerGenConfig(peers_per_class=1, offline=True, provider_kind="http_llm")
+    offline_cfg = PeerGenConfig(peers_per_class=1, offline=True)
     result = generate_peer_classes(["dog", "cat"], offline_cfg, FailingNetworkProvider(), LlmCache(path))
     assert result.peers == {"dog": ["wolf"], "cat": ["lion"]}
 
@@ -261,6 +261,26 @@ def test_peers_json_roundtrip(tmp_path):
     back, raw = load_peers(path)
     assert back.peers == peer_set.peers
     assert sorted(back.id_labels) == sorted(peer_set.id_labels)
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [["dog"], {"dog": "wolf"}, {"dog": ["wolf", " "]}, {"dog": ["wolf", 3]}],
+    ids=["list", "string-peers", "blank-peer", "number-peer"],
+)
+def test_load_peers_rejects_malformed_classes(tmp_path, classes):
+    path = tmp_path / "peers.json"
+    path.write_text(json.dumps({"classes": classes}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="peers.json"):
+        load_peers(path)
+
+
+def test_load_peers_rejects_non_string_description_template(tmp_path):
+    path = tmp_path / "peers.json"
+    path.write_text(json.dumps({"classes": {"dog": ["wolf"]}, "description_template": 5}),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="description_template"):
+        load_peers(path)
 
 
 def test_distinct_peer_count():
