@@ -12,7 +12,6 @@ from .bench import (
     export_projection,
     make_split,
     openness,
-    openness_literal,
     run_benchmark,
 )
 from .encoders import (

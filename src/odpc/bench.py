@@ -213,23 +213,15 @@ def openness(n_train_classes: int, n_total_test_classes: int) -> float:
 
     Ntr is the number of known classes and Nte the total number of classes
     seen at test (known + unknown). This is the form consistent with the
-    standard printed benchmark figures; see openness_literal for the other
-    reading.
+    standard printed benchmark figures. The other reading, with denominator
+    Nte + Nunknown, gives 7.42% for 6 known of 10 classes with 4 unknown,
+    far from the published 13.39%.
     """
     if n_train_classes < 1 or n_total_test_classes < n_train_classes:
         raise InvalidArgumentError(
             f"need n_total_test >= n_train >= 1, got ({n_train_classes}, {n_total_test_classes})"
         )
     ratio = 2.0 * n_train_classes / (n_train_classes + n_total_test_classes)
-    return float(100.0 * (1.0 - np.sqrt(ratio)))
-
-
-def openness_literal(n_train_classes: int, n_total_test_classes: int, n_unknown: int) -> float:
-    """Alternative reading with denominator Nte + Nunknown; documented for
-    comparison, inconsistent with the usual printed values."""
-    if n_train_classes < 1 or n_total_test_classes < 1 or n_unknown < 0:
-        raise InvalidArgumentError("invalid class counts")
-    ratio = min(2.0 * n_train_classes / (n_total_test_classes + n_unknown), 1.0)
     return float(100.0 * (1.0 - np.sqrt(ratio)))
 
 
@@ -453,6 +445,8 @@ class PipelineSettings:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.hidden_dims is not None and min(self.hidden_dims, default=0) < 1:
+            raise ConfigError(f"hidden_dims must be >= 1 each, got {self.hidden_dims}")
 
 
 @dataclass
@@ -602,7 +596,9 @@ def write_results_csv(results: list[EvalResult], path: str | Path) -> None:
 def read_results_csv(path: str | Path) -> list[dict]:
     """One dict per result row, keyed by the header; blank lines are skipped.
 
-    A row whose field count differs from the header's raises FormatError
+    A row whose field count differs from the header's, that lacks a
+    ``protocol``, ``auroc`` or ``openness`` column, or whose ``auroc`` or
+    ``openness`` does not parse as a float (``nan`` does) raises FormatError
     naming the file and the line.
     """
     rows = []
@@ -616,7 +612,18 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(parts)} fields, the header {len(header)}"
                 )
-            rows.append(dict(zip(header, parts)))
+            row = dict(zip(header, parts))
+            missing = [c for c in ("protocol", "auroc", "openness") if c not in row]
+            if missing:
+                raise FormatError(f"{path}: line {lineno} has no {missing[0]!r} column")
+            for column in ("auroc", "openness"):
+                try:
+                    float(row[column])
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {lineno} {column} {row[column]!r} is not a number"
+                    ) from None
+            rows.append(row)
     return rows
 
 

@@ -1,6 +1,9 @@
 """Command-line pipeline orchestration.
 
-One JSON config drives everything; flags override config values. Commands:
+One JSON config drives everything. Each key is a line of ``CONFIG_KEYS``
+naming the dataclass field(s) it sets; its default and JSON type are that
+field's. The flags --seed, --epochs, --provider, --offline and --n
+(peers_per_class) override the config through the same table. Commands:
 
     gen-peers   generate peer labels -> peers.json
     encode      produce feature bank files (synthetic toy data, or re-validate imports)
@@ -22,27 +25,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import bench, persist
-from .encoders import ToyEncoderConfig, import_embeddings, toy_encode_images
+from .encoders import import_embeddings, toy_encode_images
 from .errors import ConfigError, InvalidArgumentError, OdpcError
 from .head import save_checkpoint
-from .knn_detector import KnnConfig
-from .losses import LossConfig
 from .peer_gen import (
     HttpLlmProvider,
     LlmCache,
-    PeerGenConfig,
     StubProvider,
     generate_peer_classes,
     load_peers,
     save_peers,
 )
-from .trainer import TrainingConfig, write_loss_history
+from .trainer import write_loss_history
 
 # Not called here since ``train`` fits through ``bench.fit``: perfbench's
 # tracer (perfbench/spans.py TARGETS) wraps these attributes of odpc.cli.
@@ -55,138 +56,125 @@ RUNTIME_EXIT = 1
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Flat config mirrored by config.json; unknown keys are rejected."""
+class CliConfig:
+    """The pipeline settings plus the config keys only the CLI reads."""
 
-    epochs: int = 160
-    batch_size: int = 32
-    lr: float = 1e-5
-    momentum: float = 0.99
-    step_size: int = 30
-    gamma: float = 0.25
-    temperature: float = 0.005
-    mix_lambda: float = 0.5
-    pcc_form: str = "per_anchor"
-    knn_k: int = 200
-    target_tpr: float = 0.95
-    peers_per_class: int = 3
-    prompt_template: str = PeerGenConfig().prompt_template
-    description_template: str = PeerGenConfig().description_template
+    # The CLI keeps 512-wide hidden layers whatever feature_dim is; the
+    # PipelineSettings default (None) would follow feature_dim.
+    settings: bench.PipelineSettings = field(
+        default_factory=lambda: bench.PipelineSettings(hidden_dims=(512, 512, 512)))
     provider: str = "stub"
-    max_requery_attempts: int = 5
-    offline: bool = False
     llm_endpoint: str = ""
     llm_model: str = ""
-    hidden_dims: tuple[int, ...] = (512, 512, 512)
-    encoder_seed: int = 0
-    raw_dim: int = 64
-    feature_dim: int = 512
-    seed: int = 0
-    synthetic_center_scale: float = bench.SyntheticSpec().center_scale
-    synthetic_common_scale: float = bench.SyntheticSpec().common_scale
-    synthetic_noise_scale: float = 1.0
-    variant: str = "pcc_ce"
 
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            momentum=self.momentum,
-            step_size=self.step_size,
-            gamma=self.gamma,
-            seed=self.seed,
-            loss=LossConfig(
-                temperature=self.temperature,
-                mix_lambda=self.mix_lambda,
-                pcc_form=self.pcc_form,
-            ),
-        )
-
-    def knn_config(self) -> KnnConfig:
-        return KnnConfig(k=self.knn_k, target_tpr=self.target_tpr)
-
-    def peer_config(self) -> PeerGenConfig:
-        return PeerGenConfig(
-            peers_per_class=self.peers_per_class,
-            prompt_template=self.prompt_template,
-            description_template=self.description_template,
-            max_requery_attempts=self.max_requery_attempts,
-            offline=self.offline,
-        )
-
-    def encoder_config(self) -> ToyEncoderConfig:
-        return ToyEncoderConfig(seed=self.encoder_seed, raw_dim=self.raw_dim, out_dim=self.feature_dim)
-
-    def synthetic_spec(self) -> bench.SyntheticSpec:
-        return bench.SyntheticSpec(
-            raw_dim=self.raw_dim,
-            center_scale=self.synthetic_center_scale,
-            common_scale=self.synthetic_common_scale,
-            noise_scale=self.synthetic_noise_scale,
-            seed=self.seed,
-        )
-
-    def settings(self) -> bench.PipelineSettings:
-        return bench.PipelineSettings(
-            training=self.training_config(),
-            knn=self.knn_config(),
-            peer=self.peer_config(),
-            encoder=self.encoder_config(),
-            synthetic=self.synthetic_spec(),
-            variant=self.variant,
-            hidden_dims=tuple(self.hidden_dims),
-        )
+    def __post_init__(self):
+        if self.provider not in ("stub", "http"):
+            raise ConfigError(f"provider must be 'stub' or 'http', got {self.provider!r}")
 
 
-def load_config(path: str | Path | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    doc = persist.read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(set(doc) - known)
+# JSON config key -> the CliConfig field path(s) it sets. A key's default
+# and JSON type are those of the field, so a new key is a dataclass field
+# plus one line here.
+CONFIG_KEYS: dict[str, tuple[str, ...]] = {
+    "epochs": ("settings.training.epochs",),
+    "batch_size": ("settings.training.batch_size",),
+    "lr": ("settings.training.lr",),
+    "momentum": ("settings.training.momentum",),
+    "step_size": ("settings.training.step_size",),
+    "gamma": ("settings.training.gamma",),
+    "seed": ("settings.training.seed", "settings.synthetic.seed"),
+    "temperature": ("settings.training.loss.temperature",),
+    "mix_lambda": ("settings.training.loss.mix_lambda",),
+    "pcc_form": ("settings.training.loss.pcc_form",),
+    "knn_k": ("settings.knn.k",),
+    "target_tpr": ("settings.knn.target_tpr",),
+    "peers_per_class": ("settings.peer.peers_per_class",),
+    "prompt_template": ("settings.peer.prompt_template",),
+    "description_template": ("settings.peer.description_template",),
+    "max_requery_attempts": ("settings.peer.max_requery_attempts",),
+    "offline": ("settings.peer.offline",),
+    "encoder_seed": ("settings.encoder.seed",),
+    "raw_dim": ("settings.encoder.raw_dim", "settings.synthetic.raw_dim"),
+    "feature_dim": ("settings.encoder.out_dim",),
+    "synthetic_center_scale": ("settings.synthetic.center_scale",),
+    "synthetic_common_scale": ("settings.synthetic.common_scale",),
+    "synthetic_noise_scale": ("settings.synthetic.noise_scale",),
+    "variant": ("settings.variant",),
+    "hidden_dims": ("settings.hidden_dims",),
+    "provider": ("provider",),
+    "llm_endpoint": ("llm_endpoint",),
+    "llm_model": ("llm_model",),
+}
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a field's default: a bool is no
+    number, an int field takes no float, a float field takes no NaN, Infinity
+    or integer beyond the float range, and a tuple is a list of its length."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
+
+
+def _set(obj, path: str, value):
+    """``obj`` with the field at the dotted ``path`` replaced, rebuilding (and
+    so re-checking) each dataclass on the way."""
+    first, _, rest = path.partition(".")
+    if rest:
+        value = _set(getattr(obj, first), rest, value)
+    return replace(obj, **{first: value})
+
+
+def _apply_config(cfg: CliConfig, doc: dict, source: str) -> CliConfig:
+    """Set each key of ``doc`` at its CONFIG_KEYS paths.
+
+    A key not in the table, or a value whose JSON type differs from the
+    field's default, is a ConfigError naming ``source`` and the key. Every
+    rebuilt dataclass runs its own checks.
+    """
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {unknown}")
-    if "hidden_dims" in doc:
-        doc["hidden_dims"] = tuple(doc["hidden_dims"])
-    try:
-        cfg = PipelineConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    _validate_config(cfg)
+        raise ConfigError(f"{source}: unknown config keys {unknown}")
+    defaults = CliConfig()
+    for key, value in doc.items():
+        paths = CONFIG_KEYS[key]
+        default = attrgetter(paths[0])(defaults)
+        if not _fits(value, default):
+            raise ConfigError(f"{source}: config key {key!r} takes the JSON type of its "
+                              f"default {json.dumps(default)}, got {json.dumps(value)}")
+        if isinstance(value, list):
+            value = tuple(value)
+        for path in paths:
+            cfg = _set(cfg, path, value)
     return cfg
 
 
-def _validate_config(cfg: PipelineConfig) -> None:
-    # Constructing the per-module configs runs every invariant check.
-    cfg.training_config()
-    cfg.knn_config()
-    cfg.peer_config()
-    cfg.encoder_config()
-    if cfg.provider not in ("stub", "http"):
-        raise ConfigError(f"provider must be 'stub' or 'http', got {cfg.provider!r}")
-    if len(cfg.hidden_dims) != 3:
-        raise ConfigError("hidden_dims must list exactly 3 layer widths")
-    if cfg.variant not in bench.VARIANTS:
-        raise ConfigError(f"variant must be one of {bench.VARIANTS}")
+def load_config(path: str | Path | None) -> CliConfig:
+    """The module dataclasses' defaults, overridden by the JSON config at ``path``."""
+    if path is None:
+        return CliConfig()
+    doc = persist.read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return _apply_config(CliConfig(), doc, str(path))
 
 
-def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    updates = {}
-    for flag in ("seed", "provider", "epochs"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[flag] = value
-    if getattr(args, "offline", False):
-        updates["offline"] = True
-    return replace(cfg, **updates) if updates else cfg
+def _command_config(args: argparse.Namespace) -> CliConfig:
+    """``--config``'s settings, then the flags named after config keys."""
+    flags = {key: getattr(args, key)
+             for key in ("seed", "epochs", "provider", "offline", "peers_per_class")
+             if getattr(args, key, None) is not None}
+    return _apply_config(load_config(args.config), flags, "command line")
 
 
-def _make_provider(cfg: PipelineConfig):
+def _make_provider(cfg: CliConfig):
     if cfg.provider == "stub":
-        return StubProvider(seed=cfg.seed)
+        return StubProvider(seed=cfg.settings.training.seed)
     if not cfg.llm_endpoint or not cfg.llm_model:
         raise ConfigError("http provider needs llm_endpoint and llm_model in the config")
     return HttpLlmProvider(endpoint=cfg.llm_endpoint, model=cfg.llm_model)
@@ -204,12 +192,10 @@ def _read_class_list(args: argparse.Namespace) -> list[str]:
 # commands
 
 def _cmd_gen_peers(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if args.n is not None:
-        cfg = replace(cfg, peers_per_class=args.n)
+    cfg = _command_config(args)
     labels = _read_class_list(args)
     cache = LlmCache(args.cache) if args.cache else LlmCache()
-    peer_cfg = cfg.peer_config()
+    peer_cfg = cfg.settings.peer
     peer_set = generate_peer_classes(labels, peer_cfg, _make_provider(cfg), cache)
     save_peers(peer_set, peer_cfg, args.out)
     print(f"wrote {args.out}: {sum(len(v) for v in peer_set.peers.values())} peer labels "
@@ -218,7 +204,7 @@ def _cmd_gen_peers(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    settings = _command_config(args).settings
     out_dir = Path(args.out)
     if args.import_path:
         matrix = import_embeddings(args.import_path)
@@ -228,9 +214,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         return 0
     if args.protocol != "synthetic":
         raise ConfigError("encode generates data only for --protocol synthetic; use --import for real banks")
-    spec = cfg.synthetic_spec()
-    names, raw, labels, is_train = bench.generate_synthetic_raw(spec)
-    feats = toy_encode_images(raw, cfg.encoder_config())
+    names, raw, labels, is_train = bench.generate_synthetic_raw(settings.synthetic)
+    feats = toy_encode_images(raw, settings.encoder)
     out_dir.mkdir(parents=True, exist_ok=True)
     persist.write_bank(feats.values[is_train], out_dir / "train.fb", normalized=True)
     persist.write_bank(feats.values[~is_train], out_dir / "test.fb", normalized=True)
@@ -242,24 +227,23 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    settings = _command_config(args).settings
     features = import_embeddings(args.features)
     dataset = bench.load_manifest_dataset(args.labels, features)
     peer_set, peers_doc = load_peers(args.peers)
-    settings = cfg.settings()
     peer_cfg = replace(settings.peer, description_template=peers_doc.get(
-        "description_template", cfg.description_template))
+        "description_template", settings.peer.description_template))
     known = [dataset.class_names[g] for g in np.unique(dataset.labels[dataset.is_train])]
-    state = bench.fit(dataset, known, peer_set, replace(settings, peer=peer_cfg), cfg.seed)
+    training = settings.training
+    state = bench.fit(dataset, known, peer_set, replace(settings, peer=peer_cfg), training.seed)
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
-    print(f"trained {cfg.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")
+    print(f"trained {training.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    settings = cfg.settings()
+    settings = _command_config(args).settings
     dataset = None
     catalog = None
     if args.protocol != "synthetic":
@@ -268,7 +252,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         dataset = bench.load_manifest_dataset(args.labels, import_embeddings(args.features))
         catalog = bench.catalog_from_manifest(args.labels)
     result = bench.run_benchmark(
-        args.protocol, args.repeats, settings, base_seed=cfg.seed,
+        args.protocol, args.repeats, settings, base_seed=settings.training.seed,
         dataset=dataset, catalog=catalog,
     )
     bench.write_results_csv([result], args.out)
@@ -316,14 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", default=None, help="config.json path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--offline", action="store_true")
+        p.add_argument("--offline", action="store_const", const=True, default=None)
 
     p = sub.add_parser("gen-peers", help="generate peer-class labels")
     common(p)
     p.add_argument("--classes", help="comma-separated ID class labels")
     p.add_argument("--labels", help="labels.json manifest to read classes from")
     p.add_argument("--provider", choices=["stub", "http"], default=None)
-    p.add_argument("--n", type=int, default=None, help="peer labels per class")
+    p.add_argument("--n", dest="peers_per_class", type=int, default=None,
+                   help="peer labels per class")
     p.add_argument("--cache", default=None, help="llm_cache.json path")
     p.add_argument("--out", default="peers.json")
     p.set_defaults(func=_cmd_gen_peers)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,6 @@ class ForwardActivations:
     per_layer: list[np.ndarray]    # post-ReLU outputs of the shared layers, (batch, dim) each
     logits: np.ndarray             # (batch, num_outputs)
     probabilities: np.ndarray      # softmax rows, (batch, num_outputs)
-    pre_activations: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
 def init_head(
@@ -189,12 +188,11 @@ def forward(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> ForwardAct
     Image and text features go through the same three layers; the caller
     decides which logits (image ones) feed the cross-entropy.
     """
-    hs, zs, logits = forward_with_cache(head, features)
+    hs, _, logits = forward_with_cache(head, features)
     return ForwardActivations(
         per_layer=hs[1:],
         logits=logits,
         probabilities=softmax(logits),
-        pre_activations=zs,
     )
 
 

@@ -68,6 +68,8 @@ class TrainingConfig:
             raise ConfigError(f"step_size must be >= 1, got {self.step_size}")
         if not 0 < self.gamma <= 1:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -9,16 +9,28 @@ from __future__ import annotations
 
 import math
 import struct
+import tempfile
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from odpc import persist
 from odpc.encoders import _projection
 from odpc.head import MlpHead, init_head
 from odpc.losses import LossConfig, NegativeSet, TrainingBatch, build_negative_set, loss_and_grad
+
+# Property tests run the same examples on every run and keep no example
+# database; the example count keeps them to seconds. Hypothesis' other
+# caches (source constants, unicode tables) go to the system temporary
+# directory, not to a .hypothesis/ in the working directory.
+settings.register_profile("odpc", derandomize=True, deadline=None, database=None, max_examples=30)
+settings.load_profile("odpc")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "odpc-hypothesis")
 
 
 # ---------------------------------------------------------------------------

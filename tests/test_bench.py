@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from odpc.bench import (
     load_manifest_dataset,
     make_split,
     openness,
-    openness_literal,
     pca_projection,
     read_results_csv,
     run_benchmark,
@@ -64,9 +64,12 @@ def test_openness_invalid_counts():
 
 
 def test_openness_literal_form_documented_discrepancy():
-    # the alternative denominator reading gives 7.42% for the 6-known /
-    # 4-unknown split, far from the published 13.39%
-    assert openness_literal(6, 10, 4) == pytest.approx(7.42, abs=0.01)
+    # the other denominator reading (Nte + Nunknown, in openness's
+    # docstring) gives 7.42% for the 6-known / 4-unknown split, far from the
+    # published 13.39% that openness reproduces
+    literal = 100.0 * (1.0 - math.sqrt(2 * 6 / (10 + 4)))
+    assert literal == pytest.approx(7.42, abs=0.01)
+    assert openness(6, 10) - literal > 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +333,15 @@ def test_read_results_csv_rejects_short_row(tmp_path):
     # The blank line is skipped, not reported.
     path.write_text("protocol,repeat,seed,auroc,openness\n\nsynthetic,0,7\n", encoding="utf-8")
     with pytest.raises(FormatError, match="line 3"):
+        read_results_csv(path)
+
+
+@pytest.mark.parametrize("column", ["protocol", "auroc", "openness"])
+def test_read_results_csv_requires_result_columns(tmp_path, column):
+    path = tmp_path / "results.csv"
+    header = "protocol,repeat,seed,auroc,openness".replace(column, "other")
+    path.write_text(f"{header}\nsynthetic,0,7,0.8,13.39\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"line 2 has no '{column}' column"):
         read_results_csv(path)
 
 

@@ -1,10 +1,15 @@
 import json
+from dataclasses import fields, is_dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from odpc import persist
-from odpc.cli import PipelineConfig, load_config, main
+from odpc.bench import PipelineSettings
+from odpc.cli import CONFIG_KEYS, load_config, main
 from odpc.errors import ConfigError
 from odpc.head import load_checkpoint
 
@@ -25,19 +30,20 @@ def write_config(tmp_path, extra=None):
 
 
 def test_defaults_match_published_settings():
-    cfg = PipelineConfig()
-    assert cfg.batch_size == 32
-    assert cfg.epochs == 160
-    assert cfg.lr == 1e-5
-    assert cfg.momentum == 0.99
-    assert cfg.step_size == 30
-    assert cfg.gamma == 0.25
-    assert cfg.temperature == 0.005
-    assert cfg.mix_lambda == 0.5
-    assert cfg.knn_k == 200
-    assert cfg.target_tpr == 0.95
-    assert cfg.peers_per_class == 3
-    assert cfg.hidden_dims == (512, 512, 512)
+    settings = load_config(None).settings
+    training = settings.training
+    assert training.batch_size == 32
+    assert training.epochs == 160
+    assert training.lr == 1e-5
+    assert training.momentum == 0.99
+    assert training.step_size == 30
+    assert training.gamma == 0.25
+    assert training.loss.temperature == 0.005
+    assert training.loss.mix_lambda == 0.5
+    assert settings.knn.k == 200
+    assert settings.knn.target_tpr == 0.95
+    assert settings.peer.peers_per_class == 3
+    assert settings.hidden_dims == (512, 512, 512)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -53,6 +59,104 @@ def test_load_config_validates_values(tmp_path):
     persist.write_json(path, {"temperature": -1.0})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+# The 28 keys the config has always accepted.
+ACCEPTED_KEYS = {
+    "epochs", "batch_size", "lr", "momentum", "step_size", "gamma", "seed",
+    "temperature", "mix_lambda", "pcc_form", "knn_k", "target_tpr",
+    "peers_per_class", "prompt_template", "description_template", "provider",
+    "max_requery_attempts", "offline", "llm_endpoint", "llm_model", "hidden_dims",
+    "encoder_seed", "raw_dim", "feature_dim", "synthetic_center_scale",
+    "synthetic_common_scale", "synthetic_noise_scale", "variant",
+}
+
+
+def test_config_keys_resolve_to_fields_and_defaults_are_the_modules():
+    assert set(CONFIG_KEYS) == ACCEPTED_KEYS
+    cfg = load_config(None)
+    for key, paths in CONFIG_KEYS.items():
+        for path in paths:
+            owner_path, _, name = path.rpartition(".")
+            owner = attrgetter(owner_path)(cfg) if owner_path else cfg
+            assert is_dataclass(owner) and name in {f.name for f in fields(owner)}, (key, path)
+    # Only the head widths differ from PipelineSettings' own defaults.
+    assert cfg.settings == replace(PipelineSettings(), hidden_dims=(512, 512, 512))
+    assert (cfg.provider, cfg.llm_endpoint, cfg.llm_model) == ("stub", "", "")
+
+
+def test_shared_keys_set_every_field_they_name(tmp_path):
+    path = tmp_path / "config.json"
+    persist.write_json(path, {"raw_dim": 32, "seed": 4, "knn_k": 50, "feature_dim": 256})
+    settings = load_config(path).settings
+    assert settings.encoder.raw_dim == settings.synthetic.raw_dim == 32
+    assert settings.training.seed == settings.synthetic.seed == 4
+    assert settings.knn.k == 50
+    assert settings.encoder.out_dim == 256
+    assert settings.hidden_dims == (512, 512, 512)
+
+
+# JSON values by Python type; every list here is wrong for every key,
+# hidden_dims included (it takes exactly 3 integers).
+_JSON_BY_TYPE = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=8),
+    type(None): st.none(),
+    dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    list: st.lists(st.integers(), max_size=5).filter(lambda v: len(v) != 3)
+    | st.lists(st.integers() | st.floats() | st.booleans() | st.text(max_size=3),
+               min_size=3, max_size=3).filter(lambda v: any(type(x) is not int for x in v)),
+}
+
+
+def _wrong_json(default):
+    legal = {float: {int, float}, tuple: set()}.get(type(default), {type(default)})
+    return st.one_of([s for t, s in _JSON_BY_TYPE.items() if t not in legal])
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+@given(data=st.data())
+def test_wrong_json_type_is_config_error_naming_the_key(config_path, key, data):
+    default = attrgetter(CONFIG_KEYS[key][0])(load_config(None))
+    value = data.draw(_wrong_json(default))
+    persist.write_json(config_path, {key: value})
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(config_path)
+
+
+@pytest.mark.parametrize(
+    "doc,flags",
+    [
+        ({"epochs": "3"}, []),
+        ({"hidden_dims": 5}, []),
+        ({"offline": "no"}, []),
+        ({"epochs": True}, []),
+        ({"momentum": float("nan")}, []),
+        ({"lr": 10**400}, []),
+        ({"hidden_dims": [0, 512, 512]}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-2"]),
+    ],
+    ids=["epochs-string", "hidden-dims-int", "offline-string", "epochs-bool", "momentum-nan",
+         "lr-beyond-float", "hidden-dims-zero", "negative-seed", "negative-seed-flag"],
+)
+def test_bad_config_value_is_one_line_usage_error(tmp_path, capsys, doc, flags):
+    config = tmp_path / "config.json"
+    persist.write_json(config, doc)
+    out = tmp_path / "results.csv"
+    rc = main(["eval", "--config", str(config), "--repeats", "1", "--out", str(out), *flags])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_removed_knn_backend_key_is_usage_error(tmp_path, capsys):
@@ -327,12 +431,17 @@ def test_gen_peers_labels_classes_not_a_list_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad_row",
+    ["synthetic,1,8", "synthetic,1,8,abc,13.39", "synthetic,1,8,0.8,"],
+    ids=["short-row", "auroc-abc", "openness-empty"],
+)
+def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
     results.write_text(
         "protocol,repeat,seed,auroc,openness\n"
-        "synthetic,0,7,0.81,13.39\n"
-        "synthetic,1,8\n",
+        "synthetic,0,7,nan,13.39\n"
+        f"{bad_row}\n",
         encoding="utf-8",
     )
     table = tmp_path / "table.md"
