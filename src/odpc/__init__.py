@@ -48,10 +48,8 @@ from .losses import (
     TrainingBatch,
     build_negative_set,
     ce_loss,
-    grad_total_loss,
     mixup,
     pcc_loss,
-    total_loss,
 )
 from .peer_gen import (
     HttpLlmProvider,

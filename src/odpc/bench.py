@@ -281,6 +281,15 @@ class SyntheticSpec:
     noise_scale: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_classes", "raw_dim", "train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("center_scale", "common_scale", "noise_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
 
 @dataclass
 class FeatureDataset:

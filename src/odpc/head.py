@@ -22,6 +22,7 @@ Checkpoint layout:
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -81,7 +82,6 @@ def named_tensors(params) -> list[tuple[str, np.ndarray]]:
 class ForwardActivations:
     per_layer: list[np.ndarray]    # post-ReLU outputs of the shared layers, (batch, dim) each
     logits: np.ndarray             # (batch, num_outputs)
-    probabilities: np.ndarray      # softmax rows, (batch, num_outputs)
 
 
 def init_head(
@@ -189,11 +189,7 @@ def forward(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> ForwardAct
     decides which logits (image ones) feed the cross-entropy.
     """
     hs, _, logits = forward_with_cache(head, features)
-    return ForwardActivations(
-        per_layer=hs[1:],
-        logits=logits,
-        probabilities=softmax(logits),
-    )
+    return ForwardActivations(per_layer=hs[1:], logits=logits)
 
 
 def save_checkpoint(head: MlpHead, path: str | Path) -> None:
@@ -221,6 +217,10 @@ def save_checkpoint(head: MlpHead, path: str | Path) -> None:
     persist.atomic_write_bytes(path, data)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path: str | Path) -> MlpHead:
     """Read a checkpoint back; validates magic, manifest, sizes, and CRC."""
     with open(path, "rb") as fh:
@@ -240,12 +240,22 @@ def load_checkpoint(path: str | Path) -> MlpHead:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: manifest is not valid JSON") from exc
     off += mlen
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != CK_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {manifest.get('version')}")
+    counts = ("num_id_classes", "num_peer_outputs", "seed", "epoch")
+    if not all(_is_count(manifest.get(key)) for key in counts):
+        raise FormatError(f"{path}: manifest lacks one of the non-negative integers {list(counts)}")
     tensors = manifest.get("tensors")
-    if not isinstance(tensors, list):
-        raise FormatError(f"{path}: manifest lacks tensor list")
-    sizes = [int(np.prod(t["shape"])) for t in tensors]
+    if not isinstance(tensors, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("shape"), list) and all(map(_is_count, t["shape"]))
+        for t in tensors
+    ):
+        raise FormatError(f"{path}: manifest tensors are not a list of named shapes")
+    if sorted(str(t.get("name")) for t in tensors) != sorted(tensor_names()):
+        raise FormatError(f"{path}: unexpected tensor set {[t.get('name') for t in tensors]}")
+    sizes = [math.prod(t["shape"]) for t in tensors]
     blob_len = 4 * sum(sizes)
     blob = data[off : off + blob_len]
     if len(blob) != blob_len or len(data) != off + blob_len + 4:
@@ -263,17 +273,21 @@ def load_checkpoint(path: str | Path) -> MlpHead:
         arrays[t["name"]] = arr.reshape(t["shape"]).copy()
         cursor += size
 
-    if sorted(arrays) != sorted(tensor_names()):
-        raise FormatError(f"{path}: unexpected tensor set {sorted(arrays)}")
+    shapes = [arrays[name].shape for name in tensor_names()]
+    fan_in = shapes[0][1:]
+    for weight, bias in zip(shapes[::2], shapes[1::2]):
+        if len(weight) != 2 or weight[1:] != fan_in or bias != weight[:1]:
+            raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
+        fan_in = weight[:1]
     head = MlpHead(
         weights=[arrays[f"fc{i}.weight"] for i in range(1, N_SHARED_LAYERS + 1)],
         biases=[arrays[f"fc{i}.bias"] for i in range(1, N_SHARED_LAYERS + 1)],
         clf_weight=arrays["classifier.weight"],
         clf_bias=arrays["classifier.bias"],
-        num_id_classes=int(manifest["num_id_classes"]),
-        num_peer_outputs=int(manifest["num_peer_outputs"]),
-        seed=int(manifest["seed"]),
-        epoch=int(manifest["epoch"]),
+        num_id_classes=manifest["num_id_classes"],
+        num_peer_outputs=manifest["num_peer_outputs"],
+        seed=manifest["seed"],
+        epoch=manifest["epoch"],
     )
     if head.num_outputs != head.num_id_classes + head.num_peer_outputs:
         raise FormatError(f"{path}: classifier rows disagree with class counts")

@@ -16,12 +16,13 @@ Two readings of the objective are supported:
 
 All math runs in float64 with max-subtraction, regardless of input dtype.
 
-A batch repeats text rows: every row of one label holds the same class
-description, and every row of one (label, peer choice) pair the same mixed
-text. loss_and_grad forwards each distinct text row once, gathers the
-per-row activations back for the contrastive terms, and sums their adjoints
-into the distinct rows before the backward pass. A batch whose rows break
-that contract raises InvalidArgumentError.
+A batch holds each text row once. TrainingBatch carries the class-description
+matrix, and image i pairs with class_texts[labels[i]]. NegativeSet holds one
+mixed text per distinct (label, peer) pair, and batch row i uses
+mixed_texts[text_index[i]]. loss_and_grad forwards the images, the
+descriptions of the classes in the batch, the mixed images and the mixed
+texts, gathers the per-row text activations for the contrastive terms, and
+sums their adjoints back into the rows they came from.
 """
 
 from __future__ import annotations
@@ -58,31 +59,34 @@ class LossConfig:
 
 @dataclass
 class TrainingBatch:
-    """Paired image/text features with integer class labels.
+    """Image features with integer class labels and the class descriptions.
 
-    text_features row i is the encoded description of class labels[i], so
-    rows sharing a label are equal.
+    class_texts row c is the encoded description of class c; image i pairs
+    with class_texts[labels[i]].
     """
 
     image_features: np.ndarray
     labels: np.ndarray
-    text_features: np.ndarray
+    class_texts: np.ndarray
 
     def __post_init__(self):
         self.image_features = np.asarray(self.image_features, dtype=np.float64)
-        self.text_features = np.asarray(self.text_features, dtype=np.float64)
+        self.class_texts = np.asarray(self.class_texts, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.image_features.ndim != 2 or self.text_features.ndim != 2:
+        if self.image_features.ndim != 2 or self.class_texts.ndim != 2:
             raise ShapeError("batch features must be 2-D")
-        if self.image_features.shape != self.text_features.shape:
+        if self.image_features.shape[1] != self.class_texts.shape[1]:
             raise ShapeError(
-                f"image/text feature shapes differ: {self.image_features.shape} "
-                f"vs {self.text_features.shape}"
+                f"image/text feature dims differ: {self.image_features.shape[1]} "
+                f"vs {self.class_texts.shape[1]}"
             )
         if self.labels.shape != (self.image_features.shape[0],):
             raise ShapeError("labels must be one index per batch row")
-        if self.size and self.labels.min() < 0:
-            raise InvalidArgumentError("labels must be non-negative class indices")
+        if self.size and (self.labels.min() < 0 or self.labels.max() >= len(self.class_texts)):
+            raise InvalidArgumentError(
+                f"labels {self.labels.min()}..{self.labels.max()} do not index "
+                f"the {len(self.class_texts)} class texts"
+            )
 
     @property
     def size(self) -> int:
@@ -93,12 +97,14 @@ class TrainingBatch:
 class NegativeSet:
     """Feature-space mixup negatives plus the sampling provenance.
 
-    mixed_texts row i blends batch text row i with peer p_choices[i] of class
-    labels[i], so rows sharing a (label, p_choices) pair are equal.
+    mixed_texts holds one blend per distinct (label, peer) pair of the batch,
+    in ascending (label, peer) order: batch row i uses mixed_texts[text_index[i]],
+    the blend of class labels[i]'s description with its peer p_choices[i].
     """
 
     mixed_images: np.ndarray
     mixed_texts: np.ndarray
+    text_index: np.ndarray  # text_index[i]: the mixed_texts row of batch row i
     q_indices: np.ndarray   # q_indices[i]: same-batch index of a different class
     p_choices: np.ndarray   # p_choices[i]: which peer of class labels[i] was mixed in
 
@@ -121,8 +127,10 @@ def build_negative_set(
     """Sample mixup negatives for a batch.
 
     Mixed image i blends image i with a uniformly chosen same-batch image of
-    a different class; mixed text i blends description i with a uniformly
-    chosen peer description of class labels[i]. Deterministic given the rng.
+    a different class; the mixed text of row i blends the description of
+    class labels[i] with a uniformly chosen peer description of that class,
+    and each distinct (label, peer) blend is made once. Deterministic given
+    the rng.
     """
     n = batch.size
     if n < 2:
@@ -133,7 +141,6 @@ def build_negative_set(
 
     q_indices = np.empty(n, dtype=np.int64)
     p_choices = np.empty(n, dtype=np.int64)
-    peer_rows = np.empty_like(batch.text_features)
     for i in range(n):
         candidates = np.flatnonzero(labels != labels[i])
         q_indices[i] = candidates[rng.integers(len(candidates))]
@@ -141,13 +148,15 @@ def build_negative_set(
         peers = peer_text_features.get(cls)
         if peers is None or len(peers) == 0:
             raise ConfigError(f"class {cls} has no peer description features")
-        peers = np.asarray(peers, dtype=np.float64)
-        p_choices[i] = rng.integers(peers.shape[0])
-        peer_rows[i] = peers[p_choices[i]]
+        p_choices[i] = rng.integers(len(peers))
 
+    # One integer per (label, peer) pair, ascending in (label, peer) order.
+    pair_keys = labels * (p_choices.max() + 1) + p_choices
+    _, first, text_index = np.unique(pair_keys, return_index=True, return_inverse=True)
+    peer_rows = np.stack([peer_text_features[int(labels[i])][p_choices[i]] for i in first])
     mixed_images = mixup(batch.image_features, batch.image_features[q_indices], lam)
-    mixed_texts = mixup(batch.text_features, peer_rows, lam)
-    return NegativeSet(mixed_images, mixed_texts, q_indices, p_choices)
+    mixed_texts = mixup(batch.class_texts[labels[first]], peer_rows, lam)
+    return NegativeSet(mixed_images, mixed_texts, text_index, q_indices, p_choices)
 
 
 def _normalized(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -341,28 +350,20 @@ def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | 
         )
     if cfg.use_pcc and cfg.use_mixup:
         shape = batch.image_features.shape
-        for name in ("mixed_images", "mixed_texts"):
-            got = np.shape(getattr(negatives, name))
-            if got != shape:
-                raise ShapeError(f"{name} shape {got} does not match images {shape}")
-        peer = np.asarray(negatives.p_choices)
-        if peer.shape != (batch.size,):
-            raise ShapeError("p_choices must be one peer index per batch row")
-        if batch.size and peer.min() < 0:
-            raise InvalidArgumentError("p_choices must be non-negative peer indices")
-
-
-def _distinct_rows(keys: np.ndarray, rows: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of each distinct key, and the inverse index that gathers them back.
-
-    Rows sharing a key must be equal (the TrainingBatch/NegativeSet contract);
-    otherwise forwarding one of them for all would be wrong, so it raises.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = rows[first]
-    if not np.array_equal(distinct[inverse], rows):
-        raise InvalidArgumentError(f"{what} differ")
-    return distinct, inverse
+        got = np.shape(negatives.mixed_images)
+        if got != shape:
+            raise ShapeError(f"mixed_images shape {got} does not match images {shape}")
+        texts = np.shape(negatives.mixed_texts)
+        if len(texts) != 2 or texts[1] != shape[1]:
+            raise ShapeError(f"mixed_texts shape {texts} does not have the image dim {shape[1]}")
+        index = np.asarray(negatives.text_index)
+        if index.shape != (batch.size,):
+            raise ShapeError("text_index must be one mixed_texts row per batch row")
+        if batch.size and (index.min() < 0 or index.max() >= texts[0]):
+            raise InvalidArgumentError(
+                f"text_index {index.min()}..{index.max()} does not index the "
+                f"{texts[0]} mixed_texts rows"
+            )
 
 
 def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.ndarray:
@@ -389,17 +390,11 @@ def loss_and_grad(
     n = batch.size
     use_mix = cfg.use_pcc and cfg.use_mixup and negatives is not None
 
-    texts, text_inv = _distinct_rows(
-        batch.labels, batch.text_features, "text_features rows with the same label"
-    )
-    streams = [batch.image_features, texts]
+    classes, text_inv = np.unique(batch.labels, return_inverse=True)
+    streams = [batch.image_features, batch.class_texts[classes]]
     if use_mix:
-        peer = np.asarray(negatives.p_choices, dtype=np.int64)
-        pair_keys = batch.labels * (peer.max(initial=0) + 1) + peer
-        mixed_texts, mixed_inv = _distinct_rows(
-            pair_keys, negatives.mixed_texts, "mixed_texts rows with the same (label, p_choices) pair"
-        )
-        streams += [negatives.mixed_images, mixed_texts]
+        mixed_inv = np.asarray(negatives.text_index, dtype=np.int64)
+        streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
     params = float64_head(head)
     hs, zs, logits_all = forward_with_cache(params, np.vstack(streams))
@@ -426,10 +421,10 @@ def loss_and_grad(
             if want_grad:
                 g_img, g_pos, g_all, g_mimg, g_mtxt = grads
                 block(adj[l - 1], 0)[...] = g_img
-                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(texts), g_pos + g_all)
+                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(classes), g_pos + g_all)
                 if use_mix:
                     block(adj[l - 1], 2)[...] = g_mimg
-                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(mixed_texts), g_mtxt)
+                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(negatives.mixed_texts), g_mtxt)
     else:
         pcc_values = [0.0] * n_layers
 
@@ -472,25 +467,3 @@ def loss_and_grad(
         weights=d_weights, biases=d_biases, clf_weight=d_clf_w, clf_bias=d_clf_b
     )
     return breakdown, grads
-
-
-def total_loss(
-    head: MlpHead,
-    batch: TrainingBatch,
-    negatives: NegativeSet | None,
-    cfg: LossConfig,
-) -> LossBreakdown:
-    """Sum of the three per-layer contrastive terms and the cross-entropy."""
-    breakdown, _ = loss_and_grad(head, batch, negatives, cfg, want_grad=False)
-    return breakdown
-
-
-def grad_total_loss(
-    head: MlpHead,
-    batch: TrainingBatch,
-    negatives: NegativeSet | None,
-    cfg: LossConfig,
-) -> HeadGrads:
-    """Exact gradients of total_loss for every head parameter."""
-    _, grads = loss_and_grad(head, batch, negatives, cfg, want_grad=True)
-    return grads

@@ -193,11 +193,7 @@ def train(
             if np.unique(batch_labels).size < 2:
                 skipped += 1
                 continue
-            batch = TrainingBatch(
-                image_features=x[idx],
-                labels=batch_labels,
-                text_features=class_text[batch_labels],
-            )
+            batch = TrainingBatch(x[idx], batch_labels, class_text)
             negatives: NegativeSet | None = None
             if cfg.loss.use_pcc and cfg.loss.use_mixup:
                 negatives = build_negative_set(

@@ -91,7 +91,7 @@ def unit_rows(rng, n, dim):
 def _min_abs_preactivation(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None):
     from odpc.head import forward_with_cache
 
-    streams = [batch.image_features, batch.text_features]
+    streams = [batch.image_features, batch.class_texts[batch.labels]]
     if negatives is not None:
         streams += [negatives.mixed_images, negatives.mixed_texts]
     stacked = np.vstack(streams)
@@ -117,7 +117,7 @@ def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
         labels = np.concatenate([np.arange(n_id), rng.integers(0, n_id, size=n - n_id)])
         img = unit_rows(rng, n, dim)
         class_txt = unit_rows(rng, n_id, dim)
-        batch = TrainingBatch(img, labels, class_txt[labels])
+        batch = TrainingBatch(img, labels, class_txt)
         negatives = None
         if use_mixup:
             peers = {c: unit_rows(rng, 2, dim) for c in range(n_id)}
@@ -128,10 +128,23 @@ def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
     raise RuntimeError(f"no kink-free gradient instance found for seed {seed}")
 
 
+def negative_draws_reference(labels, peer_counts, rng):
+    """build_negative_set's draws, one batch row at a time: a uniform
+    same-batch index of another class, then a uniform peer of the row's
+    class. Returns (q_indices, p_choices) as lists."""
+    q_indices, p_choices = [], []
+    for y in labels:
+        others = [k for k, other in enumerate(labels) if other != y]
+        q_indices.append(others[int(rng.integers(len(others)))])
+        p_choices.append(int(rng.integers(peer_counts[y])))
+    return q_indices, p_choices
+
+
 def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
                                     negatives: NegativeSet | None, cfg: LossConfig):
-    """loss_and_grad without row deduplication: every one of the 4N stacked
-    rows (images, texts, mixed images, mixed texts) is forwarded and
+    """loss_and_grad on per-row copies: the batch's texts are expanded to
+    class_texts[labels] and mixed_texts[text_index], every one of the 4N
+    stacked rows (images, texts, mixed images, mixed texts) is forwarded and
     backpropagated on its own, and parameters are cast to float64 where used.
     Returns (total loss, gradients in HeadGrads.param_items order)."""
     from odpc.head import forward_with_cache, softmax
@@ -139,9 +152,9 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
 
     n = batch.size
     use_mix = cfg.use_pcc and cfg.use_mixup
-    streams = [batch.image_features, batch.text_features]
+    streams = [batch.image_features, batch.class_texts[batch.labels]]
     if use_mix:
-        streams += [negatives.mixed_images, negatives.mixed_texts]
+        streams += [negatives.mixed_images, negatives.mixed_texts[negatives.text_index]]
     hs, zs, logits = forward_with_cache(head, np.vstack(streams))
     adj = [np.zeros_like(h) for h in hs[1:]]
     total = 0.0

@@ -191,6 +191,16 @@ def test_synthetic_raw_shapes_and_determinism():
     assert names == names2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_classes", 0), ("raw_dim", 0), ("train_per_class", -1), ("test_per_class", 0),
+     ("center_scale", -3.0), ("common_scale", math.inf), ("noise_scale", math.nan)],
+)
+def test_synthetic_spec_rejects_bad_count_or_scale(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SyntheticSpec(**{field: value})
+
+
 def test_synthetic_feature_dataset_has_unit_rows():
     ds = synthetic_feature_dataset(SyntheticSpec(seed=1, train_per_class=20, test_per_class=10),
                                    ToyEncoderConfig())

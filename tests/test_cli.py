@@ -143,9 +143,13 @@ def test_wrong_json_type_is_config_error_naming_the_key(config_path, key, data):
         ({"hidden_dims": [0, 512, 512]}, []),
         ({"seed": -1}, []),
         ({}, ["--seed", "-2"]),
+        ({"synthetic_noise_scale": -1}, []),
+        ({"synthetic_center_scale": -3}, []),
+        ({"synthetic_common_scale": -0.5}, []),
     ],
     ids=["epochs-string", "hidden-dims-int", "offline-string", "epochs-bool", "momentum-nan",
-         "lr-beyond-float", "hidden-dims-zero", "negative-seed", "negative-seed-flag"],
+         "lr-beyond-float", "hidden-dims-zero", "negative-seed", "negative-seed-flag",
+         "negative-noise-scale", "negative-center-scale", "negative-common-scale"],
 )
 def test_bad_config_value_is_one_line_usage_error(tmp_path, capsys, doc, flags):
     config = tmp_path / "config.json"

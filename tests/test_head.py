@@ -1,8 +1,13 @@
+import json
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from odpc.errors import CorruptFileError, FormatError, InvalidArgumentError, ShapeError
-from odpc.head import forward, init_head, load_checkpoint, save_checkpoint
+from odpc.head import CK_MAGIC, forward, init_head, load_checkpoint, save_checkpoint, softmax
 
 
 def manual_forward(head, x):
@@ -70,7 +75,7 @@ def test_forward_zero_weights_uniform_probabilities(rng):
         p[...] = 0.0
     acts = forward(head, rng.standard_normal((3, 8)))
     assert not any(layer.any() for layer in acts.per_layer)
-    assert np.allclose(acts.probabilities, 0.25)
+    assert np.allclose(softmax(acts.logits), 0.25)
 
 
 def test_forward_empty_batch():
@@ -83,7 +88,7 @@ def test_forward_empty_batch():
 def test_forward_softmax_rows_sum_to_one(rng):
     head = init_head(4, 3, seed=2, feature_dim=16)
     acts = forward(head, rng.standard_normal((9, 16)))
-    assert np.max(np.abs(acts.probabilities.sum(axis=1) - 1.0)) < 1e-6
+    assert np.max(np.abs(softmax(acts.logits).sum(axis=1) - 1.0)) < 1e-6
 
 
 def test_forward_shared_layers_for_both_modalities(rng):
@@ -132,6 +137,50 @@ def test_checkpoint_manifest_shape_mismatch(tmp_path):
     # drop some trailing parameter bytes: declared shapes no longer match
     path.write_bytes(blob[: len(blob) - 12])
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def _rewrite_manifest(path, edit):
+    """Rewrite a checkpoint's manifest with ``edit`` and a matching CRC."""
+    data = path.read_bytes()
+    off = len(CK_MAGIC)
+    (mlen,) = struct.unpack_from("<I", data, off)
+    manifest = json.loads(data[off + 4 : off + 4 + mlen])
+    blob = data[off + 4 + mlen : -4]
+    manifest_bytes = json.dumps(edit(manifest)).encode("utf-8")
+    crc = zlib.crc32(manifest_bytes + blob) & 0xFFFFFFFF
+    path.write_bytes(CK_MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
+                     + blob + struct.pack("<I", crc))
+
+
+def _reshaped(manifest, index, shape):
+    tensors = list(manifest["tensors"])
+    tensors[index] = {**tensors[index], "shape": shape}
+    return {**manifest, "tensors": tensors}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: list(m),
+        lambda m: {**m, "tensors": [{"name": "fc1.weight"}] + m["tensors"][1:]},
+        lambda m: {**m, "tensors": ["fc1.weight"] + m["tensors"][1:]},
+        lambda m: _reshaped(m, 0, [2, -4]),
+        lambda m: {k: v for k, v in m.items() if k != "num_id_classes"},
+        lambda m: {**m, "epoch": "3"},
+        # fc2.weight as (4, 16): the same bytes, but fc1's 8 outputs no longer feed it
+        lambda m: _reshaped(m, 2, [4, 16]),
+        lambda m: _reshaped(m, 1, [1, 8]),
+    ],
+    ids=["manifest-list", "tensor-without-shape", "tensor-not-object", "negative-dim",
+         "missing-num-id-classes", "epoch-string", "weights-do-not-chain", "bias-not-1d"],
+)
+def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edit):
+    head = init_head(2, 2, seed=1, feature_dim=8)
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(head, path)
+    _rewrite_manifest(path, edit)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 

@@ -2,29 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     ce_reference,
     fd_max_rel_error,
     loss_and_grad_per_row_reference,
     make_grad_instance,
+    negative_draws_reference,
     pcc_reference,
     unit_rows,
 )
 from odpc.errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
 import odpc.losses
-from odpc.head import init_head
+from odpc.head import forward, forward_with_cache, init_head, softmax
 from odpc.losses import (
     LossConfig,
     NegativeSet,
     TrainingBatch,
     build_negative_set,
     ce_loss,
-    grad_total_loss,
     loss_and_grad,
     mixup,
     pcc_loss,
-    total_loss,
 )
 
 
@@ -59,7 +60,13 @@ def _small_batch(rng, labels):
     n = len(labels)
     img = unit_rows(rng, n, 8)
     class_txt = unit_rows(rng, int(labels.max()) + 1, 8)
-    return TrainingBatch(img, labels, class_txt[labels])
+    return TrainingBatch(img, labels, class_txt)
+
+
+@pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+def test_training_batch_label_must_index_class_texts(rng, labels):
+    with pytest.raises(InvalidArgumentError):
+        TrainingBatch(unit_rows(rng, 2, 8), labels, unit_rows(rng, 3, 8))
 
 
 def test_negative_set_two_rows_forced_swap(rng):
@@ -93,6 +100,29 @@ def test_negative_set_respects_class_constraint(rng):
     neg = build_negative_set(batch, peers, 0.5, np.random.default_rng(3))
     for i, q in enumerate(neg.q_indices):
         assert batch.labels[q] != batch.labels[i]
+
+
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=2, max_size=12).filter(lambda ys: len(set(ys)) > 1),
+    peer_counts=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.0, 1.0),
+)
+def test_negative_set_holds_each_blend_once(labels, peer_counts, seed, lam):
+    data = np.random.default_rng(seed)
+    class_texts = unit_rows(data, 5, 6)
+    peers = {c: unit_rows(data, count, 6) for c, count in enumerate(peer_counts)}
+    batch = TrainingBatch(unit_rows(data, len(labels), 6), labels, class_texts)
+    neg = build_negative_set(batch, peers, lam, np.random.default_rng([seed, 1]))
+
+    q, p = negative_draws_reference(labels, peer_counts, np.random.default_rng([seed, 1]))
+    assert neg.q_indices.tolist() == q
+    assert neg.p_choices.tolist() == p
+    per_row = mixup(class_texts[labels], np.stack([peers[y][c] for y, c in zip(labels, p)]), lam)
+    assert np.array_equal(neg.mixed_texts[neg.text_index], per_row)
+    pairs = sorted(set(zip(labels, p)))
+    assert len(neg.mixed_texts) == len(pairs)
+    assert [pairs[j] for j in neg.text_index] == list(zip(labels, p))
 
 
 def test_negative_set_missing_peers_is_config_error(rng):
@@ -239,22 +269,20 @@ def test_ce_permutation_equivariant(rng):
 
 
 # ---------------------------------------------------------------------------
-# total_loss and gradients
+# total loss and gradients
 
 def test_total_loss_breakdown_sums(rng):
     head, batch, negatives, cfg = make_grad_instance(0)
-    bd = total_loss(head, batch, negatives, cfg)
+    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
     assert abs(bd.total - (sum(bd.pcc_layers) + bd.ce)) < 1e-9
     assert len(bd.pcc_layers) == 3
 
 
 def test_total_loss_composes_constituent_oracles():
     head, batch, negatives, cfg = make_grad_instance(1)
-    from odpc.head import forward_with_cache
-
     streams = np.vstack([
-        batch.image_features, batch.text_features,
-        negatives.mixed_images, negatives.mixed_texts,
+        batch.image_features, batch.class_texts[batch.labels],
+        negatives.mixed_images, negatives.mixed_texts[negatives.text_index],
     ])
     hs, _, logits = forward_with_cache(head, streams)
     n = batch.size
@@ -265,14 +293,14 @@ def test_total_loss_composes_constituent_oracles():
             h[:n], h[n : 2 * n], h[n : 2 * n], h[2 * n : 3 * n], h[3 * n :], cfg.temperature
         )
     expected += ce_reference(logits[:n], batch.labels)
-    bd = total_loss(head, batch, negatives, cfg)
+    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
     assert abs(bd.total - expected) <= 1e-6 * abs(expected)
 
 
 def test_total_loss_tau_large_limit():
     head, batch, negatives, _ = make_grad_instance(2)
     cfg = LossConfig(temperature=1e14)
-    bd = total_loss(head, batch, negatives, cfg)
+    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
     expected_per_layer = math.log(1 + 3 * (batch.size - 1))
     for term in bd.pcc_layers:
         assert abs(term - expected_per_layer) < 1e-6
@@ -281,21 +309,18 @@ def test_total_loss_tau_large_limit():
 def test_total_loss_invariant_to_consistent_reordering():
     head, batch, negatives, cfg = make_grad_instance(3)
     perm = np.array([2, 0, 3, 1])
-    from odpc.losses import NegativeSet
-
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
-    reordered = TrainingBatch(
-        batch.image_features[perm], batch.labels[perm], batch.text_features[perm]
-    )
+    reordered = TrainingBatch(batch.image_features[perm], batch.labels[perm], batch.class_texts)
     reneg = NegativeSet(
         negatives.mixed_images[perm],
-        negatives.mixed_texts[perm],
+        negatives.mixed_texts,
+        negatives.text_index[perm],
         inv[negatives.q_indices[perm]],
         negatives.p_choices[perm],
     )
-    a = total_loss(head, batch, negatives, cfg)
-    b = total_loss(head, reordered, reneg, cfg)
+    a = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
+    b = loss_and_grad(head, reordered, reneg, cfg, want_grad=False)[0]
     assert abs(a.total - b.total) < 1e-9
 
 
@@ -320,7 +345,7 @@ def _mixup_batch(seed, n=32, n_classes=6, n_peers=3, dim=16):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([[0, 1], rng.integers(0, n_classes, size=n - 2)])
     class_txt = unit_rows(rng, n_classes, dim)
-    batch = TrainingBatch(unit_rows(rng, n, dim), labels, class_txt[labels])
+    batch = TrainingBatch(unit_rows(rng, n, dim), labels, class_txt)
     peers = {c: unit_rows(rng, n_peers, dim) for c in range(n_classes)}
     return batch, build_negative_set(batch, peers, 0.5, rng)
 
@@ -363,38 +388,18 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
         assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
-def test_text_rows_of_one_label_must_be_equal():
-    batch, negatives = _mixup_batch(8)
-    twin = np.flatnonzero(batch.labels == batch.labels[0])[1]
-    text = batch.text_features.copy()
-    text[twin] *= 1.0 + 1e-12
-    broken = TrainingBatch(batch.image_features, batch.labels, text)
-    head = init_head(6, 6, seed=8, feature_dim=16)
-    for neg, cfg in ((negatives, LossConfig()), (None, LossConfig(use_mixup=False))):
-        with pytest.raises(InvalidArgumentError):
-            loss_and_grad(head, broken, neg, cfg)
-
-
-def test_mixed_texts_of_one_peer_pair_must_be_equal():
-    batch, negatives = _mixup_batch(9, n_peers=1)
-    twin = np.flatnonzero(batch.labels == batch.labels[0])[1]
-    mixed = negatives.mixed_texts.copy()
-    mixed[twin] *= 1.0 + 1e-12
-    broken = NegativeSet(negatives.mixed_images, mixed, negatives.q_indices, negatives.p_choices)
-    head = init_head(6, 6, seed=9, feature_dim=16)
-    with pytest.raises(InvalidArgumentError):
-        loss_and_grad(head, batch, broken, LossConfig())
-
-
 def test_malformed_negative_set_rejected():
     batch, negatives = _mixup_batch(10)
     head = init_head(6, 6, seed=10, feature_dim=16)
-    mi, mt, q, p = negatives.mixed_images, negatives.mixed_texts, negatives.q_indices, negatives.p_choices
+    mi, mt, ti = negatives.mixed_images, negatives.mixed_texts, negatives.text_index
+    q, p = negatives.q_indices, negatives.p_choices
     for bad, error in (
-        (NegativeSet(mi[:-1], mt, q, p), ShapeError),
-        (NegativeSet(mi, mt[:, :-1], q, p), ShapeError),
-        (NegativeSet(mi, mt, q, p[:-1]), ShapeError),
-        (NegativeSet(mi, mt, q, p - 1 - p.max()), InvalidArgumentError),
+        (NegativeSet(mi[:-1], mt, ti, q, p), ShapeError),
+        (NegativeSet(mi, mt[:, :-1], ti, q, p), ShapeError),
+        (NegativeSet(mi, mt[0], ti, q, p), ShapeError),
+        (NegativeSet(mi, mt, ti[:-1], q, p), ShapeError),
+        (NegativeSet(mi, mt, ti - 1 - ti.max(), q, p), InvalidArgumentError),
+        (NegativeSet(mi, mt, ti + len(mt) - ti.max(), q, p), InvalidArgumentError),
     ):
         with pytest.raises(error):
             loss_and_grad(head, batch, bad, LossConfig())
@@ -403,13 +408,9 @@ def test_malformed_negative_set_rejected():
 def test_ce_classifier_bias_gradient_closed_form(rng):
     head, batch, negatives, _ = make_grad_instance(4)
     cfg = LossConfig(use_pcc=False)
-    single = TrainingBatch(
-        batch.image_features[:1], batch.labels[:1], batch.text_features[:1]
-    )
-    grads = grad_total_loss(head, single, None, cfg)
-    from odpc.head import forward
-
-    probs = forward(head, single.image_features).probabilities[0]
+    single = TrainingBatch(batch.image_features[:1], batch.labels[:1], batch.class_texts)
+    grads = loss_and_grad(head, single, None, cfg)[1]
+    probs = softmax(forward(head, single.image_features).logits)[0]
     onehot = np.zeros_like(probs)
     onehot[single.labels[0]] = 1.0
     assert np.max(np.abs(grads.clf_bias - (probs - onehot))) < 1e-12
@@ -418,10 +419,10 @@ def test_ce_classifier_bias_gradient_closed_form(rng):
 def test_grad_total_loss_frozen_inputs_untouched():
     head, batch, negatives, cfg = make_grad_instance(5)
     img = batch.image_features.copy()
-    txt = batch.text_features.copy()
-    grad_total_loss(head, batch, negatives, cfg)
+    txt = batch.class_texts.copy()
+    loss_and_grad(head, batch, negatives, cfg)
     assert np.array_equal(batch.image_features, img)
-    assert np.array_equal(batch.text_features, txt)
+    assert np.array_equal(batch.class_texts, txt)
 
 
 def test_loss_config_validation():
