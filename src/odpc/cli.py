@@ -53,6 +53,8 @@ from .trainer import train  # noqa: F401
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
+USAGE_ERRORS = (InvalidArgumentError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                PermissionError)
 
 
 @dataclass(frozen=True)
@@ -363,12 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, InvalidArgumentError, FileNotFoundError) as exc:
+    except (OdpcError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return USAGE_EXIT
-    except OdpcError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return RUNTIME_EXIT
+        return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) else RUNTIME_EXIT
 
 
 if __name__ == "__main__":

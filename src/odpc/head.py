@@ -10,21 +10,11 @@ Parameters are held as float32 (the storage precision); all math upcasts
 to float64. ``float64_head`` makes that upcast once, so a caller that runs
 the forward and the backward of one step shares a single copy.
 
-Checkpoint layout:
-
-    bytes 0..7   magic ``ODPCCK01``
-    u32 LE       manifest byte length
-    manifest     UTF-8 JSON (shapes, dims, seed, epoch, class counts)
-    blob         float32 LE parameters, concatenated in manifest tensor order
-    u32 LE       CRC32 over manifest bytes + blob
+Checkpoints are ``persist`` manifest frames; this module builds and checks the manifest.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
-import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +22,7 @@ import numpy as np
 
 from . import persist
 from .encoders import EmbeddingMatrix
-from .errors import CorruptFileError, FormatError, InvalidArgumentError, ShapeError
+from .errors import FormatError, InvalidArgumentError, ShapeError
 
 CK_MAGIC = b"ODPCCK01"
 CK_VERSION = 1
@@ -194,12 +184,7 @@ def forward(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> ForwardAct
 
 def save_checkpoint(head: MlpHead, path: str | Path) -> None:
     """Write all parameters plus metadata; atomic, lossless for float32."""
-    tensors = []
-    blob_parts = []
-    for name, arr in head.param_items():
-        arr32 = np.ascontiguousarray(arr, dtype=np.float32)
-        tensors.append({"name": name, "shape": list(arr32.shape)})
-        blob_parts.append(arr32.tobytes())
+    items = head.param_items()
     manifest = {
         "version": CK_VERSION,
         "feature_dim": head.feature_dim,
@@ -208,40 +193,17 @@ def save_checkpoint(head: MlpHead, path: str | Path) -> None:
         "num_peer_outputs": head.num_peer_outputs,
         "seed": head.seed,
         "epoch": head.epoch,
-        "tensors": tensors,
+        "tensors": [{"name": name, "shape": list(np.shape(arr))} for name, arr in items],
     }
-    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    blob = b"".join(blob_parts)
-    crc = zlib.crc32(manifest_bytes + blob) & 0xFFFFFFFF
-    data = CK_MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes + blob + struct.pack("<I", crc)
-    persist.atomic_write_bytes(path, data)
+    persist.write_manifest_frame(path, CK_MAGIC, manifest, [arr for _, arr in items])
 
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def load_checkpoint(path: str | Path) -> MlpHead:
-    """Read a checkpoint back; validates magic, manifest, sizes, and CRC."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(CK_MAGIC) + 8:
-        raise FormatError(f"{path}: file too short for a checkpoint")
-    if data[: len(CK_MAGIC)] != CK_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {data[:8]!r}")
-    off = len(CK_MAGIC)
-    (mlen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    manifest_bytes = data[off : off + mlen]
-    if len(manifest_bytes) != mlen:
-        raise FormatError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(manifest_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: manifest is not valid JSON") from exc
-    off += mlen
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest is not a JSON object")
+def _tensor_shapes(path: str | Path, manifest: dict) -> list[list[int]]:
+    """Validate a checkpoint manifest; returns its tensor shapes in file order."""
     if manifest.get("version") != CK_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {manifest.get('version')}")
     counts = ("num_id_classes", "num_peer_outputs", "seed", "epoch")
@@ -255,24 +217,13 @@ def load_checkpoint(path: str | Path) -> MlpHead:
         raise FormatError(f"{path}: manifest tensors are not a list of named shapes")
     if sorted(str(t.get("name")) for t in tensors) != sorted(tensor_names()):
         raise FormatError(f"{path}: unexpected tensor set {[t.get('name') for t in tensors]}")
-    sizes = [math.prod(t["shape"]) for t in tensors]
-    blob_len = 4 * sum(sizes)
-    blob = data[off : off + blob_len]
-    if len(blob) != blob_len or len(data) != off + blob_len + 4:
-        raise FormatError(
-            f"{path}: parameter blob size mismatch (manifest wants {blob_len} bytes)"
-        )
-    (crc_stored,) = struct.unpack_from("<I", data, off + blob_len)
-    if (zlib.crc32(manifest_bytes + blob) & 0xFFFFFFFF) != crc_stored:
-        raise CorruptFileError(f"{path}: checkpoint CRC mismatch")
+    return [t["shape"] for t in tensors]
 
-    arrays: dict[str, np.ndarray] = {}
-    cursor = 0
-    for t, size in zip(tensors, sizes):
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=cursor * 4)
-        arrays[t["name"]] = arr.reshape(t["shape"]).copy()
-        cursor += size
 
+def load_checkpoint(path: str | Path) -> MlpHead:
+    """Read a checkpoint back; validates magic, manifest, sizes, and CRC."""
+    manifest, tensors = persist.read_manifest_frame(path, CK_MAGIC, _tensor_shapes)
+    arrays = dict(zip((t["name"] for t in manifest["tensors"]), tensors))
     shapes = [arrays[name].shape for name in tensor_names()]
     fan_in = shapes[0][1:]
     for weight, bias in zip(shapes[::2], shapes[1::2]):

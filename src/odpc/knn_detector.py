@@ -58,8 +58,7 @@ class KnnConfig:
 class FeatureBank:
     """Immutable search structure: per-layer-normalized, concatenated activations."""
 
-    vectors: np.ndarray          # (n_train, sum(layer_dims)), float64
-    layer_dims: tuple[int, ...]
+    vectors: np.ndarray          # (n_train, bank dim), float64, read-only
 
     @property
     def rows(self) -> int:
@@ -117,21 +116,18 @@ def build_bank(head: MlpHead, train_features: EmbeddingMatrix | np.ndarray) -> F
     if np.asarray(values).shape[0] == 0:
         raise InvalidArgumentError("cannot build a feature bank from an empty train set")
     vectors = bank_transform(head, train_features)
-    dims = tuple(int(w.shape[0]) for w in head.weights)
     vectors.setflags(write=False)
-    return FeatureBank(vectors=vectors, layer_dims=dims)
+    return FeatureBank(vectors=vectors)
 
 
-def bank_from_vectors(vectors: np.ndarray, layer_dims: tuple[int, ...] | None = None) -> FeatureBank:
+def bank_from_vectors(vectors: np.ndarray) -> FeatureBank:
     """Wrap precomputed bank-space vectors (e.g. the passthrough transform's)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise InvalidArgumentError(f"bank vectors must be a non-empty 2-D array, got {vectors.shape}")
-    if layer_dims is None:
-        layer_dims = (vectors.shape[1],)
     vectors = vectors.copy()
     vectors.setflags(write=False)
-    return FeatureBank(vectors=vectors, layer_dims=tuple(layer_dims))
+    return FeatureBank(vectors=vectors)
 
 
 def _check_k(k: int, bank: FeatureBank) -> None:

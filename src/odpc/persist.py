@@ -8,23 +8,31 @@ Feature bank file layout (all integers little-endian):
     u32           dim
     u8            normalized flag (0 or 1)
     payload       n_rows * dim float32, row-major
-    u32           CRC32 over the payload
+    u32           CRC32 over the payload only
+
+Checkpoint layout (``write_manifest_frame``; all integers little-endian):
+
+    bytes 0..7    magic ``ODPCCK01``
+    u32           manifest byte length
+    manifest      one-line sorted-key UTF-8 JSON (shapes, dims, seed, epoch, class counts)
+    payload       float32 tensors, concatenated in manifest tensor order
+    u32           CRC32 over the manifest bytes followed by the payload
 
 Files are byte-identical across platforms for identical inputs. Writers go
 through a temp-file-then-rename so partially written outputs never replace
 good ones.
 
-The bank payload is written and read without whole-file copies: the writer
-converts its input to little-endian float32 at most once, checks it for
-finite values block by block, and hands the array's own bytes to the file
-and the CRC; the reader checks the declared payload size against the file
-size before allocating anything, then reads the payload straight into the
-returned array and runs the CRC over that array's bytes.
+Both layouts are a prefix, a float32 payload and a CRC32, written by one
+writer and read by one reader without whole-file copies: the writer hands
+each array's own bytes to the file and the CRC; the reader checks the
+declared payload size against the file size before allocating anything,
+then reads the payload straight into the returned arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -41,8 +49,7 @@ BANK_VERSION = 1
 
 _HEADER = struct.Struct("<III B")
 _PREFIX = len(BANK_MAGIC) + _HEADER.size
-_CRC = struct.Struct("<I")
-
+_U32 = struct.Struct("<I")
 
 
 def atomic_write_bytes(path: str | Path, *parts) -> None:
@@ -82,6 +89,73 @@ def read_json(path: str | Path) -> object:
             raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
 
 
+def _crc32(start: bytes, payloads) -> int:
+    crc = zlib.crc32(start)
+    for payload in payloads:
+        crc = zlib.crc32(payload, crc)
+    return crc & 0xFFFFFFFF
+
+
+def _write_payload(path: str | Path, prefix: bytes, arrays, crc_start: bytes = b"") -> None:
+    """Write ``prefix``, each of ``arrays`` as little-endian float32, and a
+    u32 CRC32 over ``crc_start`` followed by the arrays' bytes."""
+    payloads = [np.ascontiguousarray(a, dtype="<f4").reshape(-1).view(np.uint8) for a in arrays]
+    atomic_write_bytes(path, prefix, *payloads, _U32.pack(_crc32(crc_start, payloads)))
+
+
+def _read_payload(fh, path: str | Path, shapes, crc_start: bytes = b"") -> list[np.ndarray]:
+    """Read what ``_write_payload`` wrote after its prefix, from ``fh``'s
+    position to the end of the file: float32 arrays of ``shapes``, then the CRC."""
+    expected = 4 * sum(math.prod(shape) for shape in shapes)
+    held = os.fstat(fh.fileno()).st_size - fh.tell() - _U32.size
+    if held != expected:
+        raise FormatError(
+            f"{path}: payload size mismatch (declared {expected} bytes, file holds {held})"
+        )
+    arrays = [np.empty(shape, dtype="<f4") for shape in shapes]
+    payloads = [arr.reshape(-1).view(np.uint8) for arr in arrays]
+    got = sum(fh.readinto(payload) for payload in payloads)
+    crc = fh.read(_U32.size)
+    if got != expected or len(crc) != _U32.size or fh.read(1):
+        raise FormatError(f"{path}: file changed size while it was read")
+    if _crc32(crc_start, payloads) != _U32.unpack(crc)[0]:
+        raise CorruptFileError(f"{path}: payload CRC mismatch")
+    return arrays
+
+
+def write_manifest_frame(path: str | Path, magic: bytes, manifest: dict, arrays) -> None:
+    """Write ``magic``, the JSON ``manifest`` and the float32 ``arrays`` in the
+    checkpoint layout; atomic, lossless for float32."""
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    prefix = magic + _U32.pack(len(manifest_bytes)) + manifest_bytes
+    _write_payload(path, prefix, arrays, crc_start=manifest_bytes)
+
+
+def read_manifest_frame(path: str | Path, magic: bytes, shapes_of) -> tuple[dict, list[np.ndarray]]:
+    """Read a file in the checkpoint layout; returns (manifest, arrays).
+
+    ``shapes_of(path, manifest)`` validates the parsed manifest and returns
+    the shapes of the arrays that follow it, in file order. Raises FormatError
+    on a bad magic, manifest or size, CorruptFileError on a CRC mismatch.
+    """
+    with open(path, "rb") as fh:
+        prefix = fh.read(len(magic) + _U32.size)
+        if len(prefix) < len(magic) + _U32.size or not prefix.startswith(magic):
+            raise FormatError(f"{path}: bad magic or short file {prefix[: len(magic)]!r}")
+        (length,) = _U32.unpack_from(prefix, len(magic))
+        if os.fstat(fh.fileno()).st_size < len(prefix) + length + _U32.size:
+            raise FormatError(f"{path}: truncated manifest")
+        manifest_bytes = fh.read(length)
+        try:
+            manifest = json.loads(manifest_bytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: manifest is not valid JSON") from exc
+        if not isinstance(manifest, dict):
+            raise FormatError(f"{path}: manifest is not a JSON object")
+        arrays = _read_payload(fh, path, shapes_of(path, manifest), crc_start=manifest_bytes)
+    return manifest, arrays
+
+
 def write_bank(matrix: np.ndarray, path: str | Path, normalized: bool = False) -> None:
     """Persist a 2-D float matrix in the feature bank format.
 
@@ -95,13 +169,8 @@ def write_bank(matrix: np.ndarray, path: str | Path, normalized: bool = False) -
     for lo, hi in row_chunks(n_rows, rows_per_block(dim, CHECK_BLOCK_ELEMS)):
         if not np.isfinite(arr[lo:hi]).all():
             raise InvalidArgumentError("bank matrix contains non-finite values")
-    payload = arr.reshape(-1).view(np.uint8)
-    atomic_write_bytes(
-        path,
-        BANK_MAGIC + _HEADER.pack(BANK_VERSION, n_rows, dim, 1 if normalized else 0),
-        payload,
-        _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF),
-    )
+    prefix = BANK_MAGIC + _HEADER.pack(BANK_VERSION, n_rows, dim, 1 if normalized else 0)
+    _write_payload(path, prefix, [arr])
 
 
 def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
@@ -112,27 +181,12 @@ def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
     """
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX)
-        size = os.fstat(fh.fileno()).st_size
-        if size < _PREFIX + _CRC.size:
+        if os.fstat(fh.fileno()).st_size < _PREFIX + _U32.size:
             raise FormatError(f"{path}: file too short for a feature bank")
         if prefix[: len(BANK_MAGIC)] != BANK_MAGIC:
             raise FormatError(f"{path}: bad magic {prefix[:8]!r}")
         version, n_rows, dim, norm_flag = _HEADER.unpack_from(prefix, len(BANK_MAGIC))
         if version != BANK_VERSION:
             raise FormatError(f"{path}: unsupported bank version {version}")
-        expected = n_rows * dim * 4
-        if size != _PREFIX + expected + _CRC.size:
-            raise FormatError(
-                f"{path}: payload size mismatch (declared {expected} bytes, "
-                f"file holds {size - _PREFIX - _CRC.size})"
-            )
-        matrix = np.empty((n_rows, dim), dtype="<f4")
-        payload = matrix.reshape(-1).view(np.uint8)
-        got = fh.readinto(payload)
-        crc = fh.read(_CRC.size)
-        if got != expected or len(crc) != _CRC.size or fh.read(1):
-            raise FormatError(f"{path}: file changed size while it was read")
-    (crc_stored,) = _CRC.unpack(crc)
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_stored:
-        raise CorruptFileError(f"{path}: payload CRC mismatch")
+        (matrix,) = _read_payload(fh, path, [(n_rows, dim)])
     return matrix, bool(norm_flag)

@@ -7,6 +7,7 @@ counting, full eigendecompositions. Keep them that way.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import tempfile
@@ -294,6 +295,30 @@ def bank_bytes_reference(matrix, normalized: bool) -> bytes:
         + payload
         + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     )
+
+
+def checkpoint_bytes_reference(head: MlpHead) -> bytes:
+    """The checkpoint file for ``head``, assembled from one whole-file join."""
+    tensors, blob_parts = [], []
+    for name, arr in head.param_items():
+        arr32 = np.ascontiguousarray(arr, dtype=np.float32)
+        tensors.append({"name": name, "shape": list(arr32.shape)})
+        blob_parts.append(arr32.tobytes())
+    manifest = {
+        "version": 1,
+        "feature_dim": head.feature_dim,
+        "hidden_dims": [int(w.shape[0]) for w in head.weights],
+        "num_id_classes": head.num_id_classes,
+        "num_peer_outputs": head.num_peer_outputs,
+        "seed": head.seed,
+        "epoch": head.epoch,
+        "tensors": tensors,
+    }
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    blob = b"".join(blob_parts)
+    crc = zlib.crc32(manifest_bytes + blob) & 0xFFFFFFFF
+    return (b"ODPCCK01" + struct.pack("<I", len(manifest_bytes)) + manifest_bytes + blob
+            + struct.pack("<I", crc))
 
 
 def toy_encode_reference(raw, cfg) -> np.ndarray:

@@ -457,3 +457,32 @@ def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, ba
     assert doc["error"] == "FormatError"
     assert str(results) in doc["message"] and "line 3" in doc["message"]
     assert not table.exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "error", "code"),
+    [
+        (["encode", "--import", "{dir}", "--out", "{tmp}/out.fb"], "IsADirectoryError", 2),
+        (["report", "--results", "{dir}", "--out", "{tmp}/table.md"], "IsADirectoryError", 2),
+        (["eval", "--config", "{dir}", "--repeats", "1", "--out", "{tmp}/r.csv"],
+         "IsADirectoryError", 2),
+        (["report", "--results", "{results}", "--out", "{dir}"], "IsADirectoryError", 2),
+        (["report", "--results", "{results}/x", "--out", "{tmp}/table.md"],
+         "NotADirectoryError", 2),
+        (["report", "--results", "{tmp}/" + "x" * 300, "--out", "{tmp}/table.md"], "OSError", 1),
+    ],
+    ids=["encode-import-dir", "report-results-dir", "eval-config-dir", "report-out-dir",
+         "results-under-a-file", "name-too-long"],
+)
+def test_unusable_path_is_one_line_error(tmp_path, capsys, argv, error, code):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    results = tmp_path / "results.csv"
+    results.write_text("protocol,repeat,seed,auroc,openness\nsynthetic,0,7,0.9,13.39\n",
+                       encoding="utf-8")
+    rc = main([arg.format(dir=directory, tmp=tmp_path, results=results) for arg in argv])
+    assert rc == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "results.csv"]

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import checkpoint_bytes_reference
 from odpc.errors import CorruptFileError, FormatError, InvalidArgumentError, ShapeError
 from odpc.head import CK_MAGIC, forward, init_head, load_checkpoint, save_checkpoint, softmax
 
@@ -181,6 +182,47 @@ def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edi
     save_checkpoint(head, path)
     _rewrite_manifest(path, edit)
     with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "init",
+    [dict(num_id_classes=3, num_peer_outputs=5, seed=9),
+     dict(num_id_classes=3, num_peer_outputs=1, seed=2, feature_dim=16, hidden_dims=(8, 12, 6)),
+     dict(num_id_classes=4, num_peer_outputs=0, seed=5, feature_dim=8)],
+    ids=["default-dims", "hidden-8-12-6", "no-peer-outputs"],
+)
+def test_checkpoint_bytes_equal_whole_file_oracle(tmp_path, rng, init):
+    head = init_head(**init)
+    for b in head.biases:
+        b[...] = rng.standard_normal(b.shape).astype(np.float32)
+    head.epoch = 7
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(head, path)
+    assert path.read_bytes() == checkpoint_bytes_reference(head)
+
+
+def _cut_in_manifest(path):
+    path.write_bytes(path.read_bytes()[: len(CK_MAGIC) + 4 + 10])
+
+
+@pytest.mark.parametrize(
+    ("damage", "message"),
+    [
+        # 2**31 x 2**31 float32s: np.empty of that would raise MemoryError, so a
+        # FormatError shows the size was checked before anything was allocated
+        (lambda p: _rewrite_manifest(p, lambda m: _reshaped(m, 0, [2**31, 2**31])),
+         "payload size mismatch"),
+        (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "payload size mismatch"),
+        (_cut_in_manifest, "truncated manifest"),
+    ],
+    ids=["declares-more-than-held", "trailing-byte", "cut-in-manifest"],
+)
+def test_checkpoint_size_damage_is_format_error_naming_path(tmp_path, damage, message):
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(init_head(2, 2, seed=1, feature_dim=8), path)
+    damage(path)
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ".*" + message):
         load_checkpoint(path)
 
 

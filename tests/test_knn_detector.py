@@ -62,7 +62,7 @@ def test_orthogonal_segment_distance():
     # first row, the 2nd neighbor differs by sqrt(2) in each of 3 segments
     r1 = np.array([1.0, 0.0] * 3)
     r2 = np.array([0.0, 1.0] * 3)
-    bank = bank_from_vectors(np.stack([r1, r2]), layer_dims=(2, 2, 2))
+    bank = bank_from_vectors(np.stack([r1, r2]))
     assert knn_scores(r1[None], bank, 2)[0] == pytest.approx(np.sqrt(6.0), abs=1e-12)
     assert knn_kth_distance_reference(r1, [r1, r2], 2) == pytest.approx(np.sqrt(6.0))
 
@@ -229,7 +229,6 @@ def test_build_bank_non_uniform_layer_dims(rng):
         b[...] = rng.uniform(0.05, 0.3, b.shape).astype(np.float32)
     bank = build_bank(head, unit_rows(rng, 7, 16))
     assert bank.vectors.shape == (7, 26)
-    assert bank.layer_dims == (8, 12, 6)
     off = 0
     for width in (8, 12, 6):
         seg = bank.vectors[:, off : off + width]

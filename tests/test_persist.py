@@ -1,10 +1,13 @@
+import ast
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import bank_bytes_reference
+import odpc
 from odpc import persist
 from odpc.blocks import CHECK_BLOCK_ELEMS
 from odpc.errors import ConfigError, CorruptFileError, FormatError, InvalidArgumentError
@@ -132,3 +135,21 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     persist.atomic_write_text(tmp_path / "out.txt", "world")
     assert (tmp_path / "out.txt").read_text() == "world"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_persist_imports_struct_or_zlib():
+    """Byte layouts live in one module: no other module packs bytes or CRCs."""
+    package = Path(odpc.__file__).parent
+    offenders = [
+        path.name for path in sorted(package.glob("*.py"))
+        if path.name != "persist.py" and {"struct", "zlib"} & set(_top_level_imports(path))
+    ]
+    assert offenders == []
