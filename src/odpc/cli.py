@@ -218,7 +218,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         raise ConfigError("encode generates data only for --protocol synthetic; use --import for real banks")
     names, raw, labels, is_train = bench.generate_synthetic_raw(settings.synthetic)
     feats = toy_encode_images(raw, settings.encoder)
-    out_dir.mkdir(parents=True, exist_ok=True)
     persist.write_bank(feats.values[is_train], out_dir / "train.fb", normalized=True)
     persist.write_bank(feats.values[~is_train], out_dir / "test.fb", normalized=True)
     persist.write_bank(feats.values, out_dir / "all.fb", normalized=True)

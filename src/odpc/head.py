@@ -6,16 +6,21 @@ one logit per in-distribution class plus one per distinct peer label. Only
 image features are ever classified; peer logits exist as extra rejection
 capacity and receive no cross-entropy supervision.
 
-Parameters are held as float32 (the storage precision); all math upcasts
-to float64. ``float64_head`` makes that upcast once, so a caller that runs
-the forward and the backward of one step shares a single copy.
+All parameters live in one flat float32 array, ``MlpHead.params``, in
+checkpoint order (``tensor_names``); ``weights``, ``biases``, ``clf_weight``
+and ``clf_bias`` are views into it. All math runs in float64.
+``MlpHead.like`` lays the same views over another flat buffer: a training
+step's float64 copy of the parameters and its gradients share the layout,
+so the optimizer updates them in one pass over one array.
 
-Checkpoints are ``persist`` manifest frames; this module builds and checks the manifest.
+Checkpoints are ``persist`` manifest frames whose payload is ``params``;
+this module builds and checks the manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,42 +35,61 @@ CK_VERSION = 1
 N_SHARED_LAYERS = 3
 
 
+def tensor_names() -> list[str]:
+    """Parameter names in canonical (checkpoint) order."""
+    names = [f"fc{i}.{kind}" for i in range(1, N_SHARED_LAYERS + 1) for kind in ("weight", "bias")]
+    return names + ["classifier.weight", "classifier.bias"]
+
+
+def param_shapes(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Parameter shapes, in ``tensor_names`` order, for layer widths ``dims``."""
+    return [shape for fan_in, width in zip(dims, dims[1:]) for shape in ((width, fan_in), (width,))]
+
+
 @dataclass
 class MlpHead:
-    weights: list[np.ndarray]      # N_SHARED_LAYERS of (dim, dim), applied as x @ W.T
-    biases: list[np.ndarray]       # N_SHARED_LAYERS of (dim,)
-    clf_weight: np.ndarray         # (num_outputs, dim)
-    clf_bias: np.ndarray           # (num_outputs,)
+    params: np.ndarray             # every parameter, flat, in tensor_names() order
+    dims: tuple[int, ...]          # feature_dim, the N_SHARED_LAYERS hidden widths, num_outputs
     num_id_classes: int
     num_peer_outputs: int
     seed: int
     epoch: int = 0
+    # Views into params, set by __post_init__. A weight is (width, fan_in), applied as x @ W.T.
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    clf_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    clf_bias: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.dims = tuple(map(int, self.dims))
+        if len(self.dims) != N_SHARED_LAYERS + 2:
+            raise ShapeError(f"a head has {N_SHARED_LAYERS + 2} layer widths, got {self.dims}")
+        shapes = param_shapes(self.dims)
+        sizes = [math.prod(shape) for shape in shapes]
+        if np.shape(self.params) != (sum(sizes),):
+            raise ShapeError(f"params of shape {np.shape(self.params)} do not hold the "
+                             f"{sum(sizes)} parameters of layer widths {self.dims}")
+        parts = np.split(self.params, np.cumsum(sizes)[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.weights, self.biases = views[0:-2:2], views[1:-2:2]
+        self.clf_weight, self.clf_bias = views[-2:]
 
     @property
     def feature_dim(self) -> int:
-        return int(self.weights[0].shape[1])
+        return self.dims[0]
 
     @property
     def num_outputs(self) -> int:
-        return int(self.clf_weight.shape[0])
+        return self.dims[-1]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Named parameters in canonical (checkpoint) order."""
-        return named_tensors(self)
+        """Named views into ``params``, in canonical (checkpoint) order."""
+        views = [a for pair in zip(self.weights, self.biases) for a in pair]
+        return list(zip(tensor_names(), views + [self.clf_weight, self.clf_bias]))
 
-
-def tensor_names(n_layers: int = N_SHARED_LAYERS) -> list[str]:
-    """Parameter names in canonical (checkpoint) order."""
-    names = [f"fc{i}.{kind}" for i in range(1, n_layers + 1) for kind in ("weight", "bias")]
-    return names + ["classifier.weight", "classifier.bias"]
-
-
-def named_tensors(params) -> list[tuple[str, np.ndarray]]:
-    """(name, array) pairs of a head, or of anything laid out like one
-    (``weights``, ``biases``, ``clf_weight``, ``clf_bias``), in canonical order."""
-    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
-    arrays += [params.clf_weight, params.clf_bias]
-    return list(zip(tensor_names(len(params.weights)), arrays))
+    def like(self, flat: np.ndarray) -> MlpHead:
+        """This head's layout and metadata laid over ``flat`` (shared, not copied)."""
+        return replace(self, params=flat)
 
 
 @dataclass
@@ -90,46 +114,21 @@ def init_head(
         raise InvalidArgumentError(f"need at least 2 ID classes, got {num_id_classes}")
     if num_peer_outputs < 0:
         raise InvalidArgumentError(f"num_peer_outputs must be >= 0, got {num_peer_outputs}")
-    dims = tuple(hidden_dims) if hidden_dims is not None else (feature_dim,) * N_SHARED_LAYERS
-    if len(dims) != N_SHARED_LAYERS:
-        raise InvalidArgumentError(f"exactly {N_SHARED_LAYERS} hidden dims required, got {dims}")
+    hidden = tuple(hidden_dims) if hidden_dims is not None else (feature_dim,) * N_SHARED_LAYERS
+    if len(hidden) != N_SHARED_LAYERS:
+        raise InvalidArgumentError(f"exactly {N_SHARED_LAYERS} hidden dims required, got {hidden}")
+    dims = (feature_dim, *hidden, num_id_classes + num_peer_outputs)
+    size = sum(math.prod(shape) for shape in param_shapes(dims))
+    head = MlpHead(np.zeros(size, dtype=np.float32), dims, num_id_classes, num_peer_outputs, seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    weights, biases = [], []
-    fan_in = feature_dim
-    for dim in dims:
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(dim, fan_in)).astype(np.float32)
-        weights.append(w)
-        biases.append(np.zeros(dim, dtype=np.float32))
-        fan_in = dim
-    num_outputs = num_id_classes + num_peer_outputs
-    bound = 1.0 / np.sqrt(fan_in)
-    clf_w = rng.uniform(-bound, bound, size=(num_outputs, fan_in)).astype(np.float32)
-    clf_b = np.zeros(num_outputs, dtype=np.float32)
-    return MlpHead(
-        weights=weights,
-        biases=biases,
-        clf_weight=clf_w,
-        clf_bias=clf_b,
-        num_id_classes=num_id_classes,
-        num_peer_outputs=num_peer_outputs,
-        seed=seed,
-    )
+    for w in head.weights + [head.clf_weight]:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return head
 
 
 def _f64(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
-
-
-def float64_head(head: MlpHead) -> MlpHead:
-    """The head with every parameter cast to float64; float64 ones are shared."""
-    return replace(
-        head,
-        weights=[_f64(w) for w in head.weights],
-        biases=[_f64(b) for b in head.biases],
-        clf_weight=_f64(head.clf_weight),
-        clf_bias=_f64(head.clf_bias),
-    )
 
 
 def _as_batch(features: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ def forward_with_cache(
 
     Returns (hs, zs, logits) where hs[0] is the input and hs[l] the
     post-ReLU output of layer l, zs[l-1] its pre-activation. Parameters
-    are cast to float64 here unless they already are (see ``float64_head``).
+    are cast to float64 here unless they already are (see ``MlpHead.like``).
     """
     x = _as_batch(features)
     if x.shape[1] != head.feature_dim:
@@ -184,18 +183,18 @@ def forward(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> ForwardAct
 
 def save_checkpoint(head: MlpHead, path: str | Path) -> None:
     """Write all parameters plus metadata; atomic, lossless for float32."""
-    items = head.param_items()
     manifest = {
         "version": CK_VERSION,
         "feature_dim": head.feature_dim,
-        "hidden_dims": [int(w.shape[0]) for w in head.weights],
+        "hidden_dims": list(head.dims[1:-1]),
         "num_id_classes": head.num_id_classes,
         "num_peer_outputs": head.num_peer_outputs,
         "seed": head.seed,
         "epoch": head.epoch,
-        "tensors": [{"name": name, "shape": list(np.shape(arr))} for name, arr in items],
+        "tensors": [{"name": name, "shape": list(shape)}
+                    for name, shape in zip(tensor_names(), param_shapes(head.dims))],
     }
-    persist.write_manifest_frame(path, CK_MAGIC, manifest, [arr for _, arr in items])
+    persist.write_manifest_frame(path, CK_MAGIC, manifest, [head.params])
 
 
 def _is_count(value) -> bool:
@@ -224,17 +223,17 @@ def load_checkpoint(path: str | Path) -> MlpHead:
     """Read a checkpoint back; validates magic, manifest, sizes, and CRC."""
     manifest, tensors = persist.read_manifest_frame(path, CK_MAGIC, _tensor_shapes)
     arrays = dict(zip((t["name"] for t in manifest["tensors"]), tensors))
-    shapes = [arrays[name].shape for name in tensor_names()]
-    fan_in = shapes[0][1:]
-    for weight, bias in zip(shapes[::2], shapes[1::2]):
-        if len(weight) != 2 or weight[1:] != fan_in or bias != weight[:1]:
-            raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
-        fan_in = weight[:1]
+    ordered = [arrays[name] for name in tensor_names()]
+    weights = ordered[::2]
+    # Widths read off the weights; a weight that is not 2-D gives none, which no layout matches.
+    dims = ()
+    if all(w.ndim == 2 for w in weights):
+        dims = (weights[0].shape[1], *(w.shape[0] for w in weights))
+    if [a.shape for a in ordered] != param_shapes(dims):
+        raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
     head = MlpHead(
-        weights=[arrays[f"fc{i}.weight"] for i in range(1, N_SHARED_LAYERS + 1)],
-        biases=[arrays[f"fc{i}.bias"] for i in range(1, N_SHARED_LAYERS + 1)],
-        clf_weight=arrays["classifier.weight"],
-        clf_bias=arrays["classifier.bias"],
+        params=np.concatenate([a.reshape(-1) for a in ordered]),
+        dims=dims,
         num_id_classes=manifest["num_id_classes"],
         num_peer_outputs=manifest["num_peer_outputs"],
         seed=manifest["seed"],

@@ -94,7 +94,7 @@ def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-D batch, got shape {values.shape}")
     n = values.shape[0]
-    out = np.empty((n, sum(int(w.shape[0]) for w in head.weights)))
+    out = np.empty((n, sum(head.dims[1:-1])))
     for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
         _write_normalized(out[lo:hi], forward(head, values[lo:hi]).per_layer)
     return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
-from .head import MlpHead, float64_head, forward_with_cache, named_tensors, softmax
+from .head import MlpHead, forward_with_cache, softmax
 
 PCC_FORMS = ("per_anchor", "literal")
 
@@ -328,19 +328,6 @@ class LossBreakdown:
         return row
 
 
-@dataclass
-class HeadGrads:
-    """Gradient of the objective w.r.t. every head parameter (float64)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    clf_weight: np.ndarray
-    clf_bias: np.ndarray
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return named_tensors(self)
-
-
 def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None, cfg: LossConfig):
     if cfg.use_pcc and cfg.use_mixup and negatives is None:
         raise InvalidArgumentError("mixup enabled but no negative set supplied")
@@ -378,13 +365,15 @@ def loss_and_grad(
     negatives: NegativeSet | None,
     cfg: LossConfig,
     want_grad: bool = True,
-) -> tuple[LossBreakdown, HeadGrads | None]:
+) -> tuple[LossBreakdown, MlpHead | None]:
     """Objective value (and gradients) for one batch.
 
     The objective is the sum of the contrastive term at each shared layer
     plus cross-entropy on the image logits, with terms switched by cfg.
     Text and image features share the same layers, so every enabled stream
     contributes to the shared-layer gradients; encoder inputs stay frozen.
+    The gradients come back as a float64 head in ``head``'s layout, so
+    ``grads.params`` lines up element for element with ``head.params``.
     """
     _check_inputs(head, batch, negatives, cfg)
     n = batch.size
@@ -396,7 +385,7 @@ def loss_and_grad(
         mixed_inv = np.asarray(negatives.text_index, dtype=np.int64)
         streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
-    params = float64_head(head)
+    params = head.like(np.asarray(head.params, dtype=np.float64))
     hs, zs, logits_all = forward_with_cache(params, np.vstack(streams))
     n_layers = len(head.weights)
 
@@ -444,26 +433,17 @@ def loss_and_grad(
     if not want_grad:
         return breakdown, None
 
+    grads = head.like(np.zeros(head.params.size))
     running = adj[n_layers - 1]
     if g_logits is not None:
-        h_top_img = block(hs[n_layers], 0)
-        d_clf_w = g_logits.T @ h_top_img
-        d_clf_b = g_logits.sum(axis=0)
+        np.matmul(g_logits.T, block(hs[n_layers], 0), out=grads.clf_weight)
+        np.sum(g_logits, axis=0, out=grads.clf_bias)
         running[0:n] += g_logits @ params.clf_weight
-    else:
-        d_clf_w = np.zeros(head.clf_weight.shape, dtype=np.float64)
-        d_clf_b = np.zeros(head.clf_bias.shape, dtype=np.float64)
 
-    d_weights: list[np.ndarray] = [None] * n_layers
-    d_biases: list[np.ndarray] = [None] * n_layers
     for li in range(n_layers - 1, -1, -1):
         dz = running * (zs[li] > 0)
-        d_weights[li] = dz.T @ hs[li]
-        d_biases[li] = dz.sum(axis=0)
+        np.matmul(dz.T, hs[li], out=grads.weights[li])
+        np.sum(dz, axis=0, out=grads.biases[li])
         if li > 0:
             running = dz @ params.weights[li] + adj[li - 1]
-
-    grads = HeadGrads(
-        weights=d_weights, biases=d_biases, clf_weight=d_clf_w, clf_bias=d_clf_b
-    )
     return breakdown, grads

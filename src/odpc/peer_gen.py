@@ -13,6 +13,7 @@ in case, and nothing else in the pipeline should care.
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -159,7 +160,7 @@ class HttpLlmProvider:
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
-        self._post = post_fn
+        self._post = post_fn or _post_json
         self.identifier = f"http:{model}@{endpoint}"
 
     def _api_key(self) -> str:
@@ -180,23 +181,27 @@ class HttpLlmProvider:
             ],
         }
         headers = {"Authorization": f"Bearer {self._api_key()}"}
-        post = self._post
-        if post is None:
-            import requests
-
-            def post(url, json_body, headers, timeout):
-                resp = requests.post(url, json=json_body, headers=headers, timeout=timeout)
-                resp.raise_for_status()
-                return resp.json()
-
         try:
-            body = post(self.endpoint, payload, headers, self.timeout)
+            body = self._post(self.endpoint, payload, headers, self.timeout)
             content = body["choices"][0]["message"]["content"]
         except ConfigError:
             raise
         except Exception as exc:
             raise GenerationError(f"LLM request failed: {exc}") from exc
         return parse_label_list(content)
+
+
+def _post_json(url: str, json_body: dict, headers: dict, timeout: float) -> object:
+    """POST ``json_body`` as JSON and parse the JSON reply; an HTTP error
+    status raises ``urllib.error.HTTPError``."""
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(json_body).encode("utf-8"), method="POST",
+        headers={**headers, "Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        return json.loads(response.read().decode("utf-8"))
 
 
 def parse_label_list(content: str) -> list[str]:

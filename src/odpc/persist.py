@@ -31,6 +31,7 @@ then reads the payload straight into the returned arrays.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -54,9 +55,13 @@ _U32 = struct.Struct("<I")
 
 def atomic_write_bytes(path: str | Path, *parts) -> None:
     """Write bytes-like ``parts``, in order, to path atomically (temp file in
-    the same dir, then rename)."""
+    the same dir, then rename). A path under a regular file raises
+    NotADirectoryError, as opening one for reading does."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:  # the parent exists and is not a directory
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path.parent)) from exc
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -6,12 +6,14 @@ negative-sampling generators are derived from (seed, epoch, batch) seed
 sequences, parameters update in a fixed order, and float64 does the math
 while parameters stay float32.
 
-The SGD update runs in cache-sized blocks of rows: per block, the velocity
-is scaled and the gradient added in place, lr*v goes into a preallocated
-scratch block, theta - lr*v overwrites that scratch, and the result is
-written back to the parameter in its own dtype. These are the same float64
-operations, element by element, as the whole-array update, so the blocked
-update is bit-equal to it; it only makes fewer passes over main memory.
+Parameters, their gradients and the velocity share one flat layout
+(``MlpHead.params``), so the SGD update is one pass over three flat arrays
+in cache-sized blocks: per block, the velocity is scaled and the gradient
+added in place, lr*v goes into a preallocated scratch block, theta - lr*v
+overwrites that scratch, and the result is written back to the parameters
+in their own dtype. These are the same float64 operations, element by
+element, as the whole-array update, so the blocked update is bit-equal to
+it; it only makes fewer passes over main memory.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .encoders import EmbeddingMatrix
 from .errors import ConfigError, InvalidArgumentError
 from .head import MlpHead
 from .losses import (
-    HeadGrads,
     LossBreakdown,
     LossConfig,
     NegativeSet,
@@ -86,14 +87,13 @@ class EpochStats:
 @dataclass
 class TrainingState:
     head: MlpHead
-    velocities: dict[str, np.ndarray]
+    velocity: np.ndarray           # float64, flat, in head.params' layout
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, head: MlpHead) -> "TrainingState":
-        vel = {name: np.zeros(arr.shape, dtype=np.float64) for name, arr in head.param_items()}
-        return cls(head=head, velocities=vel)
+        return cls(head=head, velocity=np.zeros(head.params.size))
 
 
 def lr_at(epoch: int, cfg: TrainingConfig) -> float:
@@ -103,30 +103,29 @@ def lr_at(epoch: int, cfg: TrainingConfig) -> float:
     return cfg.lr * cfg.gamma ** (epoch // cfg.step_size)
 
 
-def sgd_step(state: TrainingState, grads: HeadGrads, lr: float, momentum: float) -> TrainingState:
+def sgd_step(state: TrainingState, grads: MlpHead, lr: float, momentum: float) -> TrainingState:
     """Classical momentum update: v <- momentum*v + g; theta <- theta - lr*v.
 
-    Buffers accumulate in float64; parameters are written back in their own
-    dtype. The update runs in blocks of whole rows of at most SGD_BLOCK_ELEMS
-    elements and is bit-equal to the whole-array form
+    ``grads`` is laid out like the state's head (``loss_and_grad`` returns
+    it so). Buffers accumulate in float64; parameters are written back in
+    their own dtype. The update runs in blocks of SGD_BLOCK_ELEMS elements
+    and is bit-equal to the whole-array form
     ``(theta.astype(float64) - lr*v).astype(theta.dtype)`` (see the module
     docstring). Mutates and returns the state.
     """
-    for (name, param), (gname, grad) in zip(state.head.param_items(), grads.param_items()):
-        if name != gname or param.shape != grad.shape:
-            raise InvalidArgumentError(f"gradient {gname}{grad.shape} does not match {name}{param.shape}")
-        v = state.velocities[name]
-        row_shape = param.shape[1:]
-        rows = max(1, SGD_BLOCK_ELEMS // int(np.prod(row_shape)))
-        scratch = np.empty((min(rows, len(param)),) + row_shape)
-        for lo in range(0, len(param), rows):
-            vb = v[lo : lo + rows]
-            vb *= momentum
-            vb += grad[lo : lo + rows]
-            step = scratch[: len(vb)]
-            np.multiply(vb, lr, out=step)
-            np.subtract(param[lo : lo + rows], step, out=step)
-            param[lo : lo + rows] = step
+    param, grad, v = state.head.params, grads.params, state.velocity
+    if grad.shape != param.shape:
+        raise InvalidArgumentError(f"gradient {grad.shape} does not match parameters {param.shape}")
+    scratch = np.empty(min(SGD_BLOCK_ELEMS, param.size))
+    for lo in range(0, param.size, SGD_BLOCK_ELEMS):
+        hi = lo + SGD_BLOCK_ELEMS
+        vb = v[lo:hi]
+        vb *= momentum
+        vb += grad[lo:hi]
+        step = scratch[: len(vb)]
+        np.multiply(vb, lr, out=step)
+        np.subtract(param[lo:hi], step, out=step)
+        param[lo:hi] = step
     return state
 
 

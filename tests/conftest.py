@@ -22,7 +22,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from odpc import persist
 from odpc.encoders import _projection
-from odpc.head import MlpHead, init_head
+from odpc.head import MlpHead, init_head, tensor_names
 from odpc.losses import LossConfig, NegativeSet, TrainingBatch, build_negative_set, loss_and_grad
 
 # Property tests run the same examples on every run and keep no example
@@ -147,7 +147,7 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     class_texts[labels] and mixed_texts[text_index], every one of the 4N
     stacked rows (images, texts, mixed images, mixed texts) is forwarded and
     backpropagated on its own, and parameters are cast to float64 where used.
-    Returns (total loss, gradients in HeadGrads.param_items order)."""
+    Returns (total loss, gradients in tensor_names() order)."""
     from odpc.head import forward_with_cache, softmax
     from odpc.losses import _pcc_value_and_input_grads
 
@@ -201,33 +201,24 @@ def fd_max_rel_error(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet
     """Max relative error between analytic gradients and central differences,
     over every parameter of the head, in float64."""
     _, grads = loss_and_grad(head, batch, negatives, cfg)
-    params = [arr.astype(np.float64) for _, arr in head.param_items()]
+    flat = head.params.astype(np.float64)
+    probe = head.like(flat)   # perturbing flat perturbs the probe's parameters
 
     def loss_at():
-        probe = MlpHead(
-            weights=[params[0], params[2], params[4]],
-            biases=[params[1], params[3], params[5]],
-            clf_weight=params[6], clf_bias=params[7],
-            num_id_classes=head.num_id_classes,
-            num_peer_outputs=head.num_peer_outputs,
-            seed=head.seed,
-        )
         return loss_and_grad(probe, batch, negatives, cfg, want_grad=False)[0].total
 
     worst = 0.0
-    for arr, (_, grad) in zip(params, grads.param_items()):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_at()
-            flat[i] = orig - h
-            down = loss_at()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            denom = max(abs(fd), abs(gflat[i]), 1e-8)
-            worst = max(worst, abs(fd - gflat[i]) / denom)
+    gflat = grads.params
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_at()
+        flat[i] = orig - h
+        down = loss_at()
+        flat[i] = orig
+        fd = (up - down) / (2.0 * h)
+        denom = max(abs(fd), abs(gflat[i]), 1e-8)
+        worst = max(worst, abs(fd - gflat[i]) / denom)
     return worst
 
 
@@ -295,6 +286,18 @@ def bank_bytes_reference(matrix, normalized: bool) -> bytes:
         + payload
         + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     )
+
+
+def assert_views_follow_layout(head: MlpHead) -> None:
+    """Each of ``head.param_items()`` is a view into ``head.params``, starting
+    where the one before it ends, in ``tensor_names()`` order."""
+    offset = 0
+    for (name, view), expected in zip(head.param_items(), tensor_names(), strict=True):
+        assert name == expected
+        assert np.shares_memory(view, head.params), name
+        assert view.ctypes.data == head.params.ctypes.data + offset * head.params.itemsize, name
+        offset += view.size
+    assert offset == head.params.size
 
 
 def checkpoint_bytes_reference(head: MlpHead) -> bytes:

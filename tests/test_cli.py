@@ -469,10 +469,13 @@ def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, ba
         (["report", "--results", "{results}", "--out", "{dir}"], "IsADirectoryError", 2),
         (["report", "--results", "{results}/x", "--out", "{tmp}/table.md"],
          "NotADirectoryError", 2),
+        (["report", "--results", "{results}", "--out", "{results}/t.md"], "NotADirectoryError", 2),
+        (["encode", "--out", "{results}/x"], "NotADirectoryError", 2),
         (["report", "--results", "{tmp}/" + "x" * 300, "--out", "{tmp}/table.md"], "OSError", 1),
     ],
     ids=["encode-import-dir", "report-results-dir", "eval-config-dir", "report-out-dir",
-         "results-under-a-file", "name-too-long"],
+         "results-under-a-file", "report-out-under-a-file", "encode-out-under-a-file",
+         "name-too-long"],
 )
 def test_unusable_path_is_one_line_error(tmp_path, capsys, argv, error, code):
     directory = tmp_path / "dir"

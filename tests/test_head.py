@@ -6,9 +6,17 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import checkpoint_bytes_reference
+from conftest import assert_views_follow_layout, checkpoint_bytes_reference
 from odpc.errors import CorruptFileError, FormatError, InvalidArgumentError, ShapeError
-from odpc.head import CK_MAGIC, forward, init_head, load_checkpoint, save_checkpoint, softmax
+from odpc.head import (
+    CK_MAGIC,
+    MlpHead,
+    forward,
+    init_head,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+)
 
 
 def manual_forward(head, x):
@@ -117,6 +125,25 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert back.seed == 9 and back.epoch == 12
     for (_, pa), (_, pb) in zip(head.param_items(), back.param_items()):
         assert pa.tobytes() == pb.tobytes()
+
+
+def test_param_views_follow_flat_layout(tmp_path):
+    head = init_head(3, 2, seed=1, feature_dim=16, hidden_dims=(8, 12, 6))
+    assert_views_follow_layout(head)
+    assert_views_follow_layout(head.like(np.zeros(head.params.size)))
+    save_checkpoint(head, tmp_path / "head.ckpt")
+    back = load_checkpoint(tmp_path / "head.ckpt")
+    assert_views_follow_layout(back)
+    assert back.params.tobytes() == head.params.tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_mis_sized_params_rejected(extra):
+    head = init_head(3, 2, seed=1, feature_dim=16, hidden_dims=(8, 12, 6))
+    with pytest.raises(ShapeError):
+        MlpHead(np.zeros(head.params.size + extra, dtype=np.float32), head.dims, 3, 2, seed=1)
+    with pytest.raises(ShapeError):
+        MlpHead(head.params, head.dims[1:], 3, 2, seed=1)
 
 
 def test_checkpoint_corrupt_blob(tmp_path):

@@ -1,4 +1,7 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -234,6 +237,45 @@ def test_http_provider_wraps_transport_errors(monkeypatch):
 
     provider = HttpLlmProvider("https://llm.example", "m", post_fn=boom)
     with pytest.raises(GenerationError):
+        provider.request("prompt")
+
+
+class _FakeResponse(io.BytesIO):
+    """What ``urlopen`` returns: a readable body usable as a context manager."""
+
+
+def test_http_provider_default_transport_posts_json(monkeypatch):
+    monkeypatch.setenv("ODPC_LLM_API_KEY", "k-123")
+    seen = []
+
+    def fake_urlopen(request, timeout):
+        seen.append((request, timeout))
+        reply = {"choices": [{"message": {"content": "wolf\nfox"}}]}
+        return _FakeResponse(json.dumps(reply).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    provider = HttpLlmProvider("https://llm.example/v1/chat", "test-model", timeout=7.5)
+    assert provider.request("similar to dog") == ["wolf", "fox"]
+    [(request, timeout)] = seen
+    assert request.full_url == "https://llm.example/v1/chat"
+    assert request.get_method() == "POST"
+    assert request.get_header("Authorization") == "Bearer k-123"
+    assert request.get_header("Content-type") == "application/json"
+    body = json.loads(request.data.decode("utf-8"))
+    assert body["model"] == "test-model" and body["temperature"] == 0
+    assert body["messages"][-1] == {"role": "user", "content": "similar to dog"}
+    assert timeout == 7.5
+
+
+def test_http_provider_default_transport_http_error_is_generation_error(monkeypatch):
+    monkeypatch.setenv("ODPC_LLM_API_KEY", "k")
+
+    def fake_urlopen(request, timeout):
+        raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    provider = HttpLlmProvider("https://llm.example", "m")
+    with pytest.raises(GenerationError, match="503"):
         provider.request("prompt")
 
 

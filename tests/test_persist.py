@@ -1,6 +1,9 @@
 import ast
 import json
+import re
 import struct
+import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +156,18 @@ def test_only_persist_imports_struct_or_zlib():
         if path.name != "persist.py" and {"struct", "zlib"} & set(_top_level_imports(path))
     ]
     assert offenders == []
+
+
+def test_runtime_imports_are_numpy_and_stdlib_only():
+    """Every import in the package, function-level ones included, is odpc
+    itself, numpy or the standard library; pyproject lists numpy alone."""
+    package = Path(odpc.__file__).parent
+    allowed = {"odpc", "numpy"} | set(sys.stdlib_module_names)
+    offenders = sorted(
+        f"{path.name}: {name}" for path in package.glob("*.py")
+        for name in set(_top_level_imports(path)) - allowed
+    )
+    assert offenders == []
+    pyproject = (package.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    deps = tomllib.loads(pyproject)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in deps] == ["numpy"]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import unit_rows
+from conftest import assert_views_follow_layout, unit_rows
 from odpc.errors import ConfigError, InvalidArgumentError
-from odpc.head import MlpHead, init_head
-from odpc.losses import HeadGrads, LossConfig
+from odpc.head import init_head
+from odpc.losses import LossConfig
 from odpc.trainer import (
     SGD_BLOCK_ELEMS,
     TrainingConfig,
@@ -28,19 +28,13 @@ def test_lr_schedule_values():
 
 def _scalar_state():
     head = init_head(2, 0, seed=0, feature_dim=4)
-    for _, p in head.param_items():
-        p[...] = 0.0
+    head.params[...] = 0.0
     head.weights[0][0, 0] = 1.0
     return TrainingState.fresh(head)
 
 
 def _grads_like(head, fill):
-    return HeadGrads(
-        weights=[np.full(w.shape, fill) for w in head.weights],
-        biases=[np.full(b.shape, fill) for b in head.biases],
-        clf_weight=np.full(head.clf_weight.shape, fill),
-        clf_bias=np.full(head.clf_bias.shape, fill),
-    )
+    return head.like(np.full(head.params.size, fill))
 
 
 def test_sgd_plain_step():
@@ -65,45 +59,36 @@ def test_sgd_zero_lr_updates_buffers_only():
     before = state.head.weights[0].copy()
     sgd_step(state, _grads_like(state.head, 1.0), lr=0.0, momentum=0.5)
     assert np.array_equal(state.head.weights[0], before)
-    assert state.velocities["fc1.weight"][0, 0] == pytest.approx(1.0)
+    assert state.head.like(state.velocity).weights[0][0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["block-1", "block", "block+1"])
 def test_sgd_blocked_update_bit_equal_to_whole_array(delta):
     rng = np.random.default_rng(40 + delta)
-    cols = 64
-    rows = SGD_BLOCK_ELEMS // cols + delta
-
-    def f32(*shape):
-        return rng.standard_normal(shape).astype(np.float32)
-
-    head = MlpHead(
-        weights=[f32(rows, cols) for _ in range(3)],
-        biases=[f32(SGD_BLOCK_ELEMS + delta) for _ in range(3)],   # 1-D: a row is one element
-        clf_weight=f32(5, cols), clf_bias=f32(5),
-        num_id_classes=3, num_peer_outputs=2, seed=0,
-    )
+    # Layer widths (d, 1, 1, 1, 2) hold d + 9 parameters.
+    head = init_head(2, 0, seed=0, feature_dim=SGD_BLOCK_ELEMS + delta - 9, hidden_dims=(1, 1, 1))
+    assert head.params.size == SGD_BLOCK_ELEMS + delta
+    head.params[...] = rng.standard_normal(head.params.size)
     state = TrainingState.fresh(head)
-    expected = {name: p.copy() for name, p in head.param_items()}
-    velocity = {name: np.zeros(p.shape) for name, p in head.param_items()}
+    expected = head.params.copy()
+    velocity = np.zeros(head.params.size)
     lr, momentum = 1e-3, 0.9
     for _ in range(2):
-        grads = HeadGrads(
-            weights=[rng.standard_normal(w.shape) for w in head.weights],
-            biases=[rng.standard_normal(b.shape) for b in head.biases],
-            clf_weight=rng.standard_normal(head.clf_weight.shape),
-            clf_bias=rng.standard_normal(head.clf_bias.shape),
-        )
-        for name, g in grads.param_items():
-            velocity[name] *= momentum
-            velocity[name] += g
-            updated = expected[name].astype(np.float64) - lr * velocity[name]
-            expected[name] = updated.astype(np.float32)
+        grads = head.like(rng.standard_normal(head.params.size))
+        velocity *= momentum
+        velocity += grads.params
+        expected = (expected.astype(np.float64) - lr * velocity).astype(np.float32)
         sgd_step(state, grads, lr, momentum)
-    for name, p in head.param_items():
-        assert p.dtype == np.float32
-        assert np.array_equal(p, expected[name]), name
-        assert np.array_equal(state.velocities[name], velocity[name]), name
+    assert head.params.dtype == np.float32
+    assert np.array_equal(head.params, expected)
+    assert np.array_equal(state.velocity, velocity)
+
+
+def test_sgd_rejects_gradient_of_another_layout():
+    state = _scalar_state()
+    other = init_head(2, 0, seed=0, feature_dim=5)
+    with pytest.raises(InvalidArgumentError):
+        sgd_step(state, _grads_like(other, 1.0), lr=0.1, momentum=0.0)
 
 
 def _toy_training_setup(seed=0, n_per_class=20, n_classes=3, dim=16):
@@ -134,6 +119,8 @@ def test_train_deterministic_given_seed():
         assert a.total == b.total and a.ce == b.ce and a.pcc_layers == b.pcc_layers
     for (_, pa), (_, pb) in zip(runs[0].head.param_items(), runs[1].head.param_items()):
         assert np.array_equal(pa, pb)
+    for state in runs:
+        assert_views_follow_layout(state.head)
 
 
 def test_train_float32_features_bit_equal_to_float64_cast():
