@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .encoders import EmbeddingMatrix
 from .errors import FormatError, InvalidArgumentError, ShapeError
 
 CK_MAGIC = b"ODPCCK01"
@@ -131,16 +130,15 @@ def _f64(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-def _as_batch(features: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    values = features.values if isinstance(features, EmbeddingMatrix) else features
-    arr = np.asarray(values, dtype=np.float64)
+def _as_batch(features: np.ndarray) -> np.ndarray:
+    arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D batch, got shape {arr.shape}")
     return arr
 
 
 def forward_with_cache(
-    head: MlpHead, features: EmbeddingMatrix | np.ndarray
+    head: MlpHead, features: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Forward pass keeping what backprop needs.
 
@@ -171,7 +169,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> ForwardActivations:
+def forward(head: MlpHead, features: np.ndarray) -> ForwardActivations:
     """Run features through the shared layers and the classifier.
 
     Image and text features go through the same three layers; the caller
@@ -201,8 +199,8 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _tensor_shapes(path: str | Path, manifest: dict) -> list[list[int]]:
-    """Validate a checkpoint manifest; returns its tensor shapes in file order."""
+def _tensor_shapes(path: str | Path, manifest: dict) -> list[tuple[int]]:
+    """Validate a checkpoint manifest; returns the one flat shape of its payload."""
     if manifest.get("version") != CK_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {manifest.get('version')}")
     counts = ("num_id_classes", "num_peer_outputs", "seed", "epoch")
@@ -214,25 +212,29 @@ def _tensor_shapes(path: str | Path, manifest: dict) -> list[list[int]]:
         for t in tensors
     ):
         raise FormatError(f"{path}: manifest tensors are not a list of named shapes")
-    if sorted(str(t.get("name")) for t in tensors) != sorted(tensor_names()):
-        raise FormatError(f"{path}: unexpected tensor set {[t.get('name') for t in tensors]}")
-    return [t["shape"] for t in tensors]
+    names = [t.get("name") for t in tensors]
+    if names != tensor_names():
+        raise FormatError(f"{path}: tensors {names} are not {tensor_names()} in that order")
+    return [(sum(math.prod(t["shape"]) for t in tensors),)]
 
 
 def load_checkpoint(path: str | Path) -> MlpHead:
-    """Read a checkpoint back; validates magic, manifest, sizes, and CRC."""
-    manifest, tensors = persist.read_manifest_frame(path, CK_MAGIC, _tensor_shapes)
-    arrays = dict(zip((t["name"] for t in manifest["tensors"]), tensors))
-    ordered = [arrays[name] for name in tensor_names()]
-    weights = ordered[::2]
+    """Read a checkpoint back; validates magic, manifest, sizes, and CRC.
+
+    The manifest lists the tensors in layout order, so the payload is read
+    straight into the head's flat ``params``.
+    """
+    manifest, (params,) = persist.read_manifest_frame(path, CK_MAGIC, _tensor_shapes)
+    shapes = [tuple(t["shape"]) for t in manifest["tensors"]]
+    weights = shapes[::2]
     # Widths read off the weights; a weight that is not 2-D gives none, which no layout matches.
     dims = ()
-    if all(w.ndim == 2 for w in weights):
-        dims = (weights[0].shape[1], *(w.shape[0] for w in weights))
-    if [a.shape for a in ordered] != param_shapes(dims):
+    if all(len(w) == 2 for w in weights):
+        dims = (weights[0][1], *(w[0] for w in weights))
+    if shapes != param_shapes(dims):
         raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
     head = MlpHead(
-        params=np.concatenate([a.reshape(-1) for a in ordered]),
+        params=params,
         dims=dims,
         num_id_classes=manifest["num_id_classes"],
         num_peer_outputs=manifest["num_peer_outputs"],

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import persist
 from .blocks import row_chunks
-from .encoders import EmbeddingMatrix
 from .errors import ConfigError, InvalidArgumentError, ShapeError
 from .head import MlpHead, forward
 
@@ -82,7 +81,7 @@ def _write_normalized(out: np.ndarray, per_layer: list[np.ndarray]) -> None:
         off += h.shape[1]
 
 
-def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.ndarray:
+def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
     """Map encoder features to bank space: forward, per-layer normalize, concatenate.
 
     Rows go through ``forward`` in near-equal chunks of at most
@@ -90,7 +89,7 @@ def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.
     to one batch); each chunk's normalized layers are written straight into
     the output.
     """
-    values = features.values if isinstance(features, EmbeddingMatrix) else np.asarray(features)
+    values = np.asarray(features)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-D batch, got shape {values.shape}")
     n = values.shape[0]
@@ -100,20 +99,18 @@ def bank_transform(head: MlpHead, features: EmbeddingMatrix | np.ndarray) -> np.
     return out
 
 
-def passthrough_transform(features: EmbeddingMatrix | np.ndarray, copies: int = 3) -> np.ndarray:
+def passthrough_transform(features: np.ndarray, copies: int = 3) -> np.ndarray:
     """Bank-space stand-in without a trained head: the feature rows stacked
     ``copies`` times, each copy normalized. Matches the bank dimensionality."""
-    values = features.values if isinstance(features, EmbeddingMatrix) else features
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(features, dtype=np.float64)
     out = np.empty((values.shape[0], copies * values.shape[1]))
     _write_normalized(out, [values] * copies)
     return out
 
 
-def build_bank(head: MlpHead, train_features: EmbeddingMatrix | np.ndarray) -> FeatureBank:
+def build_bank(head: MlpHead, train_features: np.ndarray) -> FeatureBank:
     """Forward all training features and freeze them into a search bank."""
-    values = train_features.values if isinstance(train_features, EmbeddingMatrix) else train_features
-    if np.asarray(values).shape[0] == 0:
+    if np.asarray(train_features).shape[0] == 0:
         raise InvalidArgumentError("cannot build a feature bank from an empty train set")
     vectors = bank_transform(head, train_features)
     vectors.setflags(write=False)

@@ -16,6 +16,12 @@ Two readings of the objective are supported:
 
 All math runs in float64 with max-subtraction, regardless of input dtype.
 
+One core computes the term and its gradients from the normalized anchors,
+positives and a list of normalized negative sets (non-paired text, mixed
+image, mixed text; without mixup the list is shorter). Each set's exponent
+matrix has its diagonal (k == i) set to -inf in place, and exp(-inf) is
+exactly 0, so the gradient weights need no second mask.
+
 A batch holds each text row once. TrainingBatch carries the class-description
 matrix, and image i pairs with class_texts[labels[i]]. NegativeSet holds one
 mixed text per distinct (label, peer) pair, and batch row i uses
@@ -174,61 +180,35 @@ def _logsumexp_rows(parts: list[np.ndarray]) -> np.ndarray:
     return m + np.log(np.exp(stacked - m[:, None]).sum(axis=1))
 
 
-def _pcc_value_and_input_grads(
-    img: np.ndarray,
-    txt_pos: np.ndarray,
-    txt_all: np.ndarray,
-    mixed_img: np.ndarray | None,
-    mixed_txt: np.ndarray | None,
-    tau: float,
-    form: str,
-    want_grad: bool,
-):
-    """Shared core: loss value and, optionally, gradients w.r.t. the raw inputs."""
+def _pcc_value_and_input_grads(anchors, positives, negatives, tau: float, form: str, want_grad: bool):
+    """Loss value and, optionally, gradients w.r.t. the raw inputs.
+
+    ``anchors``, ``positives`` and each of ``negatives`` are ``_normalized``
+    (unit rows, row norms) pairs. Returns (value, (g_img, g_pos, [g_neg, ...])).
+    """
     if not tau > 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {tau}")
     if form not in PCC_FORMS:
         raise InvalidArgumentError(f"unknown pcc form {form!r}")
-    a_hat, a_n = _normalized(img, "image features")
+    (a_hat, a_n), (p_hat, p_n) = anchors, positives
     n = a_hat.shape[0]
     if n < 2:
         raise DegenerateBatchError(f"contrastive loss needs N >= 2, got {n}")
-    p_hat, p_n = _normalized(txt_pos, "paired text features")
-    b_hat, b_n = _normalized(txt_all, "text features")
-    for name, other in (("paired text", p_hat), ("text", b_hat)):
-        if other.shape != a_hat.shape:
-            raise ShapeError(f"{name} shape {other.shape} does not match images {a_hat.shape}")
-    mats = {"B": b_hat}
-    norms = {"B": b_n}
-    if mixed_img is not None:
-        c_hat, c_n = _normalized(mixed_img, "mixed image features")
-        if c_hat.shape != a_hat.shape:
-            raise ShapeError("mixed image shape does not match images")
-        mats["C"], norms["C"] = c_hat, c_n
-    if mixed_txt is not None:
-        d_hat, d_n = _normalized(mixed_txt, "mixed text features")
-        if d_hat.shape != a_hat.shape:
-            raise ShapeError("mixed text shape does not match images")
-        mats["D"], norms["D"] = d_hat, d_n
 
     inv_tau = 1.0 / tau
     sp = np.einsum("ij,ij->i", a_hat, p_hat)
-    sims = {key: a_hat @ mat.T for key, mat in mats.items()}
-    off_diag = ~np.eye(n, dtype=bool)
-
-    # Exponent arguments; diagonal masked out of the negative matrices (k != i).
-    neg_parts = []
-    for key in mats:
-        arg = sims[key] * inv_tau
-        arg = np.where(off_diag, arg, -np.inf)
-        neg_parts.append(arg)
+    sims = [a_hat @ hat.T for hat, _ in negatives]
+    # Exponent arguments with the diagonal (k == i) masked out of every set.
+    args = [s * inv_tau for s in sims]
+    for arg in args:
+        np.fill_diagonal(arg, -np.inf)
 
     if form == "per_anchor":
-        lse_all = _logsumexp_rows([sp[:, None] * inv_tau] + neg_parts)
-        value = float(np.mean(lse_all - sp * inv_tau))
+        lse = _logsumexp_rows([sp[:, None] * inv_tau] + args)
+        value = float(np.mean(lse - sp * inv_tau))
     else:
-        lse_neg = _logsumexp_rows(neg_parts)
-        log_ratio = sp * inv_tau - lse_neg
+        lse = _logsumexp_rows(args)
+        log_ratio = sp * inv_tau - lse
         m = log_ratio.max()
         value = float(np.log(n) - (m + np.log(np.exp(log_ratio - m).sum())))
 
@@ -237,42 +217,27 @@ def _pcc_value_and_input_grads(
 
     # dL/d(similarity) for the positive vector and each negative matrix.
     if form == "per_anchor":
-        w_pos = np.exp(sp * inv_tau - lse_all)
-        d_sp = (w_pos - 1.0) * inv_tau / n
-        d_sims = {
-            key: np.where(off_diag, np.exp(arg - lse_all[:, None]), 0.0) * inv_tau / n
-            for key, arg in zip(mats, neg_parts)
-        }
+        d_sp = (np.exp(sp * inv_tau - lse) - 1.0) * inv_tau / n
+        d_sims = [np.exp(arg - lse[:, None]) * inv_tau / n for arg in args]
     else:
-        alpha = np.exp(log_ratio - log_ratio.max())
+        alpha = np.exp(log_ratio - m)
         alpha /= alpha.sum()
         d_sp = -alpha * inv_tau
-        d_sims = {
-            key: np.where(off_diag, np.exp(arg - lse_neg[:, None]), 0.0)
-            * alpha[:, None]
-            * inv_tau
-            for key, arg in zip(mats, neg_parts)
-        }
+        d_sims = [np.exp(arg - lse[:, None]) * alpha[:, None] * inv_tau for arg in args]
 
     # Chain through s = <a_hat, b_hat>: ds/da = (b_hat - s*a_hat)/||a||.
     part1 = d_sp[:, None] * p_hat
     row_coef = d_sp * sp
-    for key, mat in mats.items():
-        part1 += d_sims[key] @ mat
-        row_coef += np.einsum("ik,ik->i", d_sims[key], sims[key])
+    for (hat, _), d_s, s in zip(negatives, d_sims, sims):
+        part1 += d_s @ hat
+        row_coef += np.einsum("ik,ik->i", d_s, s)
     g_img = (part1 - row_coef[:, None] * a_hat) / a_n[:, None]
-
     g_pos = d_sp[:, None] * (a_hat - sp[:, None] * p_hat) / p_n[:, None]
-
-    def _col_grad(key: str) -> np.ndarray:
-        w = d_sims[key]
-        col_coef = np.einsum("ik,ik->k", w, sims[key])
-        return (w.T @ a_hat - col_coef[:, None] * mats[key]) / norms[key][:, None]
-
-    g_all = _col_grad("B")
-    g_mimg = _col_grad("C") if "C" in mats else None
-    g_mtxt = _col_grad("D") if "D" in mats else None
-    return value, (g_img, g_pos, g_all, g_mimg, g_mtxt)
+    g_negs = [
+        (d_s.T @ a_hat - np.einsum("ik,ik->k", d_s, s)[:, None] * hat) / norms[:, None]
+        for (hat, norms), d_s, s in zip(negatives, d_sims, sims)
+    ]
+    return value, (g_img, g_pos, g_negs)
 
 
 def pcc_loss(
@@ -289,10 +254,21 @@ def pcc_loss(
     All inputs must come from the same shared layer. Mixed-feature matrices
     may be None to drop the mixup negatives (text negatives remain).
     """
-    value, _ = _pcc_value_and_input_grads(
-        layer_img, layer_txt_pos, layer_txt_all, layer_mixed_img, layer_mixed_txt,
-        tau, form, want_grad=False,
-    )
+    anchors = _normalized(layer_img, "image features")
+
+    def like_images(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        hat, norms = _normalized(x, what)
+        if hat.shape != anchors[0].shape:
+            raise ShapeError(f"{what} shape {hat.shape} does not match images {anchors[0].shape}")
+        return hat, norms
+
+    positives = like_images(layer_txt_pos, "paired text features")
+    negatives = [like_images(layer_txt_all, "text features")]
+    if layer_mixed_img is not None:
+        negatives.append(like_images(layer_mixed_img, "mixed image features"))
+    if layer_mixed_txt is not None:
+        negatives.append(like_images(layer_mixed_txt, "mixed text features"))
+    value, _ = _pcc_value_and_input_grads(anchors, positives, negatives, tau, form, want_grad=False)
     return value
 
 
@@ -319,13 +295,6 @@ class LossBreakdown:
     total: float
     pcc_layers: tuple[float, ...]
     ce: float
-
-    def as_row(self) -> dict[str, float]:
-        row = {"total": self.total}
-        for i, v in enumerate(self.pcc_layers, start=1):
-            row[f"pcc{i}"] = v
-        row["ce"] = self.ce
-        return row
 
 
 def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None, cfg: LossConfig):
@@ -399,21 +368,22 @@ def loss_and_grad(
     if cfg.use_pcc:
         for l in range(1, n_layers + 1):
             h = hs[l]
-            h_txt = block(h, 1)[text_inv]
+            anchors = _normalized(block(h, 0), "image features")
+            sets = [_normalized(block(h, 1)[text_inv], "paired text features")]
+            if use_mix:
+                sets.append(_normalized(block(h, 2), "mixed image features"))
+                sets.append(_normalized(block(h, 3)[mixed_inv], "mixed text features"))
             value, grads = _pcc_value_and_input_grads(
-                block(h, 0), h_txt, h_txt,
-                block(h, 2) if use_mix else None,
-                block(h, 3)[mixed_inv] if use_mix else None,
-                cfg.temperature, cfg.pcc_form, want_grad,
+                anchors, sets[0], sets, cfg.temperature, cfg.pcc_form, want_grad
             )
             pcc_values.append(value)
             if want_grad:
-                g_img, g_pos, g_all, g_mimg, g_mtxt = grads
+                g_img, g_pos, g_negs = grads
                 block(adj[l - 1], 0)[...] = g_img
-                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(classes), g_pos + g_all)
+                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(classes), g_pos + g_negs[0])
                 if use_mix:
-                    block(adj[l - 1], 2)[...] = g_mimg
-                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(negatives.mixed_texts), g_mtxt)
+                    block(adj[l - 1], 2)[...] = g_negs[1]
+                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(negatives.mixed_texts), g_negs[2])
     else:
         pcc_values = [0.0] * n_layers
 

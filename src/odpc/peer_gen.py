@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -218,11 +217,10 @@ def parse_label_list(content: str) -> list[str]:
 
 
 class LlmCache:
-    """(provider, prompt) -> response cache, JSON on disk, write-serialized."""
+    """(provider, prompt) -> response cache, JSON on disk."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         if self.path is not None and self.path.exists():
             data = persist.read_json(self.path)
@@ -245,10 +243,9 @@ class LlmCache:
             "response": list(response),
             "fetched_at": datetime.now(timezone.utc).isoformat(),
         }
-        with self._lock:
-            self._entries[self._key(provider_id, prompt)] = entry
-            if self.path is not None:
-                persist.write_json(self.path, {"version": 1, "entries": self._entries})
+        self._entries[self._key(provider_id, prompt)] = entry
+        if self.path is not None:
+            persist.write_json(self.path, {"version": 1, "entries": self._entries})
         return entry
 
 

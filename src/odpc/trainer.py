@@ -25,11 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .encoders import EmbeddingMatrix
 from .errors import ConfigError, InvalidArgumentError
-from .head import MlpHead
+from .head import N_SHARED_LAYERS, MlpHead
 from .losses import (
-    LossBreakdown,
     LossConfig,
     NegativeSet,
     TrainingBatch,
@@ -138,7 +136,7 @@ def _batch_rng(seed: int, epoch: int, batch_idx: int) -> np.random.Generator:
 
 
 def train(
-    features: EmbeddingMatrix | np.ndarray,
+    features: np.ndarray,
     labels: np.ndarray,
     class_text_features: np.ndarray,
     peer_text_features: dict[int, np.ndarray],
@@ -155,7 +153,7 @@ def train(
     """
     # No float64 copy of the whole matrix: TrainingBatch casts each batch,
     # and float32 -> float64 is exact, so the results are the same bits.
-    x = np.asarray(features.values if isinstance(features, EmbeddingMatrix) else features)
+    x = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     class_text = np.asarray(class_text_features, dtype=np.float64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
@@ -183,7 +181,8 @@ def train(
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         perm = _epoch_rng(cfg.seed, epoch).permutation(n)
-        sums: dict[str, float] = {}
+        # Per-batch sums of total, the per-layer PCC terms and CE, in that order.
+        sums = np.zeros(N_SHARED_LAYERS + 2)
         used = 0
         skipped = 0
         for b in range(n_batches):
@@ -201,28 +200,16 @@ def train(
                 )
             breakdown, grads = loss_and_grad(state.head, batch, negatives, cfg.loss)
             sgd_step(state, grads, lr, cfg.momentum)
-            for key, val in breakdown.as_row().items():
-                sums[key] = sums.get(key, 0.0) + val
+            sums += (breakdown.total, *breakdown.pcc_layers, breakdown.ce)
             used += 1
 
         if skipped:
             logger.warning("epoch %d: skipped %d single-class batch(es)", epoch, skipped)
-        if used == 0:
-            means = {key: float("nan") for key in ("total", "pcc1", "pcc2", "pcc3", "ce")}
-        else:
-            means = {key: val / used for key, val in sums.items()}
+        total, *pcc_layers, ce = (sums / used if used else np.full_like(sums, np.nan)).tolist()
         state.epoch = epoch + 1
         state.head.epoch = epoch + 1
         state.history.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr,
-                total=means.get("total", float("nan")),
-                pcc_layers=tuple(means.get(f"pcc{i}", float("nan")) for i in (1, 2, 3)),
-                ce=means.get("ce", float("nan")),
-                batches=used,
-                skipped=skipped,
-            )
+            EpochStats(epoch, lr, total, tuple(pcc_layers), ce, batches=used, skipped=skipped)
         )
     return state
 
@@ -231,8 +218,6 @@ def write_loss_history(history: list[EpochStats], path: str | Path) -> None:
     """CSV with one row per epoch: epoch, lr, total, pcc1, pcc2, pcc3, ce."""
     rows = ["epoch,lr,total,pcc1,pcc2,pcc3,ce"]
     for st in history:
-        p = list(st.pcc_layers) + [float("nan")] * (3 - len(st.pcc_layers))
-        rows.append(
-            f"{st.epoch},{st.lr!r},{st.total!r},{p[0]!r},{p[1]!r},{p[2]!r},{st.ce!r}"
-        )
+        values = (st.lr, st.total, *st.pcc_layers, st.ce)
+        rows.append(",".join([str(st.epoch), *map(repr, values)]))
     persist.atomic_write_text(path, "\n".join(rows) + "\n")

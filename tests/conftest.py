@@ -149,7 +149,7 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     backpropagated on its own, and parameters are cast to float64 where used.
     Returns (total loss, gradients in tensor_names() order)."""
     from odpc.head import forward_with_cache, softmax
-    from odpc.losses import _pcc_value_and_input_grads
+    from odpc.losses import _normalized, _pcc_value_and_input_grads
 
     n = batch.size
     use_mix = cfg.use_pcc and cfg.use_mixup
@@ -163,18 +163,18 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
         if not cfg.use_pcc:
             break
         parts = [hs[l][s * n : (s + 1) * n] for s in range(len(streams))]
+        sets = [_normalized(part, "features") for part in parts[1:]]
         value, grads = _pcc_value_and_input_grads(
-            parts[0], parts[1], parts[1],
-            parts[2] if use_mix else None, parts[3] if use_mix else None,
+            _normalized(parts[0], "features"), sets[0], sets,
             cfg.temperature, cfg.pcc_form, True,
         )
         total += value
-        g_img, g_pos, g_all, g_mimg, g_mtxt = grads
+        g_img, g_pos, g_negs = grads
         adj[l - 1][:n] += g_img
-        adj[l - 1][n : 2 * n] += g_pos + g_all
+        adj[l - 1][n : 2 * n] += g_pos + g_negs[0]
         if use_mix:
-            adj[l - 1][2 * n : 3 * n] += g_mimg
-            adj[l - 1][3 * n :] += g_mtxt
+            adj[l - 1][2 * n : 3 * n] += g_negs[1]
+            adj[l - 1][3 * n :] += g_negs[2]
     d_clf_w = np.zeros(head.clf_weight.shape)
     d_clf_b = np.zeros(head.clf_bias.shape)
     if cfg.use_ce:

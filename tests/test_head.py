@@ -199,9 +199,12 @@ def _reshaped(manifest, index, shape):
         # fc2.weight as (4, 16): the same bytes, but fc1's 8 outputs no longer feed it
         lambda m: _reshaped(m, 2, [4, 16]),
         lambda m: _reshaped(m, 1, [1, 8]),
+        # fc1.weight and fc2.weight swapped: both (8, 8), so only the order is wrong
+        lambda m: {**m, "tensors": [m["tensors"][i] for i in (2, 1, 0, 3, 4, 5, 6, 7)]},
     ],
     ids=["manifest-list", "tensor-without-shape", "tensor-not-object", "negative-dim",
-         "missing-num-id-classes", "epoch-string", "weights-do-not-chain", "bias-not-1d"],
+         "missing-num-id-classes", "epoch-string", "weights-do-not-chain", "bias-not-1d",
+         "tensors-out-of-order"],
 )
 def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edit):
     head = init_head(2, 2, seed=1, feature_dim=8)

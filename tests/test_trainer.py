@@ -203,6 +203,33 @@ def test_train_logs_one_skip_warning_per_epoch(caplog):
         assert f"epoch {st.epoch}: skipped {st.skipped} " in message
 
 
+def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
+    rng = np.random.default_rng(2)
+    # one class-1 row among 5, batches of 2: at shuffle seed 1, epoch 0 leaves
+    # that row in the dropped tail, so both of its batches hold class 0 alone
+    features = unit_rows(rng, 5, 8)
+    labels = np.array([0, 0, 0, 0, 1])
+    peer_text = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
+    cfg = TrainingConfig(epochs=2, batch_size=2, lr=1e-4, seed=1,
+                         loss=LossConfig(temperature=0.05))
+    state = train(features, labels, unit_rows(rng, 2, 8), peer_text,
+                  init_head(2, 2, seed=0, feature_dim=8), cfg)
+    empty, trained = state.history
+    assert empty.skipped == len(labels) // cfg.batch_size and empty.batches == 0
+    assert trained.batches > 0
+    assert len(empty.pcc_layers) == len(trained.pcc_layers) == 3
+    for st in (empty, trained):
+        # plain floats, so repr (and the loss history) reads the same
+        assert all(type(v) is float for v in (st.total, *st.pcc_layers, st.ce))
+    assert all(np.isnan(v) for v in (empty.total, *empty.pcc_layers, empty.ce))
+    assert all(np.isfinite(v) for v in (trained.total, *trained.pcc_layers, trained.ce))
+    path = tmp_path / "loss_history.csv"
+    write_loss_history(state.history, path)
+    rows = path.read_text().splitlines()
+    assert rows[1] == f"0,{cfg.lr!r},nan,nan,nan,nan,nan"
+    assert "nan" not in rows[2]
+
+
 def test_train_requires_two_classes():
     rng = np.random.default_rng(0)
     features = unit_rows(rng, 10, 8)
