@@ -8,7 +8,6 @@ from .bench import (
     PipelineSettings,
     SyntheticSpec,
     auroc,
-    builtin_catalog,
     export_projection,
     make_split,
     openness,

@@ -5,6 +5,11 @@ Real image datasets enter only as imported embedding files plus a labels
 manifest; the harness never touches pixels. A built-in ``synthetic``
 protocol (seeded Gaussian clusters, 6 ID + 4 OOD classes) gives desk-scale
 end-to-end runs with the toy encoder.
+
+Every split samples from the classes of the dataset it splits. The shipped
+CIFAR catalog only decides which of those classes the ``cifar_plus``
+protocols draw: CIFAR-10's non-animal classes as knowns, CIFAR-100's animal
+classes as unknowns.
 """
 
 from __future__ import annotations
@@ -66,21 +71,20 @@ VARIANTS = ("pcc_ce", "pcc_only", "ce_only", "pcc_ce_nomix", "passthrough")
 
 @dataclass(frozen=True)
 class ClassCatalog:
-    """Class names available to a protocol, with animal markers.
-
-    ``extra_classes`` holds the secondary dataset feeding the cifar_plus
-    protocols (known classes come from `classes`, unknown from the extras).
-    """
+    """The class names a split may sample: the classes of the dataset it splits."""
 
     classes: tuple[str, ...]
-    animal_classes: frozenset[str] = frozenset()
-    extra_classes: tuple[str, ...] = ()
-    extra_animal_classes: frozenset[str] = frozenset()
 
 
-def _load_static_catalogs() -> dict:
+def _cifar_plus_pools(held: set[str]) -> tuple[list[str], list[str]]:
+    """CIFAR-10's non-animal and CIFAR-100's animal classes, in the shipped
+    catalog's order, restricted to the ``held`` class names."""
     text = resources.files("odpc.data").joinpath("class_catalogs.json").read_text("utf-8")
-    return json.loads(text)
+    static = json.loads(text)
+    c10, c100 = static["cifar10"], static["cifar100"]
+    non_animal = [c for c in c10["classes"] if c not in c10["animal_classes"] and c in held]
+    animals = [c for c in c100["classes"] if c in c100["animal_classes"] and c in held]
+    return non_animal, animals
 
 
 # Synthetic class names are adjective-noun labels drawn from the same word
@@ -107,37 +111,6 @@ def synthetic_class_names(n_classes: int = 10) -> tuple[str, ...]:
     return tuple(names)
 
 
-def builtin_catalog(protocol: str) -> ClassCatalog:
-    """Catalog shipped with the package for a protocol."""
-    if protocol == "synthetic":
-        return ClassCatalog(classes=synthetic_class_names())
-    static = _load_static_catalogs()
-    c10 = static["cifar10"]
-    c100 = static["cifar100"]
-    if protocol == "cifar10_6v4":
-        return ClassCatalog(
-            classes=tuple(c10["classes"]),
-            animal_classes=frozenset(c10["animal_classes"]),
-        )
-    if protocol in ("cifar_plus_10", "cifar_plus_50"):
-        return ClassCatalog(
-            classes=tuple(c10["classes"]),
-            animal_classes=frozenset(c10["animal_classes"]),
-            extra_classes=tuple(c100["classes"]),
-            extra_animal_classes=frozenset(c100["animal_classes"]),
-        )
-    if protocol == "cifar100_20v80":
-        return ClassCatalog(
-            classes=tuple(c100["classes"]),
-            animal_classes=frozenset(c100["animal_classes"]),
-        )
-    if protocol == "tinyimagenet_20v180":
-        raise ConfigError(
-            "tinyimagenet_20v180 has no built-in catalog; supply a labels manifest"
-        )
-    raise InvalidArgumentError(f"unknown protocol {protocol!r}")
-
-
 @dataclass(frozen=True)
 class BenchmarkSplit:
     protocol: str
@@ -156,20 +129,9 @@ class BenchmarkSplit:
             )
 
     @property
-    def n_train_classes(self) -> int:
-        return len(self.known_classes)
-
-    @property
-    def n_unknown(self) -> int:
-        return len(self.unknown_classes)
-
-    @property
-    def n_total_test_classes(self) -> int:
-        return len(self.known_classes) + len(self.unknown_classes)
-
-    @property
     def openness_pct(self) -> float:
-        return openness(self.n_train_classes, self.n_total_test_classes)
+        n_known = len(self.known_classes)
+        return openness(n_known, n_known + len(self.unknown_classes))
 
 
 def _sample(rng: np.random.Generator, pool: list[str], count: int, what: str) -> list[str]:
@@ -186,12 +148,9 @@ def make_split(protocol: str, class_catalog: ClassCatalog, seed: int) -> Benchma
     n_known, n_unknown = PROTOCOL_COUNTS[protocol]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
     if protocol in ("cifar_plus_10", "cifar_plus_50"):
-        non_animal = [c for c in class_catalog.classes if c not in class_catalog.animal_classes]
-        known = _sample(rng, non_animal, n_known, "non-animal known")
-        extra_animals = [
-            c for c in class_catalog.extra_classes if c in class_catalog.extra_animal_classes
-        ]
-        unknown = _sample(rng, extra_animals, n_unknown, "animal unknown")
+        non_animal, animals = _cifar_plus_pools(set(class_catalog.classes))
+        known = _sample(rng, non_animal, n_known, "CIFAR-10 non-animal known")
+        unknown = _sample(rng, animals, n_unknown, "CIFAR-100 animal unknown")
     else:
         pool = list(class_catalog.classes)
         known = _sample(rng, pool, n_known, "known")
@@ -355,18 +314,25 @@ def synthetic_feature_dataset(spec: SyntheticSpec, encoder: ToyEncoderConfig) ->
     return FeatureDataset(class_names=names, features=feats, labels=labels, is_train=is_train)
 
 
+def read_manifest(manifest_path: str | Path) -> dict:
+    """A labels manifest's JSON object, checked to list its ``classes`` as class names."""
+    doc = persist.read_json(manifest_path)
+    classes = doc.get("classes") if isinstance(doc, dict) else None
+    if not (isinstance(classes, list) and all(isinstance(name, str) for name in classes)):
+        raise ConfigError(f"{manifest_path}: not a labels manifest whose classes are a list of names")
+    return doc
+
+
 def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) -> FeatureDataset:
     """Bind a labels manifest to an imported feature bank (row i = samples[i]).
 
     A malformed manifest raises ConfigError; a bad sample is named by its
     index, with the key it lacks or the class it names that is not listed.
     """
-    doc = persist.read_json(manifest_path)
-    if not isinstance(doc, dict) or "samples" not in doc or "classes" not in doc:
-        raise ConfigError(f"{manifest_path}: not a valid labels manifest")
-    samples, classes = doc["samples"], doc["classes"]
-    if not (isinstance(samples, list) and _is_name_list(classes)):
-        raise ConfigError(f"{manifest_path}: samples and classes must be lists, classes of names")
+    doc = read_manifest(manifest_path)
+    samples, classes = doc.get("samples"), doc["classes"]
+    if not isinstance(samples, list):
+        raise ConfigError(f"{manifest_path}: samples must be a list")
     if len(samples) != features.rows:
         raise ConfigError(
             f"{manifest_path}: {len(samples)} samples but feature bank has {features.rows} rows"
@@ -397,21 +363,6 @@ def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int])
     return ConfigError(f"{manifest_path}: not a valid labels manifest")
 
 
-def _is_name_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(name, str) for name in value)
-
-
-def catalog_from_manifest(manifest_path: str | Path) -> ClassCatalog:
-    """The classes, and animal markers, a labels manifest lists."""
-    doc = persist.read_json(manifest_path)
-    if not isinstance(doc, dict) or "classes" not in doc:
-        raise ConfigError(f"{manifest_path}: not a valid labels manifest")
-    classes, animals = doc["classes"], doc.get("animal_classes", [])
-    if not (_is_name_list(classes) and _is_name_list(animals)):
-        raise ConfigError(f"{manifest_path}: classes and animal_classes must be lists of class names")
-    return ClassCatalog(classes=tuple(classes), animal_classes=frozenset(animals))
-
-
 def write_manifest(
     path: str | Path,
     dataset_name: str,
@@ -419,7 +370,6 @@ def write_manifest(
     labels: np.ndarray,
     is_train: np.ndarray,
     sample_ids: list[str],
-    animal_classes: list[str] | None = None,
 ) -> None:
     samples = [
         {"id": sid, "class": class_names[int(lb)], "split": "train" if tr else "test"}
@@ -430,7 +380,6 @@ def write_manifest(
         {
             "dataset": dataset_name,
             "classes": list(class_names),
-            "animal_classes": list(animal_classes or []),
             "samples": samples,
         },
     )
@@ -464,7 +413,6 @@ class EvalResult:
     aurocs: list[float]
     seeds: list[int]
     openness_pct: float
-    variant: str = "pcc_ce"
 
     @property
     def mean(self) -> float:
@@ -529,6 +477,10 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
     ood_rows = dataset.rows_for(list(split.unknown_classes), train=False)
     if train_rows.size == 0 or id_rows.size == 0 or ood_rows.size == 0:
         raise InvalidArgumentError("split leaves an empty train/ID-test/OOD-test set")
+    # The bank holds one row per train row, and k may not exceed the bank.
+    k = settings.knn.k
+    if k > train_rows.size:
+        raise ConfigError(f"knn_k {k} exceeds the split's {train_rows.size} train rows")
 
     # Rows stay float32: the transforms cast to float64, which is exact.
     values = dataset.features.values
@@ -546,7 +498,6 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
         id_q = bank_transform(head, id_x)
         ood_q = bank_transform(head, ood_x)
 
-    k = min(settings.knn.k, bank.rows)
     id_scores = knn_scores(id_q, bank, k, settings.knn.backend)
     ood_scores = knn_scores(ood_q, bank, k, settings.knn.backend)
     return auroc(id_scores, ood_scores)
@@ -558,12 +509,12 @@ def run_benchmark(
     settings: PipelineSettings,
     base_seed: int = 0,
     dataset: FeatureDataset | None = None,
-    catalog: ClassCatalog | None = None,
 ) -> EvalResult:
     """Repeat split -> train -> bank -> score -> AUROC; aggregate mean/std.
 
-    Repeat r uses seed base_seed + r for the split, peers, head init, and
-    training, so results are reproducible end to end.
+    Every split samples from the dataset's own classes. Repeat r uses seed
+    base_seed + r for the split, peers, head init, and training, so results
+    are reproducible end to end.
     """
     if repeats < 1:
         raise InvalidArgumentError(f"repeats must be >= 1, got {repeats}")
@@ -572,11 +523,7 @@ def run_benchmark(
         dataset = synthetic_feature_dataset(spec, settings.encoder)
     if dataset is None:
         raise InvalidArgumentError(f"protocol {protocol!r} needs an imported dataset")
-    if catalog is None:
-        if protocol == "synthetic":
-            catalog = ClassCatalog(classes=tuple(dataset.class_names))
-        else:
-            catalog = builtin_catalog(protocol)
+    catalog = ClassCatalog(classes=tuple(dataset.class_names))
 
     aurocs, seeds = [], []
     for r in range(repeats):
@@ -584,14 +531,9 @@ def run_benchmark(
         split = make_split(protocol, catalog, seed)
         aurocs.append(run_single(dataset, split, settings, seed))
         seeds.append(seed)
-    n_known, n_unknown = PROTOCOL_COUNTS[protocol]
-    return EvalResult(
-        protocol=protocol,
-        aurocs=aurocs,
-        seeds=seeds,
-        openness_pct=openness(n_known, n_known + n_unknown),
-        variant=settings.variant,
-    )
+    # Every split of a protocol has the protocol's class counts.
+    return EvalResult(protocol=protocol, aurocs=aurocs, seeds=seeds,
+                      openness_pct=split.openness_pct)
 
 
 def write_results_csv(results: list[EvalResult], path: str | Path) -> None:

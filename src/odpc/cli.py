@@ -186,7 +186,7 @@ def _read_class_list(args: argparse.Namespace) -> list[str]:
     if getattr(args, "classes", None):
         return [c.strip() for c in args.classes.split(",") if c.strip()]
     if getattr(args, "labels", None):
-        return list(bench.catalog_from_manifest(args.labels).classes)
+        return bench.read_manifest(args.labels)["classes"]
     raise ConfigError("provide --classes or --labels")
 
 
@@ -246,15 +246,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     settings = _command_config(args).settings
     dataset = None
-    catalog = None
     if args.protocol != "synthetic":
         if not args.features or not args.labels:
             raise ConfigError(f"protocol {args.protocol} needs --features and --labels")
         dataset = bench.load_manifest_dataset(args.labels, import_embeddings(args.features))
-        catalog = bench.catalog_from_manifest(args.labels)
     result = bench.run_benchmark(
-        args.protocol, args.repeats, settings, base_seed=settings.training.seed,
-        dataset=dataset, catalog=catalog,
+        args.protocol, args.repeats, settings, base_seed=settings.training.seed, dataset=dataset,
     )
     bench.write_results_csv([result], args.out)
     print(f"{args.protocol}: AUROC {result.mean:.4f} +- {result.std:.4f} "

@@ -160,8 +160,6 @@ def toy_encode_texts(descriptions: list[str], cfg: ToyEncoderConfig) -> Embeddin
         if not isinstance(text, str) or not text.strip():
             raise InvalidArgumentError(f"description {i} is empty")
     raw = np.stack([bag_of_words_counts(t, cfg.raw_dim) for t in descriptions]) if descriptions else np.zeros((0, cfg.raw_dim))
-    if raw.shape[0] == 0:
-        return EmbeddingMatrix(np.zeros((0, cfg.out_dim), dtype=np.float32), normalized=True, source="toy")
     return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True, source="toy")
 
 

@@ -233,6 +233,10 @@ def load_checkpoint(path: str | Path) -> MlpHead:
         dims = (weights[0][1], *(w[0] for w in weights))
     if shapes != param_shapes(dims):
         raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
+    declared = [manifest.get("feature_dim"), manifest.get("hidden_dims")]
+    if declared != [dims[0], list(dims[1:-1])]:
+        raise FormatError(f"{path}: manifest feature_dim and hidden_dims {declared} disagree "
+                          f"with the tensor widths {list(dims[:-1])}")
     head = MlpHead(
         params=params,
         dims=dims,

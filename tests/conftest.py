@@ -13,6 +13,7 @@ import struct
 import tempfile
 import zlib
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -328,3 +329,10 @@ def toy_encode_reference(raw, cfg) -> np.ndarray:
     """The toy image encoding computed on the whole matrix at once."""
     projected = np.asarray(raw, dtype=np.float64) @ _projection(cfg)
     return (projected / np.linalg.norm(projected, axis=1)[:, None]).astype(np.float32)
+
+
+def shipped_class_names(dataset: str, key: str = "classes") -> tuple[str, ...]:
+    """``key`` (``classes`` or ``animal_classes``) of ``dataset`` (``cifar10``
+    or ``cifar100``) in the shipped CIFAR catalog, in its order."""
+    text = resources.files("odpc.data").joinpath("class_catalogs.json").read_text("utf-8")
+    return tuple(json.loads(text)[dataset][key])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -7,14 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import auroc_pair_count_reference, best_rank2_reconstruction_reference
+from conftest import (
+    auroc_pair_count_reference,
+    best_rank2_reconstruction_reference,
+    shipped_class_names,
+)
 from odpc.bench import (
     ClassCatalog,
     PipelineSettings,
     SyntheticSpec,
     auroc,
-    builtin_catalog,
-    catalog_from_manifest,
     export_projection,
     fit,
     generate_synthetic_raw,
@@ -22,6 +25,7 @@ from odpc.bench import (
     make_split,
     openness,
     pca_projection,
+    read_manifest,
     read_results_csv,
     run_benchmark,
     synthetic_class_names,
@@ -32,6 +36,7 @@ from odpc.bench import (
 )
 from odpc.encoders import EmbeddingMatrix, ToyEncoderConfig
 from odpc.errors import ConfigError, FormatError, InvalidArgumentError
+from odpc.knn_detector import KnnConfig
 from odpc.peer_gen import PeerClassSet
 
 
@@ -123,6 +128,18 @@ def test_auroc_rejects_empty():
 # ---------------------------------------------------------------------------
 # splits
 
+CIFAR10 = ClassCatalog(classes=shipped_class_names("cifar10"))
+CIFAR100 = ClassCatalog(classes=shipped_class_names("cifar100"))
+CIFAR_PLUS = ClassCatalog(classes=CIFAR10.classes + CIFAR100.classes)
+PROTOCOL_CATALOGS = {
+    "cifar10_6v4": CIFAR10,
+    "cifar_plus_10": CIFAR_PLUS,
+    "cifar_plus_50": CIFAR_PLUS,
+    "cifar100_20v80": CIFAR100,
+    "synthetic": ClassCatalog(classes=synthetic_class_names()),
+}
+
+
 def test_make_split_counts_per_protocol():
     checks = {
         "cifar10_6v4": (6, 4),
@@ -132,34 +149,55 @@ def test_make_split_counts_per_protocol():
         "synthetic": (6, 4),
     }
     for protocol, (k, u) in checks.items():
-        split = make_split(protocol, builtin_catalog(protocol), seed=3)
+        split = make_split(protocol, PROTOCOL_CATALOGS[protocol], seed=3)
         assert len(split.known_classes) == k
         assert len(split.unknown_classes) == u
         assert not set(split.known_classes) & set(split.unknown_classes)
 
 
 def test_make_split_deterministic():
-    catalog = builtin_catalog("cifar10_6v4")
-    a = make_split("cifar10_6v4", catalog, seed=9)
-    b = make_split("cifar10_6v4", catalog, seed=9)
-    c = make_split("cifar10_6v4", catalog, seed=10)
+    a = make_split("cifar10_6v4", CIFAR10, seed=9)
+    b = make_split("cifar10_6v4", CIFAR10, seed=9)
+    c = make_split("cifar10_6v4", CIFAR10, seed=10)
     assert a.known_classes == b.known_classes and a.unknown_classes == b.unknown_classes
     assert a.known_classes != c.known_classes or a.unknown_classes != c.unknown_classes
 
 
 def test_cifar_plus_splits_respect_animal_markers():
-    catalog = builtin_catalog("cifar_plus_10")
-    split = make_split("cifar_plus_10", catalog, seed=1)
+    animals = shipped_class_names("cifar100", "animal_classes")
+    split = make_split("cifar_plus_10", CIFAR_PLUS, seed=1)
     assert set(split.known_classes) == {"airplane", "automobile", "ship", "truck"}
-    assert set(split.unknown_classes) <= catalog.extra_animal_classes
-    big = make_split("cifar_plus_50", builtin_catalog("cifar_plus_50"), seed=1)
+    assert set(split.unknown_classes) <= set(animals)
+    big = make_split("cifar_plus_50", CIFAR_PLUS, seed=1)
     assert len(big.unknown_classes) == 50
-    assert set(big.unknown_classes) == set(builtin_catalog("cifar_plus_50").extra_animal_classes)
+    assert set(big.unknown_classes) == set(animals)
+    # The pools hold only the classes the catalog lists.
+    short = ClassCatalog(classes=CIFAR10.classes + animals[:9])
+    with pytest.raises(InvalidArgumentError, match="need 10 CIFAR-100 animal unknown classes, catalog has 9"):
+        make_split("cifar_plus_10", short, seed=1)
+
+
+# sha256 of json.dumps([[known, unknown] for seeds 0-31]) as drawn by the
+# cifar_plus protocols from the full shipped CIFAR-10 + CIFAR-100 catalog.
+CIFAR_PLUS_SPLITS_SHA256 = {
+    "cifar_plus_10": "6769c04b86ab771843f5363e8c1d108a3480f24ffde8cc93d35e865c628ed722",
+    "cifar_plus_50": "d1d60c17aae842eeb05035eb566674b50176481d4e7bab3350bc39b389c4ab47",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(CIFAR_PLUS_SPLITS_SHA256))
+def test_cifar_plus_splits_pinned_for_seeds_0_to_31(protocol):
+    # The pools follow the shipped order, so neither the order of the
+    # dataset's classes nor classes outside CIFAR move a split.
+    catalogs = [CIFAR_PLUS, ClassCatalog(classes=("extra",) + CIFAR_PLUS.classes[::-1])]
+    for catalog in catalogs:
+        splits = [make_split(protocol, catalog, seed) for seed in range(32)]
+        rows = [[list(s.known_classes), list(s.unknown_classes)] for s in splits]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == CIFAR_PLUS_SPLITS_SHA256[protocol]
 
 
 def test_tinyimagenet_split_needs_user_catalog():
-    with pytest.raises(ConfigError):
-        builtin_catalog("tinyimagenet_20v180")
     catalog = ClassCatalog(classes=tuple(f"wnid_{i:03d}" for i in range(200)))
     split = make_split("tinyimagenet_20v180", catalog, seed=0)
     assert len(split.known_classes) == 20 and len(split.unknown_classes) == 180
@@ -167,7 +205,7 @@ def test_tinyimagenet_split_needs_user_catalog():
 
 
 def test_split_openness_property():
-    split = make_split("cifar10_6v4", builtin_catalog("cifar10_6v4"), seed=0)
+    split = make_split("cifar10_6v4", CIFAR10, seed=0)
     assert split.openness_pct == pytest.approx(13.39, abs=0.01)
 
 
@@ -215,13 +253,19 @@ def test_manifest_roundtrip(tmp_path, rng):
     is_train = np.array([True, True, False, False])
     ids = [f"s{i}" for i in range(4)]
     path = tmp_path / "labels.json"
-    write_manifest(path, "toy", names, labels, is_train, ids, animal_classes=[names[0]])
+    write_manifest(path, "toy", names, labels, is_train, ids)
     feats = EmbeddingMatrix(rng.standard_normal((4, 8)).astype(np.float32))
     ds = load_manifest_dataset(path, feats)
     assert ds.class_names == names
     assert np.array_equal(ds.labels, labels)
     assert np.array_equal(ds.is_train, is_train)
     assert ds.sample_ids == ids
+    # Manifests written with an ``animal_classes`` key still load the same.
+    old = tmp_path / "old_labels.json"
+    old.write_text(json.dumps({**json.loads(path.read_text()), "animal_classes": [names[0]]}))
+    old_ds = load_manifest_dataset(old, feats)
+    assert (old_ds.class_names, old_ds.sample_ids) == (names, ids)
+    assert np.array_equal(old_ds.labels, labels)
 
 
 def test_manifest_row_count_mismatch(tmp_path, rng):
@@ -283,10 +327,12 @@ def test_run_benchmark_imported_dataset(tmp_path, rng):
     ds_path = tmp_path / "labels.json"
     write_manifest(ds_path, "fake", names, labels, is_train, [str(i) for i in range(300)])
     dataset = load_manifest_dataset(ds_path, EmbeddingMatrix(feats.astype(np.float32), normalized=True))
-    catalog = ClassCatalog(classes=tuple(names))
-    settings = _fast_settings("passthrough")
-    res = run_benchmark("synthetic", 1, settings, base_seed=0, dataset=dataset, catalog=catalog)
+    # 6 known classes x 20 train rows: a bank of 120 rows, so k is at most 120.
+    settings = replace(_fast_settings("passthrough"), knn=KnnConfig(k=120))
+    res = run_benchmark("synthetic", 1, settings, base_seed=0, dataset=dataset)
     assert 0.0 <= res.aurocs[0] <= 1.0
+    with pytest.raises(ConfigError, match="knn_k 121 exceeds the split's 120 train rows"):
+        run_benchmark("synthetic", 1, replace(settings, knn=KnnConfig(k=121)), dataset=dataset)
 
 
 def test_run_benchmark_validates_repeats():
@@ -328,14 +374,16 @@ def test_fit_rejects_passthrough():
 
 @pytest.mark.parametrize(
     "doc",
-    [{"classes": "cat,dog"}, {"classes": ["cat", 3]}, {"classes": ["cat"], "animal_classes": "cat"}],
-    ids=["classes-string", "classes-number", "animals-string"],
+    [{"classes": "cat,dog"}, {"classes": ["cat", 3]}],
+    ids=["classes-string", "classes-number"],
 )
-def test_catalog_from_manifest_requires_name_lists(tmp_path, doc):
+def test_read_manifest_requires_name_lists(tmp_path, doc):
     path = tmp_path / "labels.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps({**doc, "samples": []}), encoding="utf-8")
     with pytest.raises(ConfigError, match="labels.json"):
-        catalog_from_manifest(path)
+        read_manifest(path)
+    with pytest.raises(ConfigError, match="labels.json"):
+        load_manifest_dataset(path, EmbeddingMatrix(np.zeros((0, 4), dtype=np.float32)))
 
 
 def test_read_results_csv_rejects_short_row(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odpc import persist
+from conftest import shipped_class_names, unit_rows
+from odpc import bench, persist
 from odpc.bench import PipelineSettings
 from odpc.cli import CONFIG_KEYS, load_config, main
 from odpc.errors import ConfigError
@@ -271,6 +272,57 @@ def test_eval_synthetic_deterministic_bytes(tmp_path):
 def test_eval_imported_protocol_requires_inputs(tmp_path, capsys):
     rc = main(["eval", "--protocol", "cifar10_6v4", "--out", str(tmp_path / "r.csv")])
     assert rc == 2
+
+
+def _write_labelled_bank(directory, rng, names, dim):
+    """A bank of two train rows and one test row per class, with its labels.json."""
+    labels = np.repeat(np.arange(len(names)), 3)
+    is_train = np.tile([True, True, False], len(names))
+    persist.write_bank(unit_rows(rng, labels.size, dim).astype(np.float32), directory / "all.fb",
+                       normalized=True)
+    ids = [f"s{i:05d}" for i in range(labels.size)]
+    bench.write_manifest(directory / "labels.json", "generated", list(names), labels, is_train, ids)
+
+
+CIFAR10_NAMES = shipped_class_names("cifar10")
+CIFAR100_NAMES = shipped_class_names("cifar100")
+# The classes of the bank each protocol runs on. Tiny ImageNet's 200 are more
+# than synthetic_class_names gives, so that bank is written directly.
+IMPORTED_PROTOCOL_CLASSES = {
+    "cifar10_6v4": CIFAR10_NAMES,
+    "cifar_plus_10": CIFAR10_NAMES + CIFAR100_NAMES,
+    "cifar_plus_50": CIFAR10_NAMES + CIFAR100_NAMES,
+    "cifar100_20v80": CIFAR100_NAMES,
+    "tinyimagenet_20v180": tuple(f"n{i:08d}" for i in range(200)),
+}
+
+
+@pytest.mark.parametrize("protocol", list(IMPORTED_PROTOCOL_CLASSES))
+def test_eval_runs_every_imported_protocol(tmp_path, rng, protocol):
+    _write_labelled_bank(tmp_path, rng, IMPORTED_PROTOCOL_CLASSES[protocol], dim=8)
+    cfg = write_config(tmp_path, {"knn_k": 2, "feature_dim": 8, "hidden_dims": [8, 8, 8]})
+    out = tmp_path / "results.csv"
+    rc = main(["eval", "--config", cfg, "--protocol", protocol, "--features", str(tmp_path / "all.fb"),
+               "--labels", str(tmp_path / "labels.json"), "--repeats", "1", "--epochs", "0",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{protocol},0,3,")
+
+
+def test_eval_knn_k_beyond_train_rows_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"knn_k": 5000})
+    out = tmp_path / "results.csv"
+    capsys.readouterr()
+    rc = main(["eval", "--config", cfg, "--protocol", "synthetic", "--repeats", "1",
+               "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError"
+    assert "knn_k 5000" in doc["message"] and "1200 train rows" in doc["message"]
+    assert not out.exists()
 
 
 def test_report_from_results(tmp_path):

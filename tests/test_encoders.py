@@ -121,6 +121,12 @@ def test_text_empty_string_rejected():
         toy_encode_texts(["dog", "   "], CFG)
 
 
+def test_text_no_descriptions_give_empty_normalized_matrix():
+    out = toy_encode_texts([], CFG)
+    assert out.values.shape == (0, CFG.out_dim) and out.values.dtype == np.float32
+    assert out.normalized
+
+
 def test_import_roundtrip(tmp_path, rng):
     mat = rng.standard_normal((7, 16)).astype(np.float32)
     path = tmp_path / "feat.fb"

@@ -201,10 +201,13 @@ def _reshaped(manifest, index, shape):
         lambda m: _reshaped(m, 1, [1, 8]),
         # fc1.weight and fc2.weight swapped: both (8, 8), so only the order is wrong
         lambda m: {**m, "tensors": [m["tensors"][i] for i in (2, 1, 0, 3, 4, 5, 6, 7)]},
+        # the tensors still chain as (8, 8, 8, 8, 4); only the declared widths differ
+        lambda m: {**m, "feature_dim": 999},
+        lambda m: {**m, "hidden_dims": [1, 2, 3]},
     ],
     ids=["manifest-list", "tensor-without-shape", "tensor-not-object", "negative-dim",
          "missing-num-id-classes", "epoch-string", "weights-do-not-chain", "bias-not-1d",
-         "tensors-out-of-order"],
+         "tensors-out-of-order", "feature-dim-disagrees", "hidden-dims-disagree"],
 )
 def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edit):
     head = init_head(2, 2, seed=1, feature_dim=8)
