@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .encoders import EmbeddingMatrix, ToyEncoderConfig, toy_encode_images, toy_encode_texts
+from .encoders import (
+    EmbeddingMatrix,
+    ToyEncoderConfig,
+    bag_of_words_counts,
+    toy_encode_images,
+    toy_encode_texts,
+)
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .head import init_head
 from .knn_detector import (
@@ -35,6 +41,7 @@ from .knn_detector import (
 )
 from .losses import LossConfig
 from .peer_gen import (
+    DEFAULT_DESCRIPTION_TEMPLATE,
     PeerClassSet,
     PeerGenConfig,
     StubProvider,
@@ -43,15 +50,6 @@ from .peer_gen import (
     render_description,
 )
 from .trainer import TrainingConfig, TrainingState, train
-
-PROTOCOLS = (
-    "cifar10_6v4",
-    "cifar_plus_10",
-    "cifar_plus_50",
-    "cifar100_20v80",
-    "tinyimagenet_20v180",
-    "synthetic",
-)
 
 # (known classes, unknown classes) demanded by each protocol.
 PROTOCOL_COUNTS = {
@@ -62,6 +60,7 @@ PROTOCOL_COUNTS = {
     "tinyimagenet_20v180": (20, 180),
     "synthetic": (6, 4),
 }
+PROTOCOLS = tuple(PROTOCOL_COUNTS)
 
 VARIANTS = ("pcc_ce", "pcc_only", "ce_only", "pcc_ce_nomix", "passthrough")
 
@@ -134,9 +133,10 @@ class BenchmarkSplit:
         return openness(n_known, n_known + len(self.unknown_classes))
 
 
-def _sample(rng: np.random.Generator, pool: list[str], count: int, what: str) -> list[str]:
+def _sample(rng: np.random.Generator, pool: list[str], count: int, what: str,
+            source: str = "catalog") -> list[str]:
     if len(pool) < count:
-        raise InvalidArgumentError(f"need {count} {what} classes, catalog has {len(pool)}")
+        raise InvalidArgumentError(f"need {count} {what} classes, {source} has {len(pool)}")
     picks = rng.choice(len(pool), size=count, replace=False)
     return [pool[int(i)] for i in picks]
 
@@ -155,7 +155,8 @@ def make_split(protocol: str, class_catalog: ClassCatalog, seed: int) -> Benchma
         pool = list(class_catalog.classes)
         known = _sample(rng, pool, n_known, "known")
         remaining = [c for c in pool if c not in set(known)]
-        unknown = _sample(rng, remaining, n_unknown, "unknown")
+        unknown = _sample(rng, remaining, n_unknown, "unknown",
+                          f"the catalog of {len(pool)} less the {n_known} known")
     return BenchmarkSplit(
         protocol=protocol,
         known_classes=tuple(known),
@@ -275,9 +276,6 @@ class FeatureDataset:
 
 
 def _synthetic_centers(names: list[str], spec: SyntheticSpec) -> np.ndarray:
-    from .encoders import bag_of_words_counts
-    from .peer_gen import DEFAULT_DESCRIPTION_TEMPLATE
-
     common_text = DEFAULT_DESCRIPTION_TEMPLATE.replace("[CLASS]", "").strip()
     common = bag_of_words_counts(common_text, spec.raw_dim)
     return np.stack(
@@ -307,9 +305,12 @@ def generate_synthetic_raw(spec: SyntheticSpec) -> tuple[list[str], np.ndarray, 
 
 
 def synthetic_feature_dataset(spec: SyntheticSpec, encoder: ToyEncoderConfig) -> FeatureDataset:
-    names, raw, labels, is_train = generate_synthetic_raw(spec)
+    """The synthetic clusters encoded with ``encoder``, whose ``raw_dim``
+    must be the data's: ``fit`` hashes the texts at the same width."""
     if encoder.raw_dim != spec.raw_dim:
-        encoder = ToyEncoderConfig(seed=encoder.seed, raw_dim=spec.raw_dim, out_dim=encoder.out_dim)
+        raise ConfigError(f"encoder raw_dim {encoder.raw_dim} differs from the synthetic "
+                          f"data's raw_dim {spec.raw_dim}")
+    names, raw, labels, is_train = generate_synthetic_raw(spec)
     feats = toy_encode_images(raw, encoder)
     return FeatureDataset(class_names=names, features=feats, labels=labels, is_train=is_train)
 
@@ -439,10 +440,11 @@ def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
         settings: PipelineSettings, seed: int) -> TrainingState:
     """Train a head on the train rows of the ``known`` classes.
 
-    Known class i is label i. Its description and those of its peers are
-    rendered with ``settings.peer`` and encoded with ``settings.encoder``;
-    the classifier gets one peer output per distinct peer label of the
-    known classes. ``seed`` seeds the head and the training run, and
+    Known class i is label i. The known classes' descriptions and then each
+    known class's peer descriptions, in order, are rendered with
+    ``peers.description_template`` and encoded with ``settings.encoder`` in
+    one call; the classifier gets one peer output per distinct peer label
+    of the known classes. ``seed`` seeds the head and the training run, and
     ``settings.variant`` picks the loss terms.
     """
     if settings.variant == "passthrough":
@@ -454,13 +456,15 @@ def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
     to_local = np.full(len(dataset.class_names), -1, dtype=np.int64)
     to_local[[dataset.class_names.index(name) for name in known]] = np.arange(len(known))
 
-    def encode(labels: list[str]) -> np.ndarray:
-        texts = [render_description(label, settings.peer) for label in labels]
-        return toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
-
-    class_texts = encode(known)
-    peer_texts = {i: encode(peers.peers[name]) for i, name in enumerate(known) if peers.peers[name]}
-    distinct = len({normalize_label(p) for name in known for p in peers.peers[name]})
+    peer_labels = [p for name in known for p in peers.peers[name]]
+    texts = [render_description(label, peers.description_template)
+             for label in [*known, *peer_labels]]
+    encoded = toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
+    # A class without peers gets a 0-row matrix, which ``train`` rejects when it needs peers.
+    bounds = np.cumsum([len(known)] + [len(peers.peers[name]) for name in known[:-1]])
+    class_texts, *peer_rows = np.split(encoded, bounds)
+    peer_texts = dict(enumerate(peer_rows))
+    distinct = len({normalize_label(p) for p in peer_labels})
     head = init_head(len(known), distinct, seed=seed, feature_dim=dataset.features.dim,
                      hidden_dims=settings.hidden_dims)
     cfg = replace(settings.training, seed=seed,

@@ -8,7 +8,8 @@ field's. The flags --seed, --epochs, --provider, --offline and --n
     gen-peers   generate peer labels -> peers.json
     encode      produce feature bank files (synthetic toy data, or re-validate imports)
     train       train the head on the manifest's train rows, with the config's
-                variant (not passthrough) -> checkpoint + loss_history.csv
+                variant (not passthrough) and the peers file's description
+                template -> checkpoint + loss_history.csv
     eval        repeated split/train/score runs -> results.csv
     report      aggregate results.csv -> table.md
     project     2-D PCA of a feature bank -> proj.csv
@@ -231,12 +232,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     settings = _command_config(args).settings
     features = import_embeddings(args.features)
     dataset = bench.load_manifest_dataset(args.labels, features)
-    peer_set, peers_doc = load_peers(args.peers)
-    peer_cfg = replace(settings.peer, description_template=peers_doc.get(
-        "description_template", settings.peer.description_template))
+    peer_set, _ = load_peers(args.peers)
     known = [dataset.class_names[g] for g in np.unique(dataset.labels[dataset.is_train])]
     training = settings.training
-    state = bench.fit(dataset, known, peer_set, replace(settings, peer=peer_cfg), training.seed)
+    state = bench.fit(dataset, known, peer_set, settings, training.seed)
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
     print(f"trained {training.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")

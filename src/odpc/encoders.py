@@ -55,13 +55,11 @@ class ToyEncoderConfig:
 class EmbeddingMatrix:
     """Fixed-dimension float32 feature rows.
 
-    `normalized` asserts every row sits on the unit sphere (within 1e-4);
-    `source` records whether the rows came from the toy encoder or a file.
+    `normalized` asserts every row sits on the unit sphere (within 1e-4).
     """
 
     values: np.ndarray
     normalized: bool = False
-    source: str = "toy"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -134,7 +132,7 @@ def toy_encode_images(raw_vectors: np.ndarray, cfg: ToyEncoderConfig) -> Embeddi
         raise ShapeError(
             f"expected raw vectors of shape (n, {cfg.raw_dim}), got {raw.shape}"
         )
-    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True, source="toy")
+    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True)
 
 
 def _token_index(token: str, raw_dim: int) -> int:
@@ -160,10 +158,10 @@ def toy_encode_texts(descriptions: list[str], cfg: ToyEncoderConfig) -> Embeddin
         if not isinstance(text, str) or not text.strip():
             raise InvalidArgumentError(f"description {i} is empty")
     raw = np.stack([bag_of_words_counts(t, cfg.raw_dim) for t in descriptions]) if descriptions else np.zeros((0, cfg.raw_dim))
-    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True, source="toy")
+    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True)
 
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load an externally computed feature bank file as an EmbeddingMatrix."""
     matrix, normalized = persist.read_bank(path)
-    return EmbeddingMatrix(matrix, normalized=normalized, source="imported")
+    return EmbeddingMatrix(matrix, normalized=normalized)

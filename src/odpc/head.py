@@ -162,8 +162,6 @@ def forward_with_cache(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    if logits.shape[0] == 0:
-        return np.zeros_like(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -57,21 +57,17 @@ class PeerGenConfig:
 
 @dataclass
 class PeerClassSet:
-    """Ordered peer labels per ID class, plus where they came from."""
+    """Ordered peer labels per ID class (the keys of ``peers``, in order),
+    the template their descriptions are rendered with, and where they came
+    from."""
 
-    id_labels: list[str]
     peers: dict[str, list[str]]
+    description_template: str
     provenance: dict[str, str]
-
-    def all_peer_labels(self) -> list[str]:
-        out: list[str] = []
-        for label in self.id_labels:
-            out.extend(self.peers[label])
-        return out
 
     def distinct_peer_count(self) -> int:
         """Distinct peers across all classes after normalization; sizes the classifier."""
-        return len({normalize_label(p) for p in self.all_peer_labels()})
+        return len({normalize_label(p) for labels in self.peers.values() for p in labels})
 
 
 def build_prompt(class_label: str, cfg: PeerGenConfig) -> str:
@@ -81,11 +77,11 @@ def build_prompt(class_label: str, cfg: PeerGenConfig) -> str:
     return cfg.prompt_template.replace("[class]", class_label)
 
 
-def render_description(label: str, cfg: PeerGenConfig) -> str:
+def render_description(label: str, template: str) -> str:
     """Render the textual description for one (ID or peer) label."""
     if not label.strip():
         raise InvalidArgumentError("label is empty")
-    return cfg.description_template.replace("[CLASS]", label)
+    return template.replace("[CLASS]", label)
 
 
 @runtime_checkable
@@ -327,35 +323,36 @@ def generate_peer_classes(
         "provider": provider.identifier,
         "generated_at": max(timestamps) if timestamps else "",
     }
-    return PeerClassSet(id_labels=list(id_labels), peers=peers, provenance=provenance)
-
-
-def peer_set_to_dict(peer_set: PeerClassSet, cfg: PeerGenConfig) -> dict:
-    return {
-        "prompt_template": cfg.prompt_template,
-        "description_template": cfg.description_template,
-        "n": cfg.peers_per_class,
-        "classes": {label: list(peer_set.peers[label]) for label in peer_set.id_labels},
-        "provenance": dict(peer_set.provenance),
-    }
+    return PeerClassSet(peers=peers, description_template=cfg.description_template,
+                        provenance=provenance)
 
 
 def save_peers(peer_set: PeerClassSet, cfg: PeerGenConfig, path: str | Path) -> None:
-    persist.write_json(path, peer_set_to_dict(peer_set, cfg))
+    """Write peers.json: the generation settings, the peer set and its template."""
+    persist.write_json(path, {
+        "prompt_template": cfg.prompt_template,
+        "description_template": peer_set.description_template,
+        "n": cfg.peers_per_class,
+        "classes": {label: list(labels) for label, labels in peer_set.peers.items()},
+        "provenance": dict(peer_set.provenance),
+    })
 
 
 def load_peers(path: str | Path) -> tuple[PeerClassSet, dict]:
     """Read peers.json; returns the peer set and the raw document.
 
     ``classes`` must map each class name to a list of non-empty peer
-    labels, and a ``description_template`` must be a string; anything else
-    raises ConfigError naming the file.
+    labels, and ``description_template`` must be a string that holds
+    ``[CLASS]`` exactly once; anything else raises ConfigError naming the
+    file. A file without the key renders with DEFAULT_DESCRIPTION_TEMPLATE.
     """
     doc = persist.read_json(path)
     if not isinstance(doc, dict) or "classes" not in doc:
         raise ConfigError(f"{path}: not a valid peers file")
-    if not isinstance(doc.get("description_template", ""), str):
-        raise ConfigError(f"{path}: description_template must be a string")
+    template = doc.get("description_template", DEFAULT_DESCRIPTION_TEMPLATE)
+    if not (isinstance(template, str) and template.count("[CLASS]") == 1):
+        raise ConfigError(f"{path}: description_template must be a string that holds "
+                          f"[CLASS] exactly once, got {json.dumps(template)}")
     classes = doc["classes"]
     if not isinstance(classes, dict):
         raise ConfigError(f"{path}: classes must map each class name to a list of peer labels")
@@ -364,8 +361,8 @@ def load_peers(path: str | Path) -> tuple[PeerClassSet, dict]:
                 and all(isinstance(p, str) and p.strip() for p in peers)):
             raise ConfigError(f"{path}: peers of class {name!r} must be a list of non-empty labels")
     peer_set = PeerClassSet(
-        id_labels=list(classes.keys()),
         peers={k: list(v) for k, v in classes.items()},
+        description_template=template,
         provenance=dict(doc.get("provenance", {})),
     )
     return peer_set, doc

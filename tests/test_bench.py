@@ -34,10 +34,10 @@ from odpc.bench import (
     write_results_csv,
     write_table_md,
 )
-from odpc.encoders import EmbeddingMatrix, ToyEncoderConfig
+from odpc.encoders import EmbeddingMatrix, ToyEncoderConfig, toy_encode_texts
 from odpc.errors import ConfigError, FormatError, InvalidArgumentError
 from odpc.knn_detector import KnnConfig
-from odpc.peer_gen import PeerClassSet
+from odpc.peer_gen import DEFAULT_DESCRIPTION_TEMPLATE, PeerClassSet
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,11 @@ def test_insufficient_catalog_rejected():
     tiny = ClassCatalog(classes=("a", "b", "c"))
     with pytest.raises(InvalidArgumentError):
         make_split("cifar10_6v4", tiny, seed=0)
+    # The unknowns come from what the knowns leave, and the error says so.
+    short = ClassCatalog(classes=tuple(f"wnid_{i:03d}" for i in range(180)))
+    with pytest.raises(InvalidArgumentError, match="need 180 unknown classes, "
+                       "the catalog of 180 less the 20 known has 160"):
+        make_split("tinyimagenet_20v180", short, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +250,15 @@ def test_synthetic_feature_dataset_has_unit_rows():
     assert ds.features.rows == 10 * 30
     norms = np.linalg.norm(ds.features.values.astype(np.float64), axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-4
+
+
+def test_synthetic_data_and_encoder_raw_dims_must_agree():
+    # fit hashes the texts at the encoder's raw_dim, so the images may not
+    # be projected from another width.
+    settings = replace(_fast_settings(), synthetic=SyntheticSpec(raw_dim=32))
+    with pytest.raises(ConfigError, match="encoder raw_dim 64 differs from the synthetic "
+                       "data's raw_dim 32"):
+        run_benchmark("synthetic", 1, settings)
 
 
 def test_manifest_roundtrip(tmp_path, rng):
@@ -348,7 +362,8 @@ def _fit_inputs(variant="pcc_ce"):
     known = dataset.class_names[:3]
     peers = {name: ["wolf", f"Peer {i}"] for i, name in enumerate(dataset.class_names[:4])}
     peers["extra"] = ["x"]
-    peers = PeerClassSet(id_labels=list(peers), peers=peers, provenance={})
+    peers = PeerClassSet(peers=peers, description_template=DEFAULT_DESCRIPTION_TEMPLATE,
+                         provenance={})
     return dataset, known, peers, settings
 
 
@@ -361,9 +376,43 @@ def test_fit_sizes_classifier_by_distinct_peers_of_known_classes():
 
 def test_fit_rejects_known_class_without_peers():
     dataset, known, peers, settings = _fit_inputs()
+    peers.peers[known[1]] = []
+    with pytest.raises(ConfigError, match="class 1 has no peer description features"):
+        fit(dataset, known, peers, settings, seed=0)
     del peers.peers[known[1]]
     with pytest.raises(ConfigError, match=repr(known[1])):
         fit(dataset, known, peers, settings, seed=0)
+
+
+def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(monkeypatch):
+    dataset, known, peers, settings = _fit_inputs()
+    peers = replace(peers, description_template="A sketch of a [CLASS]")
+    peers.peers[known[2]] = []
+    calls, seen = [], {}
+
+    def counting_encode(texts, cfg):
+        calls.append(list(texts))
+        return toy_encode_texts(texts, cfg)
+
+    def capture(features, labels, class_texts, peer_texts, head, cfg):
+        seen.update(class_texts=class_texts, peer_texts=peer_texts)
+        return "state"
+
+    monkeypatch.setattr("odpc.bench.toy_encode_texts", counting_encode)
+    monkeypatch.setattr("odpc.bench.train", capture)
+    assert fit(dataset, known, peers, settings, seed=0) == "state"
+    assert len(calls) == 1
+
+    def per_class(labels):
+        texts = [f"A sketch of a {label}" for label in labels]
+        return toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
+
+    expected = [per_class(known)] + [per_class(peers.peers[name]) for name in known]
+    got = [seen["class_texts"]] + [seen["peer_texts"][i] for i in range(len(known))]
+    assert sorted(seen["peer_texts"]) == list(range(len(known)))
+    assert got[3].shape == (0, settings.encoder.out_dim)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 def test_fit_rejects_passthrough():

@@ -466,10 +466,15 @@ def test_train_passthrough_variant_is_usage_error(tmp_path, capsys, train_inputs
     assert "passthrough" in doc["message"]
 
 
-@pytest.mark.parametrize("classes", [["a"], {"a": "wolf"}], ids=["list", "string-peers"])
-def test_train_malformed_peers_is_usage_error(tmp_path, capsys, train_inputs, classes):
+@pytest.mark.parametrize(
+    "peers_doc",
+    [{"classes": ["a"]}, {"classes": {"a": "wolf"}},
+     {"classes": {"a": ["wolf"]}, "description_template": "a photo"}],
+    ids=["list", "string-peers", "template-without-placeholder"],
+)
+def test_train_malformed_peers_is_usage_error(tmp_path, capsys, train_inputs, peers_doc):
     peers = tmp_path / "peers.json"
-    persist.write_json(peers, {"classes": classes})
+    persist.write_json(peers, peers_doc)
     doc = _train_usage_error(tmp_path, capsys, train_inputs, peers=peers)
     assert doc["error"] == "ConfigError"
     assert str(peers) in doc["message"]

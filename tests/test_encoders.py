@@ -28,7 +28,7 @@ def test_image_rows_unit_norm(rng):
     out = toy_encode_images(rng.standard_normal((25, 32)), CFG)
     norms = np.linalg.norm(out.values.astype(np.float64), axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-4
-    assert out.normalized and out.source == "toy"
+    assert out.normalized
 
 
 def test_different_seed_changes_output(rng):
@@ -132,7 +132,6 @@ def test_import_roundtrip(tmp_path, rng):
     path = tmp_path / "feat.fb"
     persist.write_bank(mat, path, normalized=False)
     emb = import_embeddings(path)
-    assert emb.source == "imported"
     assert not emb.normalized
     assert np.array_equal(emb.values, mat)
 

@@ -92,6 +92,9 @@ def test_forward_empty_batch():
     acts = forward(head, np.zeros((0, 8)))
     assert acts.logits.shape == (0, 2)
     assert all(layer.shape == (0, 8) for layer in acts.per_layer)
+    with np.errstate(all="raise"):
+        probs = softmax(acts.logits)
+    assert probs.shape == (0, 2) and probs.dtype == np.float64
 
 
 def test_forward_softmax_rows_sum_to_one(rng):

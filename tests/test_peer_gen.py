@@ -7,6 +7,7 @@ import pytest
 
 from odpc.errors import ConfigError, GenerationError, InvalidArgumentError, OfflineError
 from odpc.peer_gen import (
+    DEFAULT_DESCRIPTION_TEMPLATE,
     HttpLlmProvider,
     LlmCache,
     PeerGenConfig,
@@ -16,7 +17,6 @@ from odpc.peer_gen import (
     load_peers,
     normalize_label,
     parse_label_list,
-    peer_set_to_dict,
     render_description,
     save_peers,
 )
@@ -60,19 +60,21 @@ def test_build_prompt_empty_label():
 
 
 def test_render_description_default_template():
-    assert render_description("dog", CFG) == "This is a photo of a dog"
-    assert render_description("wolf", CFG) == "This is a photo of a wolf"
+    assert render_description("dog", DEFAULT_DESCRIPTION_TEMPLATE) == "This is a photo of a dog"
+    assert render_description("wolf", CFG.description_template) == "This is a photo of a wolf"
+    assert render_description("wolf", "A [CLASS], maybe") == "A wolf, maybe"
 
 
 def test_render_description_empty_label():
     with pytest.raises(InvalidArgumentError):
-        render_description("", CFG)
+        render_description("", DEFAULT_DESCRIPTION_TEMPLATE)
 
 
 def test_rendering_is_pure():
     for _ in range(3):
         assert build_prompt("cat", CFG) == build_prompt("cat", CFG)
-        assert render_description("cat", CFG) == render_description("cat", CFG)
+        assert (render_description("cat", DEFAULT_DESCRIPTION_TEMPLATE)
+                == render_description("cat", DEFAULT_DESCRIPTION_TEMPLATE))
 
 
 def test_template_placeholder_validation():
@@ -301,8 +303,24 @@ def test_peers_json_roundtrip(tmp_path):
     assert "provider" in doc["provenance"]
 
     back, raw = load_peers(path)
-    assert back.peers == peer_set.peers
-    assert sorted(back.id_labels) == sorted(peer_set.id_labels)
+    assert back == peer_set
+    assert raw == doc
+
+
+def test_generated_peer_set_carries_the_config_template(tmp_path):
+    cfg = PeerGenConfig(peers_per_class=1, description_template="A sketch of [CLASS]")
+    peer_set = generate_peer_classes(["dog"], cfg, ScriptedProvider({"": ["wolf"]}))
+    assert peer_set.description_template == "A sketch of [CLASS]"
+    path = tmp_path / "peers.json"
+    save_peers(peer_set, cfg, path)
+    assert load_peers(path)[0].description_template == "A sketch of [CLASS]"
+
+
+def test_load_peers_without_template_renders_with_the_default(tmp_path):
+    path = tmp_path / "peers.json"
+    path.write_text(json.dumps({"classes": {"dog": ["wolf"]}}), encoding="utf-8")
+    peer_set, _ = load_peers(path)
+    assert peer_set.description_template == DEFAULT_DESCRIPTION_TEMPLATE
 
 
 @pytest.mark.parametrize(
@@ -318,11 +336,14 @@ def test_load_peers_rejects_malformed_classes(tmp_path, classes):
 
 
 def test_load_peers_rejects_non_string_description_template(tmp_path):
+    # Also a string without [CLASS] or with it twice: each names the file.
     path = tmp_path / "peers.json"
-    path.write_text(json.dumps({"classes": {"dog": ["wolf"]}, "description_template": 5}),
-                    encoding="utf-8")
-    with pytest.raises(ConfigError, match="description_template"):
-        load_peers(path)
+    for template in (5, "a photo", "[CLASS] and [CLASS]"):
+        path.write_text(json.dumps({"classes": {"dog": ["wolf"]}, "description_template": template}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="description_template") as err:
+            load_peers(path)
+        assert str(path) in str(err.value)
 
 
 def test_distinct_peer_count():
