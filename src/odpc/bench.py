@@ -32,14 +32,13 @@ from .encoders import (
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .head import init_head
 from .knn_detector import (
+    FeatureBank,
     KnnConfig,
-    bank_from_vectors,
     bank_transform,
     build_bank,
     knn_scores,
     passthrough_transform,
 )
-from .losses import LossConfig
 from .peer_gen import (
     DEFAULT_DESCRIPTION_TEMPLATE,
     PeerClassSet,
@@ -62,7 +61,14 @@ PROTOCOL_COUNTS = {
 }
 PROTOCOLS = tuple(PROTOCOL_COUNTS)
 
-VARIANTS = ("pcc_ce", "pcc_only", "ce_only", "pcc_ce_nomix", "passthrough")
+# The loss switches of each variant that trains a head; "passthrough" trains none.
+VARIANT_LOSS = {
+    "pcc_ce": {"use_pcc": True, "use_ce": True, "use_mixup": True},
+    "pcc_only": {"use_pcc": True, "use_ce": False, "use_mixup": True},
+    "ce_only": {"use_pcc": False, "use_ce": True},
+    "pcc_ce_nomix": {"use_pcc": True, "use_ce": True, "use_mixup": False},
+}
+VARIANTS = (*VARIANT_LOSS, "passthrough")
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +405,12 @@ class PipelineSettings:
     encoder: ToyEncoderConfig = field(default_factory=ToyEncoderConfig)
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     variant: str = "pcc_ce"
-    hidden_dims: tuple[int, ...] | None = None  # None -> (feature_dim,) * 3
+    hidden_dims: tuple[int, ...] = (512, 512, 512)  # the head's shared layers, as published
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.hidden_dims is not None and min(self.hidden_dims, default=0) < 1:
+        if min(self.hidden_dims, default=0) < 1:
             raise ConfigError(f"hidden_dims must be >= 1 each, got {self.hidden_dims}")
 
 
@@ -422,18 +428,6 @@ class EvalResult:
     @property
     def std(self) -> float:
         return float(np.std(self.aurocs))
-
-
-def _variant_loss(base: LossConfig, variant: str) -> LossConfig:
-    if variant == "pcc_ce":
-        return replace(base, use_pcc=True, use_ce=True, use_mixup=True)
-    if variant == "pcc_only":
-        return replace(base, use_pcc=True, use_ce=False, use_mixup=True)
-    if variant == "ce_only":
-        return replace(base, use_pcc=False, use_ce=True)
-    if variant == "pcc_ce_nomix":
-        return replace(base, use_pcc=True, use_ce=True, use_mixup=False)
-    raise ConfigError(f"variant {variant!r} has no loss configuration")
 
 
 def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
@@ -467,8 +461,8 @@ def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
     distinct = len({normalize_label(p) for p in peer_labels})
     head = init_head(len(known), distinct, seed=seed, feature_dim=dataset.features.dim,
                      hidden_dims=settings.hidden_dims)
-    cfg = replace(settings.training, seed=seed,
-                  loss=_variant_loss(settings.training.loss, settings.variant))
+    loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
+    cfg = replace(settings.training, seed=seed, loss=loss)
     values = dataset.features.values
     return train(values[rows], to_local[dataset.labels[rows]], class_texts, peer_texts, head, cfg)
 
@@ -491,10 +485,9 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
     train_x, id_x, ood_x = (values[rows] for rows in (train_rows, id_rows, ood_rows))
 
     if settings.variant == "passthrough":
-        bank_vecs = passthrough_transform(train_x)
+        bank = FeatureBank(passthrough_transform(train_x))
         id_q = passthrough_transform(id_x)
         ood_q = passthrough_transform(ood_x)
-        bank = bank_from_vectors(bank_vecs)
     else:
         peers = generate_peer_classes(known, settings.peer, StubProvider(seed=seed))
         head = fit(dataset, known, peers, settings, seed).head

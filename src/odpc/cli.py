@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, persist
-from .encoders import import_embeddings, toy_encode_images
+from .encoders import import_embeddings
 from .errors import ConfigError, InvalidArgumentError, OdpcError
 from .head import save_checkpoint
 from .peer_gen import (
@@ -62,10 +62,7 @@ USAGE_ERRORS = (InvalidArgumentError, FileNotFoundError, IsADirectoryError, NotA
 class CliConfig:
     """The pipeline settings plus the config keys only the CLI reads."""
 
-    # The CLI keeps 512-wide hidden layers whatever feature_dim is; the
-    # PipelineSettings default (None) would follow feature_dim.
-    settings: bench.PipelineSettings = field(
-        default_factory=lambda: bench.PipelineSettings(hidden_dims=(512, 512, 512)))
+    settings: bench.PipelineSettings = field(default_factory=bench.PipelineSettings)
     provider: str = "stub"
     llm_endpoint: str = ""
     llm_model: str = ""
@@ -217,13 +214,13 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         return 0
     if args.protocol != "synthetic":
         raise ConfigError("encode generates data only for --protocol synthetic; use --import for real banks")
-    names, raw, labels, is_train = bench.generate_synthetic_raw(settings.synthetic)
-    feats = toy_encode_images(raw, settings.encoder)
-    persist.write_bank(feats.values[is_train], out_dir / "train.fb", normalized=True)
-    persist.write_bank(feats.values[~is_train], out_dir / "test.fb", normalized=True)
-    persist.write_bank(feats.values, out_dir / "all.fb", normalized=True)
-    ids = [f"s{i:06d}" for i in range(feats.rows)]
-    bench.write_manifest(out_dir / "labels.json", "synthetic", names, labels, is_train, ids)
+    ds = bench.synthetic_feature_dataset(settings.synthetic, settings.encoder)
+    values = ds.features.values
+    persist.write_bank(values[ds.is_train], out_dir / "train.fb", normalized=True)
+    persist.write_bank(values[~ds.is_train], out_dir / "test.fb", normalized=True)
+    persist.write_bank(values, out_dir / "all.fb", normalized=True)
+    bench.write_manifest(out_dir / "labels.json", "synthetic", ds.class_names, ds.labels,
+                         ds.is_train, ds.sample_ids)
     print(f"wrote synthetic banks + labels.json to {out_dir}")
     return 0
 
@@ -245,9 +242,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     settings = _command_config(args).settings
     dataset = None
-    if args.protocol != "synthetic":
-        if not args.features or not args.labels:
-            raise ConfigError(f"protocol {args.protocol} needs --features and --labels")
+    if args.protocol == "synthetic":
+        if args.features or args.labels:
+            raise ConfigError("--protocol synthetic makes its own data and takes no --features "
+                              "or --labels; evaluate an imported bank with --protocol cifar10_6v4")
+    elif not args.features or not args.labels:
+        raise ConfigError(f"protocol {args.protocol} needs --features and --labels")
+    else:
         dataset = bench.load_manifest_dataset(args.labels, import_embeddings(args.features))
     result = bench.run_benchmark(
         args.protocol, args.repeats, settings, base_seed=settings.training.seed, dataset=dataset,

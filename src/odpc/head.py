@@ -81,11 +81,6 @@ class MlpHead:
     def num_outputs(self) -> int:
         return self.dims[-1]
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Named views into ``params``, in canonical (checkpoint) order."""
-        views = [a for pair in zip(self.weights, self.biases) for a in pair]
-        return list(zip(tensor_names(), views + [self.clf_weight, self.clf_bias]))
-
     def like(self, flat: np.ndarray) -> MlpHead:
         """This head's layout and metadata laid over ``flat`` (shared, not copied)."""
         return replace(self, params=flat)

@@ -26,7 +26,7 @@ import numpy as np
 from . import persist
 from .blocks import row_chunks
 from .errors import ConfigError, InvalidArgumentError, ShapeError
-from .head import MlpHead, forward
+from .head import N_SHARED_LAYERS, MlpHead, forward
 
 # The scan is the only backend; ``KnnConfig.backend`` and the ``backend``
 # argument remain because perfbench/workloads.py passes the latter.
@@ -55,9 +55,17 @@ class KnnConfig:
 
 @dataclass
 class FeatureBank:
-    """Immutable search structure: per-layer-normalized, concatenated activations."""
+    """Immutable search structure: per-layer-normalized, concatenated activations.
+    The non-empty 2-D float64 ``vectors`` are frozen in place, not copied."""
 
     vectors: np.ndarray          # (n_train, bank dim), float64, read-only
+
+    def __post_init__(self):
+        v = self.vectors
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] and v.dtype == np.float64):
+            raise InvalidArgumentError(f"bank vectors must be a non-empty 2-D float64 array, "
+                                       f"got {np.shape(v)} {getattr(v, 'dtype', type(v))}")
+        v.setflags(write=False)
 
     @property
     def rows(self) -> int:
@@ -99,12 +107,13 @@ def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def passthrough_transform(features: np.ndarray, copies: int = 3) -> np.ndarray:
+def passthrough_transform(features: np.ndarray) -> np.ndarray:
     """Bank-space stand-in without a trained head: the feature rows stacked
-    ``copies`` times, each copy normalized. Matches the bank dimensionality."""
+    once per shared layer, each copy normalized, as a head's bank stacks
+    its layers."""
     values = np.asarray(features, dtype=np.float64)
-    out = np.empty((values.shape[0], copies * values.shape[1]))
-    _write_normalized(out, [values] * copies)
+    out = np.empty((values.shape[0], N_SHARED_LAYERS * values.shape[1]))
+    _write_normalized(out, [values] * N_SHARED_LAYERS)
     return out
 
 
@@ -112,19 +121,7 @@ def build_bank(head: MlpHead, train_features: np.ndarray) -> FeatureBank:
     """Forward all training features and freeze them into a search bank."""
     if np.asarray(train_features).shape[0] == 0:
         raise InvalidArgumentError("cannot build a feature bank from an empty train set")
-    vectors = bank_transform(head, train_features)
-    vectors.setflags(write=False)
-    return FeatureBank(vectors=vectors)
-
-
-def bank_from_vectors(vectors: np.ndarray) -> FeatureBank:
-    """Wrap precomputed bank-space vectors (e.g. the passthrough transform's)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise InvalidArgumentError(f"bank vectors must be a non-empty 2-D array, got {vectors.shape}")
-    vectors = vectors.copy()
-    vectors.setflags(write=False)
-    return FeatureBank(vectors=vectors)
+    return FeatureBank(bank_transform(head, train_features))
 
 
 def _check_k(k: int, bank: FeatureBank) -> None:

@@ -213,16 +213,25 @@ def parse_label_list(content: str) -> list[str]:
 
 
 class LlmCache:
-    """(provider, prompt) -> response cache, JSON on disk."""
+    """(provider, prompt) -> response cache, JSON on disk. Each entry of the
+    file's ``entries`` object holds a ``response`` list of strings and a
+    ``fetched_at`` timestamp string; a file of another shape is a ConfigError."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, dict] = {}
         if self.path is not None and self.path.exists():
             data = persist.read_json(self.path)
-            if not isinstance(data, dict) or "entries" not in data:
-                raise ConfigError(f"{self.path}: not a valid LLM cache file")
-            self._entries = dict(data["entries"])
+            entries = data.get("entries") if isinstance(data, dict) else None
+            if not isinstance(entries, dict):
+                raise ConfigError(f"{self.path}: LLM cache entries must be an object")
+            for key, entry in entries.items():
+                response = entry.get("response") if isinstance(entry, dict) else None
+                if not (isinstance(response, list) and all(isinstance(r, str) for r in response)
+                        and isinstance(entry.get("fetched_at"), str)):
+                    raise ConfigError(f"{self.path}: cache entry {key!r} must be an object with "
+                                      "a response list of strings and a fetched_at string")
+            self._entries = dict(entries)
 
     @staticmethod
     def _key(provider_id: str, prompt: str) -> str:
@@ -342,9 +351,11 @@ def load_peers(path: str | Path) -> tuple[PeerClassSet, dict]:
     """Read peers.json; returns the peer set and the raw document.
 
     ``classes`` must map each class name to a list of non-empty peer
-    labels, and ``description_template`` must be a string that holds
-    ``[CLASS]`` exactly once; anything else raises ConfigError naming the
-    file. A file without the key renders with DEFAULT_DESCRIPTION_TEMPLATE.
+    labels, ``description_template`` must be a string that holds
+    ``[CLASS]`` exactly once, and ``provenance`` must map names to strings;
+    anything else raises ConfigError naming the file. A file without the
+    template renders with DEFAULT_DESCRIPTION_TEMPLATE, and one without
+    provenance has none.
     """
     doc = persist.read_json(path)
     if not isinstance(doc, dict) or "classes" not in doc:
@@ -360,9 +371,13 @@ def load_peers(path: str | Path) -> tuple[PeerClassSet, dict]:
         if not (isinstance(peers, list)
                 and all(isinstance(p, str) and p.strip() for p in peers)):
             raise ConfigError(f"{path}: peers of class {name!r} must be a list of non-empty labels")
+    provenance = doc.get("provenance", {})
+    if not (isinstance(provenance, dict) and all(isinstance(v, str) for v in provenance.values())):
+        raise ConfigError(f"{path}: provenance must be an object of strings, "
+                          f"got {json.dumps(provenance)}")
     peer_set = PeerClassSet(
         peers={k: list(v) for k, v in classes.items()},
         description_template=template,
-        provenance=dict(doc.get("provenance", {})),
+        provenance=dict(provenance),
     )
     return peer_set, doc

@@ -86,7 +86,6 @@ class EpochStats:
 class TrainingState:
     head: MlpHead
     velocity: np.ndarray           # float64, flat, in head.params' layout
-    epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
 
     @classmethod
@@ -206,7 +205,6 @@ def train(
         if skipped:
             logger.warning("epoch %d: skipped %d single-class batch(es)", epoch, skipped)
         total, *pcc_layers, ce = (sums / used if used else np.full_like(sums, np.nan)).tolist()
-        state.epoch = epoch + 1
         state.head.epoch = epoch + 1
         state.history.append(
             EpochStats(epoch, lr, total, tuple(pcc_layers), ce, batches=used, skipped=skipped)

@@ -289,12 +289,18 @@ def bank_bytes_reference(matrix, normalized: bool) -> bytes:
     )
 
 
+def named_views(head: MlpHead) -> list[tuple[str, np.ndarray]]:
+    """``tensor_names()`` paired with the head's views, taken in that order
+    from its fc weights and biases and its classifier."""
+    views = [a for pair in zip(head.weights, head.biases) for a in pair]
+    return list(zip(tensor_names(), views + [head.clf_weight, head.clf_bias], strict=True))
+
+
 def assert_views_follow_layout(head: MlpHead) -> None:
-    """Each of ``head.param_items()`` is a view into ``head.params``, starting
-    where the one before it ends, in ``tensor_names()`` order."""
+    """Each named view is a view into ``head.params``, starting where the one
+    before it ends, in ``tensor_names()`` order."""
     offset = 0
-    for (name, view), expected in zip(head.param_items(), tensor_names(), strict=True):
-        assert name == expected
+    for name, view in named_views(head):
         assert np.shares_memory(view, head.params), name
         assert view.ctypes.data == head.params.ctypes.data + offset * head.params.itemsize, name
         offset += view.size
@@ -304,7 +310,7 @@ def assert_views_follow_layout(head: MlpHead) -> None:
 def checkpoint_bytes_reference(head: MlpHead) -> bytes:
     """The checkpoint file for ``head``, assembled from one whole-file join."""
     tensors, blob_parts = [], []
-    for name, arr in head.param_items():
+    for name, arr in named_views(head):
         arr32 = np.ascontiguousarray(arr, dtype=np.float32)
         tensors.append({"name": name, "shape": list(arr32.shape)})
         blob_parts.append(arr32.tobytes())

@@ -25,7 +25,7 @@ from conftest import (
 import odpc
 from odpc.bench import PipelineSettings, SyntheticSpec, auroc, openness, run_benchmark
 from odpc.encoders import ToyEncoderConfig
-from odpc.knn_detector import bank_from_vectors, calibrate_threshold, knn_scores
+from odpc.knn_detector import FeatureBank, calibrate_threshold, knn_scores
 from odpc.losses import ce_loss, pcc_loss
 from odpc.trainer import TrainingConfig
 
@@ -109,7 +109,7 @@ def test_criterion_4_knn_backend_equivalence():
             r = np.random.default_rng(seed)
             n = int(np.exp(r.uniform(np.log(50), np.log(2000))))
             bank_rows = r.standard_normal((n, 1536))
-            bank = bank_from_vectors(bank_rows)
+            bank = FeatureBank(bank_rows)
             queries = r.standard_normal((100, 1536))
             full = knn_full_scan_reference(queries, bank_rows)
             ks = sorted({1, 5, min(200, n)})
@@ -212,7 +212,7 @@ def test_criterion_8_calibration_fraction():
         id_rows = ds.rows_for(known, train=False)[:1000]
         assert len(id_rows) == 1000
         feats = ds.features.values.astype(np.float64)
-        bank = bank_from_vectors(passthrough_transform(feats[train_rows]))
+        bank = FeatureBank(passthrough_transform(feats[train_rows]))
         scores = knn_scores(passthrough_transform(feats[id_rows]), bank, 200)
         thr = calibrate_threshold(scores, 0.95)
         realized = float(np.mean(scores <= thr))

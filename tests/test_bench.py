@@ -415,6 +415,20 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
         assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
+def test_fit_default_settings_build_512_wide_layers_like_the_cli():
+    from odpc.cli import load_config
+    from odpc.trainer import TrainingConfig
+
+    settings = PipelineSettings(training=TrainingConfig(epochs=0),
+                                encoder=ToyEncoderConfig(out_dim=64))
+    dataset = synthetic_feature_dataset(SyntheticSpec(train_per_class=40, test_per_class=20),
+                                        settings.encoder)
+    _, known, peers, _ = _fit_inputs()
+    head = fit(dataset, known, peers, settings, seed=0).head
+    assert head.dims[:4] == (64, 512, 512, 512)
+    assert load_config(None).settings.hidden_dims == settings.hidden_dims
+
+
 def test_fit_rejects_passthrough():
     dataset, known, peers, settings = _fit_inputs("passthrough")
     with pytest.raises(ConfigError, match="passthrough"):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
-from dataclasses import fields, is_dataclass, replace
+import tempfile
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,8 +85,7 @@ def test_config_keys_resolve_to_fields_and_defaults_are_the_modules():
             owner_path, _, name = path.rpartition(".")
             owner = attrgetter(owner_path)(cfg) if owner_path else cfg
             assert is_dataclass(owner) and name in {f.name for f in fields(owner)}, (key, path)
-    # Only the head widths differ from PipelineSettings' own defaults.
-    assert cfg.settings == replace(PipelineSettings(), hidden_dims=(512, 512, 512))
+    assert cfg.settings == PipelineSettings()
     assert (cfg.provider, cfg.llm_endpoint, cfg.llm_model) == ("stub", "", "")
 
 
@@ -274,6 +277,20 @@ def test_eval_imported_protocol_requires_inputs(tmp_path, capsys):
     assert rc == 2
 
 
+def test_eval_synthetic_rejects_imported_inputs(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    rc = main(["eval", "--protocol", "synthetic", "--features", str(tmp_path / "missing.fb"),
+               "--labels", str(tmp_path / "missing.json"), "--repeats", "1", "--epochs", "0",
+               "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError"
+    assert all(word in doc["message"] for word in ("--features", "--labels", "cifar10_6v4"))
+    assert not out.exists()
+
+
 def _write_labelled_bank(directory, rng, names, dim):
     """A bank of two train rows and one test row per class, with its labels.json."""
     labels = np.repeat(np.arange(len(names)), 3)
@@ -439,6 +456,107 @@ def test_gen_peers_truncated_llm_cache_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _each_entry(edit):
+    return lambda doc: [edit(entry) for entry in doc["entries"].values()]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc.update(entries=5),
+     lambda doc: doc.update(entries=list(doc["entries"].values())),
+     lambda doc: doc["entries"].update({key: "x" for key in doc["entries"]}),
+     _each_entry(lambda entry: entry.update(response="wolf")),
+     _each_entry(lambda entry: entry["response"].append(3)),
+     _each_entry(lambda entry: entry.pop("fetched_at")),
+     _each_entry(lambda entry: entry.update(fetched_at=0))],
+    ids=["entries-number", "entries-list", "entry-string", "response-string",
+         "response-number-item", "no-fetched-at", "fetched-at-number"],
+)
+def test_gen_peers_malformed_llm_cache_is_usage_error(tmp_path, capsys, edit):
+    cache = tmp_path / "llm_cache.json"
+    argv = ["gen-peers", "--classes", "cat,dog", "--cache", str(cache)]
+    assert main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
+    doc = persist.read_json(cache)
+    edit(doc)
+    persist.write_json(cache, doc)
+    out = tmp_path / "peers.json"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError" and str(cache) in error["message"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_pipeline_files(tmp_path_factory):
+    """A 3-class, 8-d labelled bank, its config, and the peers.json and warm
+    llm_cache.json that gen-peers made for it."""
+    root = tmp_path_factory.mktemp("small_pipeline")
+    _write_labelled_bank(root, np.random.default_rng(0), ["cat", "dog", "owl"], dim=8)
+    files = {"config": write_config(root, {"epochs": 0, "feature_dim": 8, "hidden_dims": [8, 8, 8]}),
+             "features": str(root / "all.fb"), "labels": str(root / "labels.json"),
+             "peers": str(root / "peers.json"), "cache": str(root / "llm_cache.json")}
+    assert main(["gen-peers", "--config", files["config"], "--labels", files["labels"],
+                 "--cache", files["cache"], "--out", files["peers"]]) == 0
+    return files
+
+
+def _json_paths(doc, prefix=()):
+    """The key path of every value inside ``doc``: each object key and list index."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _json_paths(value, (*prefix, key))
+
+
+_JSON_TYPE = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string",
+              list: "array", dict: "object"}
+_JSON_VALUES = (None, True, 7, 2.5, "abc", [], ["x"], {}, {"k": "v"})
+
+
+@given(data=st.data())
+def test_mutated_peers_or_cache_file_exits_cleanly(small_pipeline_files, data):
+    """One key of a valid peers.json or llm_cache.json dropped, or one value
+    replaced by a JSON value of another type: ``train`` or ``gen-peers``
+    either succeeds with all its outputs or exits 1 or 2 with one JSON line
+    on stderr and no output, never with a traceback."""
+    files = small_pipeline_files
+    which = data.draw(st.sampled_from(["peers", "cache"]))
+    doc = persist.read_json(files[which])
+    *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[last]
+    else:
+        kind = _JSON_TYPE[type(parent[last])]
+        parent[last] = data.draw(st.sampled_from(
+            [v for v in _JSON_VALUES if _JSON_TYPE[type(v)] != kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / f"{which}.json"
+        persist.write_json(mutated, doc)
+        if which == "peers":
+            outputs = [Path(tmp) / "head.ckpt", Path(tmp) / "history.csv"]
+            argv = ["train", "--features", files["features"], "--labels", files["labels"],
+                    "--peers", str(mutated), "--history", str(outputs[1])]
+        else:
+            outputs = [Path(tmp) / "out.json"]
+            argv = ["gen-peers", "--labels", files["labels"], "--cache", str(mutated)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--config", files["config"], "--out", str(outputs[0])])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert all(path.exists() for path in outputs)
+        else:
+            assert rc in (1, 2)
+            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+            assert not any(path.exists() for path in outputs)
+
+
 def _history_after_train(tmp_path, inputs, extra):
     config = write_config(tmp_path, extra)
     hist = tmp_path / "history.csv"
@@ -469,8 +587,12 @@ def test_train_passthrough_variant_is_usage_error(tmp_path, capsys, train_inputs
 @pytest.mark.parametrize(
     "peers_doc",
     [{"classes": ["a"]}, {"classes": {"a": "wolf"}},
-     {"classes": {"a": ["wolf"]}, "description_template": "a photo"}],
-    ids=["list", "string-peers", "template-without-placeholder"],
+     {"classes": {"a": ["wolf"]}, "description_template": "a photo"},
+     {"classes": {"a": ["wolf"]}, "provenance": 5},
+     {"classes": {"a": ["wolf"]}, "provenance": "abc"},
+     {"classes": {"a": ["wolf"]}, "provenance": {"provider": 3}}],
+    ids=["list", "string-peers", "template-without-placeholder", "provenance-number",
+         "provenance-string", "provenance-number-value"],
 )
 def test_train_malformed_peers_is_usage_error(tmp_path, capsys, train_inputs, peers_doc):
     peers = tmp_path / "peers.json"

@@ -48,8 +48,7 @@ def test_init_classifier_dimension():
 def test_init_deterministic():
     a = init_head(3, 5, seed=11, feature_dim=32)
     b = init_head(3, 5, seed=11, feature_dim=32)
-    for (_, pa), (_, pb) in zip(a.param_items(), b.param_items()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.params, b.params)
 
 
 def test_init_bounds_and_zero_bias():
@@ -80,8 +79,7 @@ def test_forward_matches_manual_recomputation(rng):
 
 def test_forward_zero_weights_uniform_probabilities(rng):
     head = init_head(2, 2, seed=0, feature_dim=8)
-    for _, p in head.param_items():
-        p[...] = 0.0
+    head.params[...] = 0.0
     acts = forward(head, rng.standard_normal((3, 8)))
     assert not any(layer.any() for layer in acts.per_layer)
     assert np.allclose(softmax(acts.logits), 0.25)
@@ -126,8 +124,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     back = load_checkpoint(path)
     assert back.num_id_classes == 3 and back.num_peer_outputs == 5
     assert back.seed == 9 and back.epoch == 12
-    for (_, pa), (_, pb) in zip(head.param_items(), back.param_items()):
-        assert pa.tobytes() == pb.tobytes()
+    assert head.params.tobytes() == back.params.tobytes()
 
 
 def test_param_views_follow_flat_layout(tmp_path):
@@ -269,10 +266,9 @@ def test_checkpoint_missing_file(tmp_path):
 
 def test_forward_does_not_mutate_head(rng):
     head = init_head(2, 1, seed=3, feature_dim=8)
-    before = [p.copy() for _, p in head.param_items()]
+    before = head.params.copy()
     forward(head, rng.standard_normal((4, 8)))
-    for (_, now), old in zip(head.param_items(), before):
-        assert np.array_equal(now, old)
+    assert np.array_equal(head.params, before)
 
 
 def test_init_custom_hidden_dims(rng):

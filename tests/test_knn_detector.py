@@ -7,8 +7,8 @@ from odpc.head import forward, init_head
 from odpc.knn_detector import (
     BANK_CHUNK_ROWS,
     Decision,
+    FeatureBank,
     KnnConfig,
-    bank_from_vectors,
     bank_transform,
     build_bank,
     calibrate_threshold,
@@ -53,7 +53,7 @@ def test_query_transform_matches_bank_transform(rng):
 
 
 def test_self_query_first_neighbor_zero(rng):
-    bank = bank_from_vectors(unit_rows(rng, 9, 12))
+    bank = FeatureBank(unit_rows(rng, 9, 12))
     assert knn_scores(bank.vectors[4][None], bank, 1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -62,13 +62,13 @@ def test_orthogonal_segment_distance():
     # first row, the 2nd neighbor differs by sqrt(2) in each of 3 segments
     r1 = np.array([1.0, 0.0] * 3)
     r2 = np.array([0.0, 1.0] * 3)
-    bank = bank_from_vectors(np.stack([r1, r2]))
+    bank = FeatureBank(np.stack([r1, r2]))
     assert knn_scores(r1[None], bank, 2)[0] == pytest.approx(np.sqrt(6.0), abs=1e-12)
     assert knn_kth_distance_reference(r1, [r1, r2], 2) == pytest.approx(np.sqrt(6.0))
 
 
 def test_k_beyond_rows_rejected(rng):
-    bank = bank_from_vectors(unit_rows(rng, 2, 6))
+    bank = FeatureBank(unit_rows(rng, 2, 6))
     with pytest.raises(InvalidArgumentError):
         knn_scores(bank.vectors[:1], bank, 3)
     with pytest.raises(InvalidArgumentError):
@@ -76,7 +76,7 @@ def test_k_beyond_rows_rejected(rng):
 
 
 def test_query_dim_mismatch(rng):
-    bank = bank_from_vectors(unit_rows(rng, 4, 6))
+    bank = FeatureBank(unit_rows(rng, 4, 6))
     with pytest.raises(ShapeError):
         knn_scores(unit_rows(rng, 2, 5), bank, 1)
 
@@ -86,7 +86,7 @@ def test_exact_matches_loop_reference(seed):
     r = np.random.default_rng(seed)
     bank_rows = r.standard_normal((40, 10))
     queries = r.standard_normal((7, 10))
-    bank = bank_from_vectors(bank_rows)
+    bank = FeatureBank(bank_rows)
     for k in (1, 3, 40):
         ours = knn_scores(queries, bank, k)
         for qi, q in enumerate(queries):
@@ -106,7 +106,7 @@ _SCAN_CHUNK = _query_chunk(_SCAN_BANK_ROWS)
 def test_scan_matches_full_scan_at_chunk_boundaries(n_queries):
     r = np.random.default_rng(n_queries)
     bank_rows = r.standard_normal((_SCAN_BANK_ROWS, 8))
-    bank = bank_from_vectors(bank_rows)
+    bank = FeatureBank(bank_rows)
     queries = r.standard_normal((n_queries, 8))
     full = knn_full_scan_reference(queries, bank_rows)
     for k in (1, 5, _SCAN_BANK_ROWS):
@@ -139,7 +139,7 @@ def test_bank_transform_zero_row_in_second_chunk_raises(rng):
 
 
 def test_scores_monotone_in_k(rng):
-    bank = bank_from_vectors(rng.standard_normal((30, 8)))
+    bank = FeatureBank(rng.standard_normal((30, 8)))
     q = rng.standard_normal((5, 8))
     prev = np.zeros(5)
     for k in range(1, 31):
@@ -151,15 +151,15 @@ def test_scores_monotone_in_k(rng):
 def test_permutation_invariance(rng):
     rows = rng.standard_normal((25, 6))
     q = rng.standard_normal((4, 6))
-    a = knn_scores(q, bank_from_vectors(rows), 7)
+    a = knn_scores(q, FeatureBank(rows), 7)
     perm = rng.permutation(25)
-    b = knn_scores(q, bank_from_vectors(rows[perm]), 7)
+    b = knn_scores(q, FeatureBank(rows[perm]), 7)
     assert np.allclose(a, b)
 
 
 def test_passthrough_transform_stacks_and_normalizes(rng):
     feats = rng.standard_normal((5, 8)) * 3.0
-    out = passthrough_transform(feats, copies=3)
+    out = passthrough_transform(feats)
     assert out.shape == (5, 24)
     unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     assert np.allclose(out[:, :8], unit)
@@ -212,15 +212,27 @@ def test_knn_config_validation():
 
 
 def test_unknown_scan_backend_rejected(rng):
-    bank = bank_from_vectors(unit_rows(rng, 4, 6))
+    bank = FeatureBank(unit_rows(rng, 4, 6))
     with pytest.raises(InvalidArgumentError):
         knn_scores(unit_rows(rng, 2, 6), bank, 1, "indexed")
 
 
 def test_bank_immutable(rng):
-    bank = bank_from_vectors(unit_rows(rng, 4, 6))
+    rows = unit_rows(rng, 4, 6)
+    bank = FeatureBank(rows)
+    assert bank.vectors is rows  # frozen in place, not copied
     with pytest.raises(ValueError):
         bank.vectors[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [np.zeros((0, 6)), np.ones(6), np.ones((4, 6), dtype=np.float32), [[1.0, 0.0]]],
+    ids=["empty", "1-d", "float32", "list"],
+)
+def test_bank_rejects_vectors_that_are_not_nonempty_2d_float64(vectors):
+    with pytest.raises(InvalidArgumentError, match="non-empty 2-D float64"):
+        FeatureBank(vectors)
 
 
 def test_build_bank_non_uniform_layer_dims(rng):

@@ -10,6 +10,7 @@ from conftest import (
     fd_max_rel_error,
     loss_and_grad_per_row_reference,
     make_grad_instance,
+    named_views,
     negative_draws_reference,
     pcc_reference,
     unit_rows,
@@ -384,7 +385,7 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
     breakdown, grads = loss_and_grad(head, batch, negatives, cfg)
     ref_total, ref_grads = loss_and_grad_per_row_reference(head, batch, negatives, cfg)
     assert abs(breakdown.total - ref_total) <= 1e-10 * abs(ref_total)
-    for (name, ours), ref in zip(grads.param_items(), ref_grads):
+    for (name, ours), ref in zip(named_views(grads), ref_grads, strict=True):
         assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 

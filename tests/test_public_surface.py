@@ -16,7 +16,6 @@ ALLOWED = {
     "losses.pcc_loss": "acceptance criterion 3 checks the standalone PCC term",
     "knn_detector.calibrate_threshold": "acceptance criterion 8 checks the calibrated threshold",
     "knn_detector.export_scores": "the score writer the planned `odpc score` command will call",
-    "head.MlpHead.param_items": "the checkpoint and layout oracles in tests/conftest.py",
 }
 
 

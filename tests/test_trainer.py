@@ -117,8 +117,7 @@ def test_train_deterministic_given_seed():
         runs.append(state)
     for a, b in zip(runs[0].history, runs[1].history):
         assert a.total == b.total and a.ce == b.ce and a.pcc_layers == b.pcc_layers
-    for (_, pa), (_, pb) in zip(runs[0].head.param_items(), runs[1].head.param_items()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(runs[0].head.params, runs[1].head.params)
     for state in runs:
         assert_views_follow_layout(state.head)
 
@@ -131,19 +130,17 @@ def test_train_float32_features_bit_equal_to_float64_cast():
     runs = [train(x, labels, class_text, peer_text, init_head(3, 6, seed=1, feature_dim=16), cfg)
             for x in (f32, f32.astype(np.float64))]
     assert runs[0].history == runs[1].history
-    for (_, pa), (_, pb) in zip(runs[0].head.param_items(), runs[1].head.param_items()):
-        assert pa.tobytes() == pb.tobytes()
+    assert runs[0].head.params.tobytes() == runs[1].head.params.tobytes()
 
 
 def test_train_zero_epochs_leaves_head_unchanged():
     features, labels, class_text, peer_text = _toy_training_setup()
     head = init_head(3, 6, seed=1, feature_dim=16)
-    before = [p.copy() for _, p in head.param_items()]
+    before = head.params.copy()
     state = train(features, labels, class_text, peer_text, head,
                   TrainingConfig(epochs=0, batch_size=8))
     assert state.history == []
-    for (_, now), old in zip(state.head.param_items(), before):
-        assert np.array_equal(now, old)
+    assert np.array_equal(state.head.params, before)
 
 
 def test_train_loss_decreases_on_toy_data():
