@@ -45,7 +45,6 @@ from .peer_gen import (
     PeerGenConfig,
     StubProvider,
     generate_peer_classes,
-    normalize_label,
     render_description,
 )
 from .trainer import TrainingConfig, TrainingState, train
@@ -322,11 +321,14 @@ def synthetic_feature_dataset(spec: SyntheticSpec, encoder: ToyEncoderConfig) ->
 
 
 def read_manifest(manifest_path: str | Path) -> dict:
-    """A labels manifest's JSON object, checked to list its ``classes`` as class names."""
+    """A labels manifest's JSON object, checked to list its ``classes`` as distinct names."""
     doc = persist.read_json(manifest_path)
     classes = doc.get("classes") if isinstance(doc, dict) else None
     if not (isinstance(classes, list) and all(isinstance(name, str) for name in classes)):
         raise ConfigError(f"{manifest_path}: not a labels manifest whose classes are a list of names")
+    if len(set(classes)) < len(classes):
+        repeated = next(name for i, name in enumerate(classes) if name in classes[:i])
+        raise ConfigError(f"{manifest_path}: class {repeated!r} is listed more than once")
     return doc
 
 
@@ -334,7 +336,8 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
     """Bind a labels manifest to an imported feature bank (row i = samples[i]).
 
     A malformed manifest raises ConfigError; a bad sample is named by its
-    index, with the key it lacks or the class it names that is not listed.
+    index, with the key it lacks, the class it names that is not listed, or
+    its ``split`` if that is not ``"train"`` or ``"test"``.
     """
     doc = read_manifest(manifest_path)
     samples, classes = doc.get("samples"), doc["classes"]
@@ -345,9 +348,10 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
             f"{manifest_path}: {len(samples)} samples but feature bank has {features.rows} rows"
         )
     index = {name: i for i, name in enumerate(classes)}
+    is_train_split = {"train": True, "test": False}
     try:
         labels = np.array([index[s["class"]] for s in samples], dtype=np.int64)
-        is_train = np.array([s["split"] == "train" for s in samples], dtype=bool)
+        is_train = np.array([is_train_split[s["split"]] for s in samples], dtype=bool)
         ids = [str(s["id"]) for s in samples]
     except (KeyError, TypeError):
         raise _bad_sample(manifest_path, samples, index) from None
@@ -367,6 +371,9 @@ def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int])
         name = sample["class"]
         if not isinstance(name, str) or name not in index:
             return ConfigError(f"{manifest_path}: sample {i} names class {name!r}, not in classes")
+        if sample["split"] not in ("train", "test"):
+            return ConfigError(f"{manifest_path}: sample {i} has split {sample['split']!r}, "
+                               "not 'train' or 'test'")
     return ConfigError(f"{manifest_path}: not a valid labels manifest")
 
 
@@ -430,41 +437,31 @@ class EvalResult:
         return float(np.std(self.aurocs))
 
 
-def fit(dataset: FeatureDataset, known: list[str], peers: PeerClassSet,
+def fit(features: np.ndarray, labels: np.ndarray, peers: PeerClassSet,
         settings: PipelineSettings, seed: int) -> TrainingState:
-    """Train a head on the train rows of the ``known`` classes.
+    """Train a head on the ``features`` rows, row j of class ``labels[j]``.
 
-    Known class i is label i. The known classes' descriptions and then each
-    known class's peer descriptions, in order, are rendered with
+    Class i is the i-th key of ``peers.peers``. The classes' descriptions
+    and then each class's peer descriptions, in order, are rendered with
     ``peers.description_template`` and encoded with ``settings.encoder`` in
-    one call; the classifier gets one peer output per distinct peer label
-    of the known classes. ``seed`` seeds the head and the training run, and
-    ``settings.variant`` picks the loss terms.
+    one call; the classifier gets one peer output per distinct peer label.
+    ``seed`` seeds the head and the training run, and ``settings.variant``
+    picks the loss terms.
     """
     if settings.variant == "passthrough":
         raise ConfigError("variant 'passthrough' trains no head")
-    missing = [name for name in known if name not in peers.peers]
-    if missing:
-        raise ConfigError(f"peers lack entries for classes {missing}")
-    rows = dataset.rows_for(known, train=True)
-    to_local = np.full(len(dataset.class_names), -1, dtype=np.int64)
-    to_local[[dataset.class_names.index(name) for name in known]] = np.arange(len(known))
-
-    peer_labels = [p for name in known for p in peers.peers[name]]
+    classes, peer_lists = list(peers.peers), list(peers.peers.values())
     texts = [render_description(label, peers.description_template)
-             for label in [*known, *peer_labels]]
+             for label in [*classes, *(p for labels in peer_lists for p in labels)]]
     encoded = toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
     # A class without peers gets a 0-row matrix, which ``train`` rejects when it needs peers.
-    bounds = np.cumsum([len(known)] + [len(peers.peers[name]) for name in known[:-1]])
+    bounds = np.cumsum([len(classes)] + [len(labels) for labels in peer_lists[:-1]])
     class_texts, *peer_rows = np.split(encoded, bounds)
-    peer_texts = dict(enumerate(peer_rows))
-    distinct = len({normalize_label(p) for p in peer_labels})
-    head = init_head(len(known), distinct, seed=seed, feature_dim=dataset.features.dim,
-                     hidden_dims=settings.hidden_dims)
+    head = init_head(len(classes), peers.distinct_peer_count(), seed=seed,
+                     feature_dim=features.shape[1], hidden_dims=settings.hidden_dims)
     loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
     cfg = replace(settings.training, seed=seed, loss=loss)
-    values = dataset.features.values
-    return train(values[rows], to_local[dataset.labels[rows]], class_texts, peer_texts, head, cfg)
+    return train(features, labels, class_texts, dict(enumerate(peer_rows)), head, cfg)
 
 
 def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: PipelineSettings, seed: int) -> float:
@@ -489,8 +486,11 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
         id_q = passthrough_transform(id_x)
         ood_q = passthrough_transform(ood_x)
     else:
+        # Known class i is local label i, and the i-th key of the peer set.
+        local = {name: i for i, name in enumerate(known)}
+        to_local = np.array([local.get(name, -1) for name in dataset.class_names], dtype=np.int64)
         peers = generate_peer_classes(known, settings.peer, StubProvider(seed=seed))
-        head = fit(dataset, known, peers, settings, seed).head
+        head = fit(train_x, to_local[dataset.labels[train_rows]], peers, settings, seed).head
         bank = build_bank(head, train_x)
         id_q = bank_transform(head, id_x)
         ood_q = bank_transform(head, ood_x)

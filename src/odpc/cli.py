@@ -194,9 +194,8 @@ def _read_class_list(args: argparse.Namespace) -> list[str]:
 def _cmd_gen_peers(args: argparse.Namespace) -> int:
     cfg = _command_config(args)
     labels = _read_class_list(args)
-    cache = LlmCache(args.cache) if args.cache else LlmCache()
     peer_cfg = cfg.settings.peer
-    peer_set = generate_peer_classes(labels, peer_cfg, _make_provider(cfg), cache)
+    peer_set = generate_peer_classes(labels, peer_cfg, _make_provider(cfg), LlmCache(args.cache or None))
     save_peers(peer_set, peer_cfg, args.out)
     print(f"wrote {args.out}: {sum(len(v) for v in peer_set.peers.values())} peer labels "
           f"for {len(labels)} classes")
@@ -230,9 +229,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     features = import_embeddings(args.features)
     dataset = bench.load_manifest_dataset(args.labels, features)
     peer_set, _ = load_peers(args.peers)
-    known = [dataset.class_names[g] for g in np.unique(dataset.labels[dataset.is_train])]
+    # The classes with train rows, in manifest order: local label i is known[i].
+    present, labels = np.unique(dataset.labels[dataset.is_train], return_inverse=True)
+    known = [dataset.class_names[g] for g in present]
+    missing = [name for name in known if name not in peer_set.peers]
+    if missing:
+        raise ConfigError(f"{args.peers}: no entry for classes {missing}")
+    peers = replace(peer_set, peers={name: peer_set.peers[name] for name in known})
     training = settings.training
-    state = bench.fit(dataset, known, peer_set, settings, training.seed)
+    state = bench.fit(features.values[dataset.is_train], labels, peers, settings, training.seed)
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
     print(f"trained {training.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")

@@ -215,11 +215,13 @@ def parse_label_list(content: str) -> list[str]:
 class LlmCache:
     """(provider, prompt) -> response cache, JSON on disk. Each entry of the
     file's ``entries`` object holds a ``response`` list of strings and a
-    ``fetched_at`` timestamp string; a file of another shape is a ConfigError."""
+    ``fetched_at`` timestamp string; a file of another shape is a ConfigError.
+    ``save`` writes every new entry at once."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, dict] = {}
+        self._unsaved = False
         if self.path is not None and self.path.exists():
             data = persist.read_json(self.path)
             entries = data.get("entries") if isinstance(data, dict) else None
@@ -238,36 +240,27 @@ class LlmCache:
         raw = provider_id + "\x00" + prompt
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
-    def get(self, provider_id: str, prompt: str) -> dict | None:
-        return self._entries.get(self._key(provider_id, prompt))
+    def fetch(self, provider: LlmProvider, prompt: str, offline: bool) -> tuple[list[str], str]:
+        """Candidates plus the fetch timestamp: the cached entry's, or a new
+        response from ``provider``, kept in memory until ``save``."""
+        key = self._key(provider.identifier, prompt)
+        entry = self._entries.get(key)
+        if entry is None:
+            if offline and provider.requires_network:
+                raise OfflineError(f"offline mode: no cached response for provider "
+                                   f"{provider.identifier!r}")
+            entry = {"provider": provider.identifier, "prompt": prompt,
+                     "response": list(provider.request(prompt)),
+                     "fetched_at": datetime.now(timezone.utc).isoformat()}
+            self._entries[key] = entry
+            self._unsaved = True
+        return list(entry["response"]), entry["fetched_at"]
 
-    def put(self, provider_id: str, prompt: str, response: list[str]) -> dict:
-        entry = {
-            "provider": provider_id,
-            "prompt": prompt,
-            "response": list(response),
-            "fetched_at": datetime.now(timezone.utc).isoformat(),
-        }
-        self._entries[self._key(provider_id, prompt)] = entry
-        if self.path is not None:
+    def save(self) -> None:
+        """Write the file if ``fetch`` added an entry since the last write."""
+        if self.path is not None and self._unsaved:
             persist.write_json(self.path, {"version": 1, "entries": self._entries})
-        return entry
-
-
-def _fetch_candidates(
-    prompt: str, provider: LlmProvider, cache: LlmCache, offline: bool
-) -> tuple[list[str], str]:
-    """Candidates plus the fetch timestamp, from cache when possible."""
-    hit = cache.get(provider.identifier, prompt)
-    if hit is not None:
-        return list(hit["response"]), hit["fetched_at"]
-    if offline and provider.requires_network:
-        raise OfflineError(
-            f"offline mode: no cached response for provider {provider.identifier!r}"
-        )
-    response = provider.request(prompt)
-    entry = cache.put(provider.identifier, prompt, response)
-    return list(response), entry["fetched_at"]
+            self._unsaved = False
 
 
 def generate_peer_classes(
@@ -281,7 +274,7 @@ def generate_peer_classes(
     Candidates colliding (after normalization) with any ID label or with an
     earlier-accepted peer of the same class are discarded; the provider is
     re-queried with a variation suffix up to max_requery_attempts times if
-    too few survive.
+    too few survive. ``cache`` is saved once, also when generation fails.
     """
     if not id_labels:
         raise InvalidArgumentError("id_labels is empty")
@@ -291,42 +284,44 @@ def generate_peer_classes(
     if len(set(normalized)) != len(normalized):
         raise InvalidArgumentError("ID labels collide after normalization")
     id_set = set(normalized)
-    if cache is None:
-        cache = LlmCache()
+    cache = cache if cache is not None else LlmCache()
 
     peers: dict[str, list[str]] = {}
     timestamps: list[str] = []
-    for label in id_labels:
-        if cfg.peers_per_class == 0:
-            peers[label] = []
-            continue
-        base_prompt = build_prompt(label, cfg)
-        accepted: list[str] = []
-        accepted_norm: set[str] = set()
-        for attempt in range(cfg.max_requery_attempts):
-            prompt = base_prompt if attempt == 0 else base_prompt + REQUERY_SUFFIX * attempt
-            try:
-                candidates, fetched_at = _fetch_candidates(prompt, provider, cache, cfg.offline)
-            except (OfflineError, GenerationError) as exc:
-                exc.args = (f"class {label!r}: {exc}",)
-                raise
-            timestamps.append(fetched_at)
-            for cand in candidates:
-                norm = normalize_label(cand)
-                if not norm or norm in id_set or norm in accepted_norm:
-                    continue
-                accepted.append(cand.strip())
-                accepted_norm.add(norm)
+    try:
+        for label in id_labels:
+            if cfg.peers_per_class == 0:
+                peers[label] = []
+                continue
+            base_prompt = build_prompt(label, cfg)
+            accepted: list[str] = []
+            accepted_norm: set[str] = set()
+            for attempt in range(cfg.max_requery_attempts):
+                prompt = base_prompt if attempt == 0 else base_prompt + REQUERY_SUFFIX * attempt
+                try:
+                    candidates, fetched_at = cache.fetch(provider, prompt, cfg.offline)
+                except (OfflineError, GenerationError) as exc:
+                    exc.args = (f"class {label!r}: {exc}",)
+                    raise
+                timestamps.append(fetched_at)
+                for cand in candidates:
+                    norm = normalize_label(cand)
+                    if not norm or norm in id_set or norm in accepted_norm:
+                        continue
+                    accepted.append(cand.strip())
+                    accepted_norm.add(norm)
+                    if len(accepted) == cfg.peers_per_class:
+                        break
                 if len(accepted) == cfg.peers_per_class:
                     break
-            if len(accepted) == cfg.peers_per_class:
-                break
-        if len(accepted) < cfg.peers_per_class:
-            raise GenerationError(
-                f"class {label!r}: only {len(accepted)} of {cfg.peers_per_class} "
-                f"valid peer labels after {cfg.max_requery_attempts} attempts"
-            )
-        peers[label] = accepted
+            if len(accepted) < cfg.peers_per_class:
+                raise GenerationError(
+                    f"class {label!r}: only {len(accepted)} of {cfg.peers_per_class} "
+                    f"valid peer labels after {cfg.max_requery_attempts} attempts"
+                )
+            peers[label] = accepted
+    finally:
+        cache.save()
 
     provenance = {
         "provider": provider.identifier,

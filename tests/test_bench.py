@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +291,36 @@ def test_manifest_row_count_mismatch(tmp_path, rng):
         load_manifest_dataset(path, EmbeddingMatrix(rng.standard_normal((3, 4)).astype(np.float32)))
 
 
+
+def test_manifest_repeating_a_class_is_config_error(tmp_path):
+    names = list(synthetic_class_names(3))
+    path = tmp_path / "labels.json"
+    write_manifest(path, "toy", names, np.array([0, 1, 2]), np.array([True, True, False]),
+                   ["a", "b", "c"])
+    doc = json.loads(path.read_text())
+    doc["classes"].append(names[1])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for read in (read_manifest,
+                 lambda p: load_manifest_dataset(p, EmbeddingMatrix(np.ones((3, 4), np.float32)))):
+        with pytest.raises(ConfigError, match=f"labels.json: class {names[1]!r} is listed more than once"):
+            read(path)
+
+
+@pytest.mark.parametrize("split", ["val", "Train", "", 1, None, ["train"]],
+                         ids=["val", "Train", "empty", "number", "null", "list"])
+def test_manifest_split_other_than_train_or_test_is_config_error(tmp_path, split):
+    names = list(synthetic_class_names(2))
+    path = tmp_path / "labels.json"
+    write_manifest(path, "toy", names, np.array([0, 1, 0, 1]), np.array([True, True, False, False]),
+                   ["a", "b", "c", "d"])
+    doc = json.loads(path.read_text())
+    doc["samples"][2]["split"] = split
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"labels.json: sample 2 has split {split!r}, not 'train' or 'test'"
+    with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+        load_manifest_dataset(path, EmbeddingMatrix(np.ones((4, 4), np.float32)))
+    assert str(path) in str(exc.value)
+
 # ---------------------------------------------------------------------------
 # benchmark runs (desk-scale settings to stay fast)
 
@@ -354,38 +385,41 @@ def test_run_benchmark_validates_repeats():
         run_benchmark("synthetic", 0, _fast_settings())
 
 
-def _fit_inputs(variant="pcc_ce"):
+def _fit_inputs(variant="pcc_ce", encoder=None):
+    """The train rows of a synthetic dataset's first three classes, their
+    labels, a peer set naming those classes, and settings that train 0 epochs."""
     from odpc.trainer import TrainingConfig
 
-    settings = replace(_fast_settings(variant), training=TrainingConfig(epochs=0))
+    settings = replace(_fast_settings(variant), training=TrainingConfig(epochs=0),
+                       encoder=encoder or ToyEncoderConfig())
     dataset = synthetic_feature_dataset(settings.synthetic, settings.encoder)
     known = dataset.class_names[:3]
-    peers = {name: ["wolf", f"Peer {i}"] for i, name in enumerate(dataset.class_names[:4])}
-    peers["extra"] = ["x"]
-    peers = PeerClassSet(peers=peers, description_template=DEFAULT_DESCRIPTION_TEMPLATE,
-                         provenance={})
-    return dataset, known, peers, settings
+    rows = dataset.rows_for(known, train=True)
+    # The first three classes: global label i is local label i.
+    features, labels = dataset.features.values[rows], dataset.labels[rows]
+    peers = PeerClassSet(peers={name: ["wolf", f"Peer {i}"] for i, name in enumerate(known)},
+                         description_template=DEFAULT_DESCRIPTION_TEMPLATE, provenance={})
+    return features, labels, peers, settings
 
 
 def test_fit_sizes_classifier_by_distinct_peers_of_known_classes():
-    dataset, known, peers, settings = _fit_inputs()
-    head = fit(dataset, known, peers, settings, seed=0).head
-    # "wolf" is shared; the fourth class and "extra" are not known.
+    features, labels, peers, settings = _fit_inputs()
+    head = fit(features, labels, peers, settings, seed=0).head
+    # "wolf" is shared by all three classes.
     assert (head.num_id_classes, head.num_peer_outputs) == (3, 4)
 
 
 def test_fit_rejects_known_class_without_peers():
-    dataset, known, peers, settings = _fit_inputs()
+    features, labels, peers, settings = _fit_inputs()
+    known = list(peers.peers)
     peers.peers[known[1]] = []
     with pytest.raises(ConfigError, match="class 1 has no peer description features"):
-        fit(dataset, known, peers, settings, seed=0)
-    del peers.peers[known[1]]
-    with pytest.raises(ConfigError, match=repr(known[1])):
-        fit(dataset, known, peers, settings, seed=0)
+        fit(features, labels, peers, settings, seed=0)
 
 
 def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(monkeypatch):
-    dataset, known, peers, settings = _fit_inputs()
+    features, labels, peers, settings = _fit_inputs()
+    known = list(peers.peers)
     peers = replace(peers, description_template="A sketch of a [CLASS]")
     peers.peers[known[2]] = []
     calls, seen = [], {}
@@ -400,7 +434,7 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
 
     monkeypatch.setattr("odpc.bench.toy_encode_texts", counting_encode)
     monkeypatch.setattr("odpc.bench.train", capture)
-    assert fit(dataset, known, peers, settings, seed=0) == "state"
+    assert fit(features, labels, peers, settings, seed=0) == "state"
     assert len(calls) == 1
 
     def per_class(labels):
@@ -417,22 +451,18 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
 
 def test_fit_default_settings_build_512_wide_layers_like_the_cli():
     from odpc.cli import load_config
-    from odpc.trainer import TrainingConfig
 
-    settings = PipelineSettings(training=TrainingConfig(epochs=0),
-                                encoder=ToyEncoderConfig(out_dim=64))
-    dataset = synthetic_feature_dataset(SyntheticSpec(train_per_class=40, test_per_class=20),
-                                        settings.encoder)
-    _, known, peers, _ = _fit_inputs()
-    head = fit(dataset, known, peers, settings, seed=0).head
+    features, labels, peers, settings = _fit_inputs(encoder=ToyEncoderConfig(out_dim=64))
+    assert settings.hidden_dims == PipelineSettings().hidden_dims
+    head = fit(features, labels, peers, settings, seed=0).head
     assert head.dims[:4] == (64, 512, 512, 512)
     assert load_config(None).settings.hidden_dims == settings.hidden_dims
 
 
 def test_fit_rejects_passthrough():
-    dataset, known, peers, settings = _fit_inputs("passthrough")
+    features, labels, peers, settings = _fit_inputs("passthrough")
     with pytest.raises(ConfigError, match="passthrough"):
-        fit(dataset, known, peers, settings, seed=0)
+        fit(features, labels, peers, settings, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from odpc.bench import PipelineSettings
 from odpc.cli import CONFIG_KEYS, load_config, main
 from odpc.errors import ConfigError
 from odpc.head import load_checkpoint
+from odpc.peer_gen import normalize_label
 
 
 FAST_CONFIG = {
@@ -435,6 +436,35 @@ def test_train_manifest_sample_without_split_is_usage_error(tmp_path, capsys, tr
     assert "sample 5" in doc["message"] and "'split'" in doc["message"]
 
 
+def test_train_peers_without_a_trained_class_is_usage_error(tmp_path, capsys, train_inputs):
+    doc = persist.read_json(train_inputs["peers"])
+    lacking = sorted(doc["classes"])[1]
+    del doc["classes"][lacking]
+    peers = tmp_path / "peers.json"
+    persist.write_json(peers, doc)
+    error = _train_usage_error(tmp_path, capsys, train_inputs, peers=peers)
+    assert error["error"] == "ConfigError"
+    assert str(peers) in error["message"] and repr(lacking) in error["message"]
+
+
+def test_train_sizes_classifier_by_the_peers_of_trained_classes_only(tmp_path, train_inputs):
+    classes = persist.read_json(train_inputs["labels"])["classes"]
+    untrained = set(classes[-2:])
+    labels = _edited_manifest(tmp_path, train_inputs, lambda samples: [
+        sample.update(split="test") for sample in samples if sample["class"] in untrained])
+    ckpt = tmp_path / "head.ckpt"
+    assert main(["train", "--config", train_inputs["config"], "--features", train_inputs["features"],
+                 "--labels", str(labels), "--peers", train_inputs["peers"],
+                 "--out", str(ckpt), "--history", str(tmp_path / "history.csv")]) == 0
+    peers = persist.read_json(train_inputs["peers"])["classes"]
+    assert set(peers) == set(classes)
+    trained = {normalize_label(p) for name in classes[:-2] for p in peers[name]}
+    every = {normalize_label(p) for name in classes for p in peers[name]}
+    head = load_checkpoint(ckpt)
+    assert (head.num_id_classes, head.num_peer_outputs) == (len(classes) - 2, len(trained))
+    assert len(trained) < len(every)
+
+
 @pytest.mark.parametrize("which", ["config", "labels", "peers"])
 def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which):
     path = tmp_path / f"{which}.json"
@@ -555,6 +585,108 @@ def test_mutated_peers_or_cache_file_exits_cleanly(small_pipeline_files, data):
             assert rc in (1, 2)
             assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
             assert not any(path.exists() for path in outputs)
+
+
+def test_gen_peers_writes_the_cache_once_cold_and_never_warm(tmp_path, monkeypatch):
+    cache = tmp_path / "llm_cache.json"
+    writes, write_json = [], persist.write_json
+
+    def counting(path, obj):
+        writes.append(Path(path))
+        write_json(path, obj)
+
+    monkeypatch.setattr(persist, "write_json", counting)
+    argv = ["gen-peers", "--classes", ",".join(f"class {i}" for i in range(40)),
+            "--cache", str(cache)]
+    for out in ("cold.json", "warm.json"):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    assert writes.count(cache) == 1 and len(writes) == 3
+
+
+@pytest.fixture(scope="module")
+def cifar10_bank_files(tmp_path_factory):
+    """A 10-class, 8-d labelled bank, a config that trains it for 0 epochs,
+    and the peers.json gen-peers made for its classes."""
+    root = tmp_path_factory.mktemp("cifar10_bank")
+    _write_labelled_bank(root, np.random.default_rng(0), CIFAR10_NAMES, dim=8)
+    files = {"config": write_config(root, {"epochs": 0, "knn_k": 2, "feature_dim": 8,
+                                           "hidden_dims": [8, 8, 8]}),
+             "features": str(root / "all.fb"), "labels": str(root / "labels.json"),
+             "peers": str(root / "peers.json")}
+    assert main(["gen-peers", "--config", files["config"], "--labels", files["labels"],
+                 "--out", files["peers"]]) == 0
+    return files
+
+
+def _mutated_manifest(doc, data):
+    """``doc`` with one key of it or of one sample dropped, one value given
+    another JSON type, one class name repeated, or one split changed."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "repeat-class", "split"]))
+    samples = doc["samples"]
+    i = data.draw(st.integers(0, len(samples) - 1))
+    if kind == "drop":
+        key = data.draw(st.sampled_from([*doc, *(("samples", i, key) for key in samples[i])]))
+        parent, last = (doc, key) if isinstance(key, str) else (samples[i], key[2])
+        del parent[last]
+    elif kind == "retype":
+        *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        kind = _JSON_TYPE[type(parent[last])]
+        parent[last] = data.draw(st.sampled_from(
+            [v for v in _JSON_VALUES if _JSON_TYPE[type(v)] != kind]))
+    elif kind == "repeat-class":
+        doc["classes"].insert(data.draw(st.integers(0, len(doc["classes"]))),
+                              data.draw(st.sampled_from(doc["classes"])))
+    else:
+        samples[i]["split"] = data.draw(st.sampled_from(
+            [v for v in ("train", "test", "val", "Train", "") if v != samples[i]["split"]]))
+    return doc
+
+
+def _mutated_bank(raw: bytes, data) -> bytes:
+    """``raw`` with one byte flipped, or cut short."""
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        return raw[:at]
+    return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+
+
+@given(data=st.data())
+def test_mutated_manifest_or_bank_exits_cleanly(cifar10_bank_files, data):
+    """A valid labels.json mutated by ``_mutated_manifest``, or the bank by
+    ``_mutated_bank``: ``train`` and ``eval`` each either succeed with all
+    their outputs or exit 1 or 2 with one JSON line on stderr and no output,
+    never with a traceback."""
+    files = dict(cifar10_bank_files)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if data.draw(st.booleans()):
+            files["labels"] = str(tmp / "labels.json")
+            persist.write_json(files["labels"],
+                               _mutated_manifest(persist.read_json(cifar10_bank_files["labels"]), data))
+        else:
+            files["features"] = str(tmp / "all.fb")
+            Path(files["features"]).write_bytes(
+                _mutated_bank(Path(cifar10_bank_files["features"]).read_bytes(), data))
+        inputs = ["--config", files["config"], "--features", files["features"],
+                  "--labels", files["labels"]]
+        runs = [(["train", *inputs, "--peers", files["peers"], "--out", str(tmp / "head.ckpt"),
+                  "--history", str(tmp / "history.csv")], [tmp / "head.ckpt", tmp / "history.csv"]),
+                (["eval", *inputs, "--protocol", "cifar10_6v4", "--epochs", "0", "--repeats", "1",
+                  "--out", str(tmp / "results.csv")], [tmp / "results.csv"])]
+        for argv, outputs in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            if rc == 0:
+                assert all(path.exists() for path in outputs)
+            else:
+                assert rc in (1, 2)
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+                assert not any(path.exists() for path in outputs)
 
 
 def _history_after_train(tmp_path, inputs, extra):

@@ -181,6 +181,29 @@ def test_cache_survives_reload(tmp_path):
     assert first.provenance == second.provenance
 
 
+def test_cache_keeps_responses_fetched_before_a_generation_error(tmp_path, monkeypatch):
+    from odpc import persist
+
+    path = tmp_path / "llm_cache.json"
+    writes, write_json = [], persist.write_json
+
+    def counting(target, obj):
+        writes.append(target)
+        write_json(target, obj)
+
+    monkeypatch.setattr(persist, "write_json", counting)
+    cfg = PeerGenConfig(peers_per_class=1, max_requery_attempts=2)
+    provider = ScriptedProvider({build_prompt("dog", cfg): ["wolf"]})
+    with pytest.raises(GenerationError, match="'cat'"):
+        generate_peer_classes(["dog", "cat"], cfg, provider, LlmCache(path))
+    assert writes == [path]
+    # dog's answer plus both of cat's empty ones.
+    assert len(json.loads(path.read_text())["entries"]) == 3
+    # An empty script answers nothing, so dog's peer comes from the cache.
+    result = generate_peer_classes(["dog"], cfg, ScriptedProvider({}), LlmCache(path))
+    assert result.peers == {"dog": ["wolf"]}
+
+
 class FailingNetworkProvider:
     requires_network = True
     identifier = "http:test"
