@@ -190,20 +190,9 @@ def openness(n_train_classes: int, n_total_test_classes: int) -> float:
     return float(100.0 * (1.0 - np.sqrt(ratio)))
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``; each run of tied values gets the mean of its
-    positions, an exact half-integer."""
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
-
-
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
-    """P(ood score > id score) + 0.5 * P(tie), via rank statistics.
+    """P(ood score > id score) + 0.5 * P(tie), from two exact integer counts:
+    the sorted ID scores below each OOD score, and those not above it.
 
     OOD is the positive class; higher scores must mean "more OOD".
     """
@@ -211,13 +200,12 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     ood_scores = np.asarray(ood_scores, dtype=np.float64).ravel()
     if id_scores.size == 0 or ood_scores.size == 0:
         raise InvalidArgumentError("auroc needs non-empty score lists for both classes")
-    scores = np.concatenate([id_scores, ood_scores])
-    if np.isnan(scores).any():
+    if np.isnan(id_scores).any() or np.isnan(ood_scores).any():
         return float("nan")
-    ranks = _average_ranks(scores)
-    n_id, n_ood = id_scores.size, ood_scores.size
-    u = ranks[n_id:].sum() - n_ood * (n_ood + 1) / 2.0
-    return float(u / (n_id * n_ood))
+    ranked = np.sort(id_scores)
+    below = np.searchsorted(ranked, ood_scores, side="left").sum()
+    not_above = np.searchsorted(ranked, ood_scores, side="right").sum()
+    return float((below + not_above) / 2 / (id_scores.size * ood_scores.size))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +324,9 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
     """Bind a labels manifest to an imported feature bank (row i = samples[i]).
 
     A malformed manifest raises ConfigError; a bad sample is named by its
-    index, with the key it lacks, the class it names that is not listed, or
-    its ``split`` if that is not ``"train"`` or ``"test"``.
+    index, with the key it lacks, the class it names that is not listed, its
+    ``split`` if that is not ``"train"`` or ``"test"``, or its ``id`` if that
+    is not a string or an integer or repeats an earlier id (compared as text).
     """
     doc = read_manifest(manifest_path)
     samples, classes = doc.get("samples"), doc["classes"]
@@ -352,9 +341,11 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
     try:
         labels = np.array([index[s["class"]] for s in samples], dtype=np.int64)
         is_train = np.array([is_train_split[s["split"]] for s in samples], dtype=bool)
-        ids = [str(s["id"]) for s in samples]
+        ids = [str(s["id"]) for s in samples if type(s["id"]) in (str, int)]
     except (KeyError, TypeError):
         raise _bad_sample(manifest_path, samples, index) from None
+    if len(set(ids)) < len(samples):
+        raise _bad_sample(manifest_path, samples, index)
     return FeatureDataset(
         class_names=classes, features=features, labels=labels, is_train=is_train, sample_ids=ids
     )
@@ -362,6 +353,7 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
 
 def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int]) -> ConfigError:
     """The error naming the first manifest sample that cannot be bound."""
+    first_with_id: dict[str, int] = {}
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
             return ConfigError(f"{manifest_path}: sample {i} is not an object")
@@ -374,6 +366,12 @@ def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int])
         if sample["split"] not in ("train", "test"):
             return ConfigError(f"{manifest_path}: sample {i} has split {sample['split']!r}, "
                                "not 'train' or 'test'")
+        sid = sample["id"]
+        if type(sid) not in (str, int):
+            return ConfigError(f"{manifest_path}: sample {i} has id {sid!r}, not a string or an integer")
+        if first_with_id.setdefault(str(sid), i) != i:
+            return ConfigError(f"{manifest_path}: sample {i} repeats the id {sid!r} of sample "
+                               f"{first_with_id[str(sid)]}")
     return ConfigError(f"{manifest_path}: not a valid labels manifest")
 
 
@@ -534,11 +532,9 @@ def run_benchmark(
 
 
 def write_results_csv(results: list[EvalResult], path: str | Path) -> None:
-    lines = ["protocol,repeat,seed,auroc,openness"]
-    for res in results:
-        for r, (seed, score) in enumerate(zip(res.seeds, res.aurocs)):
-            lines.append(f"{res.protocol},{r},{seed},{score!r},{res.openness_pct!r}")
-    persist.atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(res.protocol, r, seed, score, res.openness_pct)
+            for res in results for r, (seed, score) in enumerate(zip(res.seeds, res.aurocs))]
+    persist.write_csv(path, ["protocol", "repeat", "seed", "auroc", "openness"], rows)
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
@@ -638,9 +634,7 @@ def export_projection(
     if id_flags is not None and len(id_flags) != n:
         raise InvalidArgumentError("one id/ood flag per sample required")
     ids = sample_ids if sample_ids is not None else [f"s{i:06d}" for i in range(n)]
-    lines = ["sample_id,x,y,label,id_or_ood"]
-    for i in range(n):
-        flag = "id" if (id_flags is None or id_flags[i]) else "ood"
-        lines.append(f"{ids[i]},{float(coords[i, 0])!r},{float(coords[i, 1])!r},{labels[i]},{flag}")
-    persist.atomic_write_text(out_path, "\n".join(lines) + "\n")
+    rows = [(ids[i], x, y, labels[i], "id" if id_flags is None or id_flags[i] else "ood")
+            for i, (x, y) in enumerate(coords.tolist())]
+    persist.write_csv(out_path, ["sample_id", "x", "y", "label", "id_or_ood"], rows)
     return coords

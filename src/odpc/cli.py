@@ -19,12 +19,14 @@ config trains the same way in both.
 
 Usage errors (bad config, missing inputs) exit with code 2; runtime
 failures exit with code 1; each prints a one-line JSON error to stderr.
+Warnings (batches skipped in training) go to stdout as ``warning:`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -364,11 +366,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
+    warnings = logging.StreamHandler(sys.stdout)  # removed on return: main may run again
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("odpc").addHandler(warnings)
     try:
         return args.func(args)
     except (OdpcError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) else RUNTIME_EXIT
+    finally:
+        logging.getLogger("odpc").removeHandler(warnings)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ trainable state, and nothing here ever mutates after construction.
 
 Whole matrices are processed in row blocks, never as one float64 copy.
 ``EmbeddingMatrix`` checks finiteness and, for normalized matrices, each
-row's float64 norm one block at a time. The toy encoder projects,
-normalizes and casts near-equal row chunks (``blocks.row_chunks``) straight
-into a preallocated float32 output. Row norms square into one reused
-buffer but are otherwise the operations of ``np.linalg.norm``; per row
-everything is the same float64 arithmetic as on the whole matrix, so the
-same rows are accepted or rejected and the encoding is bit-equal to it.
+row's float64 norm one block at a time. The toy encoder projects
+near-equal row chunks (``blocks.row_chunks``) and normalizes each straight
+into a preallocated float32 output (``blocks.normalize_rows``), squaring
+into one reused buffer. Per row everything is the same float64
+arithmetic as on the whole matrix, so the same rows are accepted or
+rejected and the encoding is bit-equal to it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .blocks import CHECK_BLOCK_ELEMS, row_chunks, rows_per_block
+from .blocks import CHECK_BLOCK_ELEMS, normalize_rows, row_chunks, row_norms, rows_per_block
 from .errors import InvalidArgumentError, ShapeError
 
 DEFAULT_FEATURE_DIM = 512
@@ -73,7 +73,7 @@ class EmbeddingMatrix:
             if not np.isfinite(block).all():
                 raise InvalidArgumentError("embedding matrix contains non-finite values")
             if square is not None and hi > lo:
-                norms = _row_norms(block, square[: hi - lo])
+                norms = row_norms(block, square[: hi - lo])
                 worst = max(worst, float(np.max(np.abs(norms - 1.0))))
         if worst > _NORM_TOL:
             raise InvalidArgumentError(
@@ -93,14 +93,6 @@ def _largest(chunks: list[tuple[int, int]]) -> int:
     return max(hi - lo for lo, hi in chunks)
 
 
-def _row_norms(rows: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """Float64 L2 norm of each row: the operations of
-    ``np.linalg.norm(rows.astype(np.float64), axis=1)``, bit for bit, with the
-    squares written into the preallocated ``square`` instead of new arrays."""
-    np.multiply(rows, rows, out=square, dtype=np.float64)
-    return np.sqrt(np.add.reduce(square, axis=1))
-
-
 def _projection(cfg: ToyEncoderConfig) -> np.ndarray:
     """Fixed Gaussian projection matrix for a config; pure function of the seed."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(7,)))
@@ -116,12 +108,7 @@ def _project_and_normalize(raw: np.ndarray, cfg: ToyEncoderConfig) -> np.ndarray
     buffers = np.empty((2, _largest(chunks), cfg.out_dim))
     for lo, hi in chunks:
         projected = np.matmul(raw[lo:hi], projection, out=buffers[0, : hi - lo])
-        norms = _row_norms(projected, buffers[1, : hi - lo])
-        if np.any(norms < 1e-12):
-            bad = lo + int(np.argmin(norms))
-            raise InvalidArgumentError(f"row {bad} has (near-)zero norm; cannot place on unit sphere")
-        np.divide(projected, norms[:, None], out=projected)
-        out[lo:hi] = projected
+        normalize_rows(projected, out[lo:hi], "projected", lo, square=buffers[1, : hi - lo])
     return out
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .blocks import row_chunks
+from .blocks import normalize_rows, row_chunks, rows_per_block
 from .errors import ConfigError, InvalidArgumentError, ShapeError
 from .head import N_SHARED_LAYERS, MlpHead, forward
 
@@ -76,26 +76,13 @@ class FeatureBank:
         return int(self.vectors.shape[1])
 
 
-def _write_normalized(out: np.ndarray, per_layer: list[np.ndarray]) -> None:
-    """Write each layer's rows, L2-normalized, into its column segment of ``out``."""
-    off = 0
-    for l, h in enumerate(per_layer, start=1):
-        norms = np.linalg.norm(h, axis=1)
-        if np.any(norms < 1e-12):
-            raise InvalidArgumentError(
-                f"layer {l} produced a zero activation row; cannot normalize"
-            )
-        np.divide(h, norms[:, None], out=out[:, off : off + h.shape[1]])
-        off += h.shape[1]
-
-
 def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
     """Map encoder features to bank space: forward, per-layer normalize, concatenate.
 
     Rows go through ``forward`` in near-equal chunks of at most
     ``BANK_CHUNK_ROWS`` (``blocks.row_chunks``, so the result is bit-equal
-    to one batch); each chunk's normalized layers are written straight into
-    the output.
+    to one batch); each chunk's normalized layers, and first their squares,
+    are written straight into the output. A zero row names its layer and row.
     """
     values = np.asarray(features)
     if values.ndim != 2:
@@ -103,18 +90,21 @@ def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     out = np.empty((n, sum(head.dims[1:-1])))
     for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
-        _write_normalized(out[lo:hi], forward(head, values[lo:hi]).per_layer)
+        segments = np.split(out[lo:hi], np.cumsum(head.dims[1:-2]), axis=1)
+        for l, (h, seg) in enumerate(zip(forward(head, values[lo:hi]).per_layer, segments), start=1):
+            normalize_rows(h, seg, f"layer {l}", lo, square=seg)
+        del h  # or the last layer's rows stay alive through the next chunk's forward
     return out
 
 
 def passthrough_transform(features: np.ndarray) -> np.ndarray:
-    """Bank-space stand-in without a trained head: the feature rows stacked
-    once per shared layer, each copy normalized, as a head's bank stacks
-    its layers."""
+    """Bank-space stand-in without a trained head: the normalized feature
+    rows stacked once per shared layer, as a head's bank stacks its layers."""
     values = np.asarray(features, dtype=np.float64)
-    out = np.empty((values.shape[0], N_SHARED_LAYERS * values.shape[1]))
-    _write_normalized(out, [values] * N_SHARED_LAYERS)
-    return out
+    out = np.empty((values.shape[0], N_SHARED_LAYERS, values.shape[1]))
+    normalize_rows(values, out[:, 0], "feature", square=out[:, 0])
+    out[:, 1:] = out[:, :1]
+    return out.reshape(values.shape[0], -1)
 
 
 def build_bank(head: MlpHead, train_features: np.ndarray) -> FeatureBank:
@@ -124,30 +114,21 @@ def build_bank(head: MlpHead, train_features: np.ndarray) -> FeatureBank:
     return FeatureBank(bank_transform(head, train_features))
 
 
-def _check_k(k: int, bank: FeatureBank) -> None:
-    if not 1 <= k <= bank.rows:
-        raise InvalidArgumentError(f"k={k} outside valid range [1, {bank.rows}]")
-
-
-def _query_chunk(bank_rows: int) -> int:
-    """Queries per scan chunk, so one distance block holds SCAN_BLOCK_ELEMS."""
-    return max(1, SCAN_BLOCK_ELEMS // bank_rows)
-
-
 def knn_scores(
     queries: np.ndarray, bank: FeatureBank, k: int, backend: str = "exact"
 ) -> np.ndarray:
     """K-th nearest-neighbor distance of each query row to the bank."""
     if backend not in BACKENDS:
         raise InvalidArgumentError(f"unknown backend {backend!r}; the only one is 'exact'")
-    _check_k(k, bank)
+    if not 1 <= k <= bank.rows:
+        raise InvalidArgumentError(f"k={k} outside valid range [1, {bank.rows}]")
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != bank.dim:
         raise ShapeError(f"queries must be (n, {bank.dim}), got {q.shape}")
     b = bank.vectors
     b_sq = np.einsum("ij,ij->i", b, b)
     scores = np.empty(q.shape[0])
-    step = _query_chunk(bank.rows)
+    step = rows_per_block(bank.rows, SCAN_BLOCK_ELEMS)  # queries per distance block
     for lo in range(0, q.shape[0], step):
         qc = q[lo : lo + step]
         d2 = qc @ b.T
@@ -191,7 +172,5 @@ def export_scores(
     """CSV of (sample_id, score, decision) rows against a calibrated threshold."""
     if len(sample_ids) != len(scores):
         raise InvalidArgumentError("sample_ids and scores differ in length")
-    lines = ["sample_id,score,decision"]
-    for sid, sc in zip(sample_ids, scores):
-        lines.append(f"{sid},{float(sc)!r},{detect(float(sc), threshold).value}")
-    persist.atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(sid, float(sc), detect(float(sc), threshold).value) for sid, sc in zip(sample_ids, scores)]
+    persist.write_csv(path, ["sample_id", "score", "decision"], rows)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import normalize_rows
 from .errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
 from .head import MlpHead, forward_with_cache, softmax
 
@@ -166,11 +167,10 @@ def build_negative_set(
 
 
 def _normalized(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(unit rows, row norms) of ``x``; the unit rows' buffer holds the squares first."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms < 1e-12):
-        raise InvalidArgumentError(f"{what} has a (near-)zero row; similarity undefined")
-    return x / norms[:, None], norms
+    hat = np.empty(x.shape)
+    return hat, normalize_rows(x, hat, what, square=hat)
 
 
 def _logsumexp_rows(parts: list[np.ndarray]) -> np.ndarray:
@@ -285,9 +285,7 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         raise InvalidArgumentError(
             f"label out of range [0, {m}): {labels.min()}..{labels.max()}"
         )
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return float(np.mean(lse - logits[np.arange(n), labels]))
+    return float(np.mean(_logsumexp_rows([logits]) - logits[np.arange(n), labels]))
 
 
 @dataclass
@@ -393,8 +391,7 @@ def loss_and_grad(
         logits_img = block(logits_all, 0)
         ce_value = ce_loss(logits_img, batch.labels)
         if want_grad:
-            probs = softmax(logits_img)
-            g_logits = probs.copy()
+            g_logits = softmax(logits_img)
             g_logits[np.arange(n), batch.labels] -= 1.0
             g_logits /= n
 

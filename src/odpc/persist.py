@@ -31,7 +31,9 @@ then reads the payload straight into the returned arrays.
 
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import json
 import math
 import os
@@ -78,6 +80,14 @@ def atomic_write_bytes(path: str | Path, *parts) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write CSV atomically, one line per row; a cell is ``str`` of it, quoted
+    only when it holds a comma, a double quote or a newline."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    atomic_write_text(path, text.getvalue())
 
 
 def write_json(path: str | Path, obj: object) -> None:

@@ -214,8 +214,5 @@ def train(
 
 def write_loss_history(history: list[EpochStats], path: str | Path) -> None:
     """CSV with one row per epoch: epoch, lr, total, pcc1, pcc2, pcc3, ce."""
-    rows = ["epoch,lr,total,pcc1,pcc2,pcc3,ce"]
-    for st in history:
-        values = (st.lr, st.total, *st.pcc_layers, st.ce)
-        rows.append(",".join([str(st.epoch), *map(repr, values)]))
-    persist.atomic_write_text(path, "\n".join(rows) + "\n")
+    rows = [(st.epoch, st.lr, st.total, *st.pcc_layers, st.ce) for st in history]
+    persist.write_csv(path, ["epoch", "lr", "total", "pcc1", "pcc2", "pcc3", "ce"], rows)

@@ -124,6 +124,14 @@ def test_auroc_invariant_under_monotone_transform(rng):
 def test_auroc_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         auroc([], [1.0])
+    with pytest.raises(InvalidArgumentError):
+        auroc([1.0], [])
+
+
+@pytest.mark.parametrize("id_s, ood_s", [([math.nan, 1.0], [2.0]), ([1.0], [2.0, math.nan])],
+                         ids=["nan-id", "nan-ood"])
+def test_auroc_of_a_nan_score_is_nan(id_s, ood_s):
+    assert math.isnan(auroc(id_s, ood_s))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +328,40 @@ def test_manifest_split_other_than_train_or_test_is_config_error(tmp_path, split
     with pytest.raises(ConfigError, match=re.escape(message)) as exc:
         load_manifest_dataset(path, EmbeddingMatrix(np.ones((4, 4), np.float32)))
     assert str(path) in str(exc.value)
+
+
+def _manifest_with_ids(tmp_path, ids: dict):
+    """A four-sample labels.json whose sample ids ``a``..``d`` are replaced by ``ids``."""
+    path = tmp_path / "labels.json"
+    write_manifest(path, "toy", list(synthetic_class_names(2)), np.array([0, 1, 0, 1]),
+                   np.array([True, True, False, False]), ["a", "b", "c", "d"])
+    doc = json.loads(path.read_text())
+    for i, sample_id in ids.items():
+        doc["samples"][i]["id"] = sample_id
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("ids, message", [
+    ({2: None}, "sample 2 has id None, not a string or an integer"),
+    ({2: {"k": "v"}}, "sample 2 has id {'k': 'v'}, not a string or an integer"),
+    ({2: True}, "sample 2 has id True, not a string or an integer"),
+    ({2: 1.0}, "sample 2 has id 1.0, not a string or an integer"),
+    ({2: "a"}, "sample 2 repeats the id 'a' of sample 0"),
+    ({1: "7", 3: 7}, "sample 3 repeats the id 7 of sample 1"),
+], ids=["null", "object", "bool", "float", "repeat", "repeat-as-text"])
+def test_manifest_id_not_a_distinct_string_or_integer_is_config_error(tmp_path, ids, message):
+    path = _manifest_with_ids(tmp_path, ids)
+    with pytest.raises(ConfigError, match=re.escape(f"labels.json: {message}")) as exc:
+        load_manifest_dataset(path, EmbeddingMatrix(np.ones((4, 4), np.float32)))
+    assert str(path) in str(exc.value)
+
+
+def test_manifest_integer_ids_load_as_text(tmp_path):
+    path = _manifest_with_ids(tmp_path, {0: 10, 3: 0})
+    dataset = load_manifest_dataset(path, EmbeddingMatrix(np.ones((4, 4), np.float32)))
+    assert dataset.sample_ids == ["10", "b", "c", "0"]
+
 
 # ---------------------------------------------------------------------------
 # benchmark runs (desk-scale settings to stay fast)

@@ -1,6 +1,12 @@
 import contextlib
+import csv
 import io
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
@@ -12,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import shipped_class_names, unit_rows
+import odpc
 from odpc import bench, persist
 from odpc.bench import PipelineSettings
 from odpc.cli import CONFIG_KEYS, load_config, main
@@ -239,6 +246,57 @@ def test_encode_then_train_then_project(tmp_path, capsys):
         "project", "--features", str(data_dir / "test.fb"), "--out", str(proj),
     ]) == 0
     assert proj.read_text().startswith("sample_id,x,y,label,id_or_ood")
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("names", [("cat", "dog", "ship"),
+                                   ("goldfish, Carassius auratus", "tench", 'say "cheese"')],
+                         ids=["plain", "comma-and-quote"])
+def test_project_with_labels_and_ood_features(tmp_path, rng, names):
+    _write_labelled_bank(tmp_path, rng, names, dim=8)
+    n_ood = 4
+    persist.write_bank(unit_rows(rng, n_ood, 8).astype(np.float32), tmp_path / "ood.fb", normalized=True)
+    proj = tmp_path / "proj.csv"
+    assert main(["project", "--features", str(tmp_path / "all.fb"), "--labels", str(tmp_path / "labels.json"),
+                 "--ood-features", str(tmp_path / "ood.fb"), "--out", str(proj)]) == 0
+    samples = persist.read_json(tmp_path / "labels.json")["samples"]
+    header, *rows = _read_csv(proj)
+    assert header == ["sample_id", "x", "y", "label", "id_or_ood"]
+    assert len(rows) == len(samples) + n_ood and all(len(row) == 5 for row in rows)
+    id_rows, ood_rows = rows[: len(samples)], rows[len(samples):]
+    assert [(r[0], r[3], r[4]) for r in id_rows] == [(s["id"], s["class"], "id") for s in samples]
+    assert [r[0] for r in ood_rows] == [f"ood{i:06d}" for i in range(n_ood)]
+    assert all(r[3:] == ["unknown", "ood"] for r in ood_rows)
+
+
+def test_train_skip_warnings_go_to_stdout_not_stderr(tmp_path, rng):
+    """Run as a child process: under pytest the root logger has handlers, so
+    Python's last-resort handler, which writes to stderr, would never fire."""
+    names, labels = ["cat", "dog"], np.repeat([0, 1], [390, 10])
+    persist.write_bank(unit_rows(rng, labels.size, 8).astype(np.float32), tmp_path / "all.fb",
+                       normalized=True)
+    bench.write_manifest(tmp_path / "labels.json", "two", names, labels, np.ones(labels.size, bool),
+                         [f"s{i}" for i in range(labels.size)])
+    cfg = write_config(tmp_path, {"epochs": 1, "feature_dim": 8, "hidden_dims": [8, 8, 8]})
+    handlers = list(logging.getLogger("odpc").handlers)
+    assert main(["gen-peers", "--config", cfg, "--classes", "cat,dog",
+                 "--out", str(tmp_path / "peers.json")]) == 0
+    assert logging.getLogger("odpc").handlers == handlers
+    src = str(Path(odpc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "odpc.cli", "train", "--config", cfg,
+         "--features", str(tmp_path / "all.fb"), "--labels", str(tmp_path / "labels.json"),
+         "--peers", str(tmp_path / "peers.json"), "--out", str(tmp_path / "head.ckpt"),
+         "--history", str(tmp_path / "history.csv")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert re.search(r"^warning: epoch 0: skipped \d+ single-class batch\(es\)$", proc.stdout, re.M)
 
 
 def test_train_zero_epochs_checkpoint_equals_init(tmp_path):

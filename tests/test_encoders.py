@@ -3,7 +3,7 @@ import pytest
 
 from conftest import toy_encode_reference, unit_rows
 from odpc import encoders, persist
-from odpc.blocks import CHECK_BLOCK_ELEMS, rows_per_block
+from odpc.blocks import CHECK_BLOCK_ELEMS, normalize_rows, row_norms, rows_per_block
 from odpc.encoders import (
     EmbeddingMatrix,
     ToyEncoderConfig,
@@ -65,8 +65,31 @@ def test_zero_row_in_second_chunk_names_its_global_index(rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_norms_bit_equal_to_linalg_norm(rng, dtype):
     rows = (rng.standard_normal((37, 48)) * 3.0).astype(dtype)
-    got = encoders._row_norms(rows, np.empty(rows.shape))
+    got = row_norms(rows, np.empty(rows.shape))
     assert got.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_rows_bit_equal_to_dividing_by_linalg_norm(rng, dtype):
+    rows = (rng.standard_normal((37, 48)) * 3.0).astype(dtype)
+    x = rows.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    want = x / norms[:, None]
+    out = np.empty(rows.shape)
+    assert normalize_rows(rows, out, "rows").tobytes() == norms.tobytes()
+    assert out.tobytes() == want.tobytes()
+    shared = np.empty(rows.shape)  # the squares go into the output first
+    normalize_rows(rows, shared, "rows", square=shared)
+    assert shared.tobytes() == want.tobytes()
+    normalize_rows(x, x, "rows", square=np.empty(rows.shape))  # in place
+    assert x.tobytes() == want.tobytes()
+
+
+def test_normalize_rows_names_a_zero_row_by_its_global_index(rng):
+    rows = rng.standard_normal((5, 4))
+    rows[3] = 1e-13
+    with pytest.raises(InvalidArgumentError, match=r"^layer 2 row 103 has \(near-\)zero norm$"):
+        normalize_rows(rows, np.empty(rows.shape), "layer 2", first_row=100)
 
 
 def _rows_to_last_check_block(dim):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import knn_full_scan_reference, knn_kth_distance_reference, unit_rows
+from odpc.blocks import rows_per_block
 from odpc.errors import ConfigError, InvalidArgumentError, ShapeError
 from odpc.head import forward, init_head
 from odpc.knn_detector import (
     BANK_CHUNK_ROWS,
+    SCAN_BLOCK_ELEMS,
     Decision,
     FeatureBank,
     KnnConfig,
@@ -14,7 +16,6 @@ from odpc.knn_detector import (
     calibrate_threshold,
     detect,
     export_scores,
-    _query_chunk,
     knn_scores,
     passthrough_transform,
 )
@@ -95,7 +96,7 @@ def test_exact_matches_loop_reference(seed):
 
 # Bank rows chosen so a scan chunk holds 1024 queries.
 _SCAN_BANK_ROWS = 2048
-_SCAN_CHUNK = _query_chunk(_SCAN_BANK_ROWS)
+_SCAN_CHUNK = rows_per_block(_SCAN_BANK_ROWS, SCAN_BLOCK_ELEMS)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +135,7 @@ def test_bank_transform_zero_row_in_second_chunk_raises(rng):
     head = init_head(3, 2, seed=4, feature_dim=16)
     feats = unit_rows(rng, BANK_CHUNK_ROWS + 1, 16)
     feats[-1] = 0.0  # zero biases: a zero input row stays zero through layer 1
-    with pytest.raises(InvalidArgumentError, match="layer 1"):
+    with pytest.raises(InvalidArgumentError, match=f"layer 1 row {BANK_CHUNK_ROWS} "):
         bank_transform(head, feats)
 
 

@@ -417,6 +417,15 @@ def test_ce_classifier_bias_gradient_closed_form(rng):
     assert np.max(np.abs(grads.clf_bias - (probs - onehot))) < 1e-12
 
 
+def test_loss_and_grad_names_a_zero_activation_row():
+    # Zero biases: a zero image row stays zero through the first layer.
+    batch = _small_batch(np.random.default_rng(0), [0, 1, 0, 1])
+    batch.image_features[2] = 0.0
+    head = init_head(2, 1, seed=0, feature_dim=8)
+    with pytest.raises(InvalidArgumentError, match=r"^image features row 2 has \(near-\)zero norm$"):
+        loss_and_grad(head, batch, None, LossConfig(use_mixup=False))
+
+
 def test_grad_total_loss_frozen_inputs_untouched():
     head, batch, negatives, cfg = make_grad_instance(5)
     img = batch.image_features.copy()
