@@ -31,7 +31,7 @@ from .errors import (
     OfflineError,
     ShapeError,
 )
-from .head import ForwardActivations, MlpHead, forward, init_head, load_checkpoint, save_checkpoint
+from .head import MlpHead, forward, init_head, load_checkpoint, save_checkpoint
 from .knn_detector import (
     Decision,
     FeatureBank,

@@ -14,6 +14,7 @@ classes as unknowns.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -120,7 +121,6 @@ class BenchmarkSplit:
     protocol: str
     known_classes: tuple[str, ...]
     unknown_classes: tuple[str, ...]
-    seed: int
 
     def __post_init__(self):
         if set(self.known_classes) & set(self.unknown_classes):
@@ -162,12 +162,7 @@ def make_split(protocol: str, class_catalog: ClassCatalog, seed: int) -> Benchma
         remaining = [c for c in pool if c not in set(known)]
         unknown = _sample(rng, remaining, n_unknown, "unknown",
                           f"the catalog of {len(pool)} less the {n_known} known")
-    return BenchmarkSplit(
-        protocol=protocol,
-        known_classes=tuple(known),
-        unknown_classes=tuple(unknown),
-        seed=seed,
-    )
+    return BenchmarkSplit(protocol=protocol, known_classes=tuple(known), unknown_classes=tuple(unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +304,14 @@ def synthetic_feature_dataset(spec: SyntheticSpec, encoder: ToyEncoderConfig) ->
 
 
 def read_manifest(manifest_path: str | Path) -> dict:
-    """A labels manifest's JSON object, checked to list its ``classes`` as distinct names."""
+    """A labels manifest's JSON object, checked to list its ``classes`` as distinct names with no \\r."""
     doc = persist.read_json(manifest_path)
     classes = doc.get("classes") if isinstance(doc, dict) else None
     if not (isinstance(classes, list) and all(isinstance(name, str) for name in classes)):
         raise ConfigError(f"{manifest_path}: not a labels manifest whose classes are a list of names")
+    for name in classes:
+        if "\r" in name:
+            raise ConfigError(f"{manifest_path}: class {name!r} holds a carriage return")
     if len(set(classes)) < len(classes):
         repeated = next(name for i, name in enumerate(classes) if name in classes[:i])
         raise ConfigError(f"{manifest_path}: class {repeated!r} is listed more than once")
@@ -326,7 +324,8 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
     A malformed manifest raises ConfigError; a bad sample is named by its
     index, with the key it lacks, the class it names that is not listed, its
     ``split`` if that is not ``"train"`` or ``"test"``, or its ``id`` if that
-    is not a string or an integer or repeats an earlier id (compared as text).
+    is not a string or an integer, holds a carriage return, or repeats an
+    earlier id (compared as text).
     """
     doc = read_manifest(manifest_path)
     samples, classes = doc.get("samples"), doc["classes"]
@@ -344,7 +343,7 @@ def load_manifest_dataset(manifest_path: str | Path, features: EmbeddingMatrix) 
         ids = [str(s["id"]) for s in samples if type(s["id"]) in (str, int)]
     except (KeyError, TypeError):
         raise _bad_sample(manifest_path, samples, index) from None
-    if len(set(ids)) < len(samples):
+    if len(set(ids)) < len(samples) or "\r" in "".join(ids):
         raise _bad_sample(manifest_path, samples, index)
     return FeatureDataset(
         class_names=classes, features=features, labels=labels, is_train=is_train, sample_ids=ids
@@ -369,6 +368,8 @@ def _bad_sample(manifest_path: str | Path, samples: list, index: dict[str, int])
         sid = sample["id"]
         if type(sid) not in (str, int):
             return ConfigError(f"{manifest_path}: sample {i} has id {sid!r}, not a string or an integer")
+        if "\r" in str(sid):
+            return ConfigError(f"{manifest_path}: sample {i} has id {sid!r}, which holds a carriage return")
         if first_with_id.setdefault(str(sid), i) != i:
             return ConfigError(f"{manifest_path}: sample {i} repeats the id {sid!r} of sample "
                                f"{first_with_id[str(sid)]}")
@@ -531,43 +532,46 @@ def run_benchmark(
                       openness_pct=split.openness_pct)
 
 
-def write_results_csv(results: list[EvalResult], path: str | Path) -> None:
-    rows = [(res.protocol, r, seed, score, res.openness_pct)
-            for res in results for r, (seed, score) in enumerate(zip(res.seeds, res.aurocs))]
+def write_results_csv(result: EvalResult, path: str | Path) -> None:
+    rows = [(result.protocol, r, seed, score, result.openness_pct)
+            for r, (seed, score) in enumerate(zip(result.seeds, result.aurocs))]
     persist.write_csv(path, ["protocol", "repeat", "seed", "auroc", "openness"], rows)
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
-    """One dict per result row, keyed by the header; blank lines are skipped.
-
-    A row whose field count differs from the header's, that lacks a
-    ``protocol``, ``auroc`` or ``openness`` column, or whose ``auroc`` or
-    ``openness`` does not parse as a float (``nan`` does) raises FormatError
-    naming the file and the line.
+    """One dict per row of ``persist.write_csv``'s CSV, keyed by the header; blank
+    lines are skipped. Text the CSV reader rejects, a row whose field count
+    differs from the header's, that lacks a ``protocol``, ``auroc`` or ``openness``
+    column, or whose ``auroc`` or ``openness`` does not parse as a float (``nan``
+    does) raises FormatError naming the file and the line.
     """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = [(reader.line_num, parts) for parts in reader]
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num} is not CSV ({exc})") from None
+    header = records[0][1] if records else []
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
+    for lineno, parts in records[1:]:
+        if len(parts) < 2 and not "".join(parts).strip():
+            continue
+        if len(parts) != len(header):
+            raise FormatError(
+                f"{path}: line {lineno} has {len(parts)} fields, the header {len(header)}"
+            )
+        row = dict(zip(header, parts))
+        missing = [c for c in ("protocol", "auroc", "openness") if c not in row]
+        if missing:
+            raise FormatError(f"{path}: line {lineno} has no {missing[0]!r} column")
+        for column in ("auroc", "openness"):
+            try:
+                float(row[column])
+            except ValueError:
                 raise FormatError(
-                    f"{path}: line {lineno} has {len(parts)} fields, the header {len(header)}"
-                )
-            row = dict(zip(header, parts))
-            missing = [c for c in ("protocol", "auroc", "openness") if c not in row]
-            if missing:
-                raise FormatError(f"{path}: line {lineno} has no {missing[0]!r} column")
-            for column in ("auroc", "openness"):
-                try:
-                    float(row[column])
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {lineno} {column} {row[column]!r} is not a number"
-                    ) from None
-            rows.append(row)
+                    f"{path}: line {lineno} {column} {row[column]!r} is not a number"
+                ) from None
+        rows.append(row)
     return rows
 
 
@@ -623,7 +627,7 @@ def export_projection(
     data: np.ndarray,
     labels: list[str],
     out_path: str | Path,
-    id_flags: list[bool] | None = None,
+    id_flags: list[bool],
     sample_ids: list[str] | None = None,
 ) -> np.ndarray:
     """Write (sample_id, x, y, label, id_or_ood) CSV rows of the 2-D PCA."""
@@ -631,10 +635,10 @@ def export_projection(
     n = coords.shape[0]
     if len(labels) != n:
         raise InvalidArgumentError("one label per sample required")
-    if id_flags is not None and len(id_flags) != n:
+    if len(id_flags) != n:
         raise InvalidArgumentError("one id/ood flag per sample required")
     ids = sample_ids if sample_ids is not None else [f"s{i:06d}" for i in range(n)]
-    rows = [(ids[i], x, y, labels[i], "id" if id_flags is None or id_flags[i] else "ood")
+    rows = [(ids[i], x, y, labels[i], "id" if id_flags[i] else "ood")
             for i, (x, y) in enumerate(coords.tolist())]
     persist.write_csv(out_path, ["sample_id", "x", "y", "label", "id_or_ood"], rows)
     return coords

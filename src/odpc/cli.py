@@ -2,8 +2,8 @@
 
 One JSON config drives everything. Each key is a line of ``CONFIG_KEYS``
 naming the dataclass field(s) it sets; its default and JSON type are that
-field's. The flags --seed, --epochs, --provider, --offline and --n
-(peers_per_class) override the config through the same table. Commands:
+field's. The flags --seed, --epochs, --provider, --n (peers_per_class) and,
+on gen-peers, --offline override the config through the same table. Commands:
 
     gen-peers   generate peer labels -> peers.json
     encode      produce feature bank files (synthetic toy data, or re-validate imports)
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bench, persist
 from .encoders import import_embeddings
-from .errors import ConfigError, InvalidArgumentError, OdpcError
+from .errors import ConfigError, InvalidArgumentError, OdpcError, ShapeError
 from .head import save_checkpoint
 from .peer_gen import (
     HttpLlmProvider,
@@ -260,7 +260,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     result = bench.run_benchmark(
         args.protocol, args.repeats, settings, base_seed=settings.training.seed, dataset=dataset,
     )
-    bench.write_results_csv([result], args.out)
+    bench.write_results_csv(result, args.out)
     print(f"{args.protocol}: AUROC {result.mean:.4f} +- {result.std:.4f} "
           f"over {args.repeats} repeats -> {args.out}")
     return 0
@@ -287,6 +287,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
         ids = dataset.sample_ids
     if args.ood_features:
         ood = import_embeddings(args.ood_features)
+        if ood.dim != features.dim:
+            raise ShapeError(f"{args.ood_features} is {ood.dim}-d but {args.features} is {features.dim}-d")
         data = np.vstack([data, ood.values])
         labels = labels + ["unknown"] * ood.rows
         flags = flags + [False] * ood.rows
@@ -305,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", default=None, help="config.json path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--offline", action="store_const", const=True, default=None)
 
     p = sub.add_parser("gen-peers", help="generate peer-class labels")
     common(p)
+    p.add_argument("--offline", action="store_const", const=True, default=None)
     p.add_argument("--classes", help="comma-separated ID class labels")
     p.add_argument("--labels", help="labels.json manifest to read classes from")
     p.add_argument("--provider", choices=["stub", "http"], default=None)

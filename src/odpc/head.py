@@ -86,12 +86,6 @@ class MlpHead:
         return replace(self, params=flat)
 
 
-@dataclass
-class ForwardActivations:
-    per_layer: list[np.ndarray]    # post-ReLU outputs of the shared layers, (batch, dim) each
-    logits: np.ndarray             # (batch, num_outputs)
-
-
 def init_head(
     num_id_classes: int,
     num_peer_outputs: int,
@@ -132,14 +126,14 @@ def _as_batch(features: np.ndarray) -> np.ndarray:
     return arr
 
 
-def forward_with_cache(
-    head: MlpHead, features: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def forward_with_cache(head: MlpHead, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Forward pass keeping what backprop needs.
 
-    Returns (hs, zs, logits) where hs[0] is the input and hs[l] the
-    post-ReLU output of layer l, zs[l-1] its pre-activation. Parameters
-    are cast to float64 here unless they already are (see ``MlpHead.like``).
+    Returns (hs, logits) where hs[0] is the input and hs[l] the post-ReLU
+    output of layer l, written over its own pre-activation: backprop masks
+    with ``hs[l] > 0``, which holds where the pre-activation is positive.
+    Parameters are cast to float64 here unless they already are (see
+    ``MlpHead.like``).
     """
     x = _as_batch(features)
     if x.shape[1] != head.feature_dim:
@@ -147,13 +141,11 @@ def forward_with_cache(
             f"feature dim {x.shape[1]} does not match head dim {head.feature_dim}"
         )
     hs = [x]
-    zs = []
     for w, b in zip(head.weights, head.biases):
         z = hs[-1] @ _f64(w).T + _f64(b)
-        zs.append(z)
-        hs.append(np.maximum(z, 0.0))
+        hs.append(np.maximum(z, 0.0, out=z))
     logits = hs[-1] @ _f64(head.clf_weight).T + _f64(head.clf_bias)
-    return hs, zs, logits
+    return hs, logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -162,14 +154,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(head: MlpHead, features: np.ndarray) -> ForwardActivations:
-    """Run features through the shared layers and the classifier.
+def forward(head: MlpHead, features: np.ndarray) -> list[np.ndarray]:
+    """The post-ReLU outputs of the shared layers, (batch, width) each.
 
-    Image and text features go through the same three layers; the caller
-    decides which logits (image ones) feed the cross-entropy.
+    Image and text features go through the same three layers.
     """
-    hs, _, logits = forward_with_cache(head, features)
-    return ForwardActivations(per_layer=hs[1:], logits=logits)
+    return forward_with_cache(head, features)[0][1:]
 
 
 def save_checkpoint(head: MlpHead, path: str | Path) -> None:

@@ -91,7 +91,7 @@ def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
     out = np.empty((n, sum(head.dims[1:-1])))
     for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
         segments = np.split(out[lo:hi], np.cumsum(head.dims[1:-2]), axis=1)
-        for l, (h, seg) in enumerate(zip(forward(head, values[lo:hi]).per_layer, segments), start=1):
+        for l, (h, seg) in enumerate(zip(forward(head, values[lo:hi]), segments), start=1):
             normalize_rows(h, seg, f"layer {l}", lo, square=seg)
         del h  # or the last layer's rows stay alive through the next chunk's forward
     return out

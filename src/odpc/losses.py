@@ -353,7 +353,7 @@ def loss_and_grad(
         streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
     params = head.like(np.asarray(head.params, dtype=np.float64))
-    hs, zs, logits_all = forward_with_cache(params, np.vstack(streams))
+    hs, logits_all = forward_with_cache(params, np.vstack(streams))
     n_layers = len(head.weights)
 
     def block(arr: np.ndarray, s: int) -> np.ndarray:
@@ -408,7 +408,7 @@ def loss_and_grad(
         running[0:n] += g_logits @ params.clf_weight
 
     for li in range(n_layers - 1, -1, -1):
-        dz = running * (zs[li] > 0)
+        dz = running * (hs[li + 1] > 0)
         np.matmul(dz.T, hs[li], out=grads.weights[li])
         np.sum(dz, axis=0, out=grads.biases[li])
         if li > 0:

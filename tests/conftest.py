@@ -97,7 +97,9 @@ def _min_abs_preactivation(head: MlpHead, batch: TrainingBatch, negatives: Negat
     if negatives is not None:
         streams += [negatives.mixed_images, negatives.mixed_texts]
     stacked = np.vstack(streams)
-    hs, zs, _ = forward_with_cache(head, stacked)
+    hs, _ = forward_with_cache(head, stacked)
+    zs = [h @ w.astype(np.float64).T + b.astype(np.float64)
+          for h, w, b in zip(hs, head.weights, head.biases)]
     min_z = min(float(np.min(np.abs(z))) for z in zs)
     min_norm = min(float(np.min(np.linalg.norm(h, axis=1))) for h in hs)
     return min_z, min_norm
@@ -157,7 +159,7 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     streams = [batch.image_features, batch.class_texts[batch.labels]]
     if use_mix:
         streams += [negatives.mixed_images, negatives.mixed_texts[negatives.text_index]]
-    hs, zs, logits = forward_with_cache(head, np.vstack(streams))
+    hs, logits = forward_with_cache(head, np.vstack(streams))
     adj = [np.zeros_like(h) for h in hs[1:]]
     total = 0.0
     for l in range(1, 4):
@@ -189,7 +191,7 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     d_w, d_b = [None] * 3, [None] * 3
     running = adj[2]
     for li in (2, 1, 0):
-        dz = running * (zs[li] > 0)
+        dz = running * (hs[li + 1] > 0)
         d_w[li] = dz.T @ hs[li]
         d_b[li] = dz.sum(axis=0)
         if li > 0:

@@ -393,7 +393,7 @@ def test_run_benchmark_single_repeat_zero_std():
 def test_results_csv_roundtrip_and_table(tmp_path):
     res = run_benchmark("synthetic", 2, _fast_settings("passthrough"), base_seed=1)
     path = tmp_path / "results.csv"
-    write_results_csv([res], path)
+    write_results_csv(res, path)
     rows = read_results_csv(path)
     assert len(rows) == 2
     assert rows[0]["protocol"] == "synthetic"
@@ -402,6 +402,14 @@ def test_results_csv_roundtrip_and_table(tmp_path):
     write_table_md(rows, table)
     text = table.read_text()
     assert "synthetic" in text and "+-" in text
+
+
+def test_results_csv_with_quoted_fields_reads_as_unquoted(tmp_path):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("protocol,repeat,seed,auroc,openness\nsynthetic,0,7,0.9,13.39\n", encoding="utf-8")
+    quoted.write_text('"protocol",repeat,seed,"auroc","openness"\n"synthetic",0,7,"0.9","13.39"\n',
+                      encoding="utf-8")
+    assert read_results_csv(quoted) == read_results_csv(plain)
 
 
 def test_run_benchmark_imported_dataset(tmp_path, rng):
@@ -565,7 +573,7 @@ def test_projection_identity_on_centered_2d():
 
 def test_projection_duplicated_sample_duplicates_row(tmp_path):
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    coords = export_projection(pts, ["a", "b", "a", "c"], tmp_path / "proj.csv")
+    coords = export_projection(pts, ["a", "b", "a", "c"], tmp_path / "proj.csv", id_flags=[True] * 4)
     assert np.allclose(coords[0], coords[2])
     lines = (tmp_path / "proj.csv").read_text().strip().splitlines()
     assert lines[0] == "sample_id,x,y,label,id_or_ood"

@@ -273,6 +273,61 @@ def test_project_with_labels_and_ood_features(tmp_path, rng, names):
     assert all(r[3:] == ["unknown", "ood"] for r in ood_rows)
 
 
+@pytest.mark.parametrize("ood_dim", [6, 16])
+def test_project_ood_bank_of_another_width_is_usage_error(tmp_path, rng, capsys, ood_dim):
+    _write_labelled_bank(tmp_path, rng, ("cat", "dog", "ship"), dim=8)
+    ood = tmp_path / "ood.fb"
+    persist.write_bank(unit_rows(rng, 4, ood_dim).astype(np.float32), ood, normalized=True)
+    proj = tmp_path / "proj.csv"
+    capsys.readouterr()
+    rc = main(["project", "--features", str(tmp_path / "all.fb"), "--ood-features", str(ood),
+               "--out", str(proj)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ShapeError"
+    named = (str(ood), str(tmp_path / "all.fb"), f"{ood_dim}-d", "8-d")
+    assert all(part in doc["message"] for part in named)
+    assert not proj.exists()
+
+
+def _manifest_with_carriage_return(path, source, where):
+    """``source``'s labels.json with a carriage return in its first class or
+    in sample 4's id, written to ``path``; returns what the error must name."""
+    doc = persist.read_json(source)
+    if where == "class":
+        old, new = doc["classes"][0], doc["classes"][0] + "\r1"
+        doc["classes"][0] = new
+        for sample in doc["samples"]:
+            if sample["class"] == old:
+                sample["class"] = new
+        named = repr(new)
+    else:
+        doc["samples"][4]["id"] = "s\r4"
+        named = "sample 4"
+    persist.write_json(path, doc)
+    return named
+
+
+@pytest.mark.parametrize("where", ["class", "id"])
+def test_project_manifest_with_carriage_return_is_usage_error(tmp_path, rng, capsys, where):
+    _write_labelled_bank(tmp_path, rng, ("cat", "dog", "ship"), dim=8)
+    labels = tmp_path / "edited.json"
+    named = _manifest_with_carriage_return(labels, tmp_path / "labels.json", where)
+    proj = tmp_path / "proj.csv"
+    capsys.readouterr()
+    rc = main(["project", "--features", str(tmp_path / "all.fb"), "--labels", str(labels),
+               "--out", str(proj)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError"
+    assert str(labels) in doc["message"] and named in doc["message"]
+    assert not proj.exists()
+
+
 def test_train_skip_warnings_go_to_stdout_not_stderr(tmp_path, rng):
     """Run as a child process: under pytest the root logger has handlers, so
     Python's last-resort handler, which writes to stderr, would never fire."""
@@ -521,6 +576,15 @@ def test_train_sizes_classifier_by_the_peers_of_trained_classes_only(tmp_path, t
     head = load_checkpoint(ckpt)
     assert (head.num_id_classes, head.num_peer_outputs) == (len(classes) - 2, len(trained))
     assert len(trained) < len(every)
+
+
+@pytest.mark.parametrize("where", ["class", "id"])
+def test_train_manifest_with_carriage_return_is_usage_error(tmp_path, capsys, train_inputs, where):
+    labels = tmp_path / "labels.json"
+    named = _manifest_with_carriage_return(labels, train_inputs["labels"], where)
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, labels=labels)
+    assert doc["error"] == "ConfigError"
+    assert str(labels) in doc["message"] and named in doc["message"]
 
 
 @pytest.mark.parametrize("which", ["config", "labels", "peers"])
@@ -806,8 +870,9 @@ def test_gen_peers_labels_classes_not_a_list_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad_row",
-    ["synthetic,1,8", "synthetic,1,8,abc,13.39", "synthetic,1,8,0.8,"],
-    ids=["short-row", "auroc-abc", "openness-empty"],
+    ["synthetic,1,8", "synthetic,1,8,abc,13.39", "synthetic,1,8,0.8,",
+     "synthetic,1,8," + "9" * 200_000 + ",13.39"],
+    ids=["short-row", "auroc-abc", "openness-empty", "field-beyond-csv-limit"],
 )
 def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"

@@ -12,6 +12,7 @@ from odpc.head import (
     CK_MAGIC,
     MlpHead,
     forward,
+    forward_with_cache,
     init_head,
     load_checkpoint,
     save_checkpoint,
@@ -72,41 +73,39 @@ def test_forward_matches_manual_recomputation(rng):
     for b in head.biases:
         b[...] = rng.uniform(-0.2, 0.2, b.shape).astype(np.float32)
     x = rng.standard_normal((5, 24))
-    acts = forward(head, x)
+    _, logits = forward_with_cache(head, x)
     ref = manual_forward(head, x)
-    assert np.max(np.abs(acts.logits - ref)) < 1e-5
+    assert np.max(np.abs(logits - ref)) < 1e-5
 
 
 def test_forward_zero_weights_uniform_probabilities(rng):
     head = init_head(2, 2, seed=0, feature_dim=8)
     head.params[...] = 0.0
-    acts = forward(head, rng.standard_normal((3, 8)))
-    assert not any(layer.any() for layer in acts.per_layer)
-    assert np.allclose(softmax(acts.logits), 0.25)
+    hs, logits = forward_with_cache(head, rng.standard_normal((3, 8)))
+    assert not any(layer.any() for layer in hs[1:])
+    assert np.allclose(softmax(logits), 0.25)
 
 
 def test_forward_empty_batch():
     head = init_head(2, 0, seed=0, feature_dim=8)
-    acts = forward(head, np.zeros((0, 8)))
-    assert acts.logits.shape == (0, 2)
-    assert all(layer.shape == (0, 8) for layer in acts.per_layer)
+    hs, logits = forward_with_cache(head, np.zeros((0, 8)))
+    assert logits.shape == (0, 2)
+    assert all(layer.shape == (0, 8) for layer in hs[1:])
     with np.errstate(all="raise"):
-        probs = softmax(acts.logits)
+        probs = softmax(logits)
     assert probs.shape == (0, 2) and probs.dtype == np.float64
 
 
 def test_forward_softmax_rows_sum_to_one(rng):
     head = init_head(4, 3, seed=2, feature_dim=16)
-    acts = forward(head, rng.standard_normal((9, 16)))
-    assert np.max(np.abs(softmax(acts.logits).sum(axis=1) - 1.0)) < 1e-6
+    _, logits = forward_with_cache(head, rng.standard_normal((9, 16)))
+    assert np.max(np.abs(softmax(logits).sum(axis=1) - 1.0)) < 1e-6
 
 
 def test_forward_shared_layers_for_both_modalities(rng):
     head = init_head(3, 2, seed=4, feature_dim=16)
     row = rng.standard_normal((1, 16))
-    img_acts = forward(head, row)
-    txt_acts = forward(head, row.copy())
-    for a, b in zip(img_acts.per_layer, txt_acts.per_layer):
+    for a, b in zip(forward(head, row), forward(head, row.copy())):
         assert np.array_equal(a, b)
 
 
@@ -271,9 +270,21 @@ def test_forward_does_not_mutate_head(rng):
     assert np.array_equal(head.params, before)
 
 
+def test_forward_with_cache_leaves_a_float64_input_unchanged(rng):
+    # hs[0] is the caller's own array; the in-place ReLUs must write only the layers' outputs.
+    head = init_head(2, 1, seed=3, feature_dim=8)
+    for b in head.biases:
+        b[...] = 0.5
+    x = rng.standard_normal((4, 8))
+    before = x.copy()
+    hs, _ = forward_with_cache(head, x)
+    assert hs[0] is x
+    assert x.view(np.uint64).tobytes() == before.view(np.uint64).tobytes()
+    assert all(layer.min() >= 0.0 for layer in hs[1:])
+
+
 def test_init_custom_hidden_dims(rng):
     head = init_head(3, 2, seed=1, feature_dim=16, hidden_dims=(8, 12, 6))
     assert [w.shape for w in head.weights] == [(8, 16), (12, 8), (6, 12)]
     assert head.clf_weight.shape == (5, 6)
-    acts = forward(head, rng.standard_normal((4, 16)))
-    assert [h.shape[1] for h in acts.per_layer] == [8, 12, 6]
+    assert [h.shape[1] for h in forward(head, rng.standard_normal((4, 16)))] == [8, 12, 6]

@@ -117,8 +117,7 @@ def test_scan_matches_full_scan_at_chunk_boundaries(n_queries):
 
 
 def _unchunked_bank_transform(head, feats):
-    per_layer = forward(head, feats).per_layer
-    return np.concatenate([h / np.linalg.norm(h, axis=1)[:, None] for h in per_layer], axis=1)
+    return np.concatenate([h / np.linalg.norm(h, axis=1)[:, None] for h in forward(head, feats)], axis=1)
 
 
 @pytest.mark.parametrize("rows", [BANK_CHUNK_ROWS - 1, BANK_CHUNK_ROWS, BANK_CHUNK_ROWS + 1])

@@ -17,7 +17,7 @@ from conftest import (
 )
 from odpc.errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
 import odpc.losses
-from odpc.head import forward, forward_with_cache, init_head, softmax
+from odpc.head import forward_with_cache, init_head, softmax
 from odpc.losses import (
     LossConfig,
     NegativeSet,
@@ -285,7 +285,7 @@ def test_total_loss_composes_constituent_oracles():
         batch.image_features, batch.class_texts[batch.labels],
         negatives.mixed_images, negatives.mixed_texts[negatives.text_index],
     ])
-    hs, _, logits = forward_with_cache(head, streams)
+    hs, logits = forward_with_cache(head, streams)
     n = batch.size
     expected = 0.0
     for l in (1, 2, 3):
@@ -411,7 +411,7 @@ def test_ce_classifier_bias_gradient_closed_form(rng):
     cfg = LossConfig(use_pcc=False)
     single = TrainingBatch(batch.image_features[:1], batch.labels[:1], batch.class_texts)
     grads = loss_and_grad(head, single, None, cfg)[1]
-    probs = softmax(forward(head, single.image_features).logits)[0]
+    probs = softmax(forward_with_cache(head, single.image_features)[1])[0]
     onehot = np.zeros_like(probs)
     onehot[single.labels[0]] = 1.0
     assert np.max(np.abs(grads.clf_bias - (probs - onehot))) < 1e-12
