@@ -41,15 +41,7 @@ from .knn_detector import (
     detect,
     knn_scores,
 )
-from .losses import (
-    LossConfig,
-    NegativeSet,
-    TrainingBatch,
-    build_negative_set,
-    ce_loss,
-    mixup,
-    pcc_loss,
-)
+from .losses import LossConfig, ce_loss, pcc_loss
 from .peer_gen import (
     HttpLlmProvider,
     LlmCache,

@@ -17,8 +17,9 @@ on gen-peers, --offline override the config through the same table. Commands:
 ``train`` and ``eval`` fit the head through the same ``bench.fit``, so a
 config trains the same way in both.
 
-Usage errors (bad config, missing inputs) exit with code 2; runtime
-failures exit with code 1; each prints a one-line JSON error to stderr.
+Usage errors (bad config, missing inputs, arguments the parser rejects)
+exit with code 2; runtime failures exit with code 1; each prints a one-line
+JSON error to stderr.
 Warnings (batches skipped in training) go to stdout as ``warning:`` lines.
 """
 
@@ -299,9 +300,16 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejections are ConfigErrors for ``main``'s JSON line; sub-commands share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="odpc", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="odpc", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser):
@@ -363,16 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
     warnings = logging.StreamHandler(sys.stdout)  # removed on return: main may run again
     warnings.setFormatter(logging.Formatter("warning: %(message)s"))
     logging.getLogger("odpc").addHandler(warnings)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # only --help exits, with 0, once its usage is on stdout
+        return exc.code
     except (OdpcError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) else RUNTIME_EXIT

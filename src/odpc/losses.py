@@ -29,6 +29,11 @@ mixed_texts[text_index[i]]. loss_and_grad forwards the images, the
 descriptions of the classes in the batch, the mixed images and the mixed
 texts, gathers the per-row text activations for the contrastive terms, and
 sums their adjoints back into the rows they came from.
+
+The step functions (TrainingBatch, build_negative_set, loss_and_grad and the
+contrastive core) raise nothing: they trust ``trainer.train``'s one check of
+labels, peers and widths before the first epoch, and train skips
+single-class batches. The standalone pcc_loss and ce_loss check their inputs.
 """
 
 from __future__ import annotations
@@ -80,20 +85,6 @@ class TrainingBatch:
         self.image_features = np.asarray(self.image_features, dtype=np.float64)
         self.class_texts = np.asarray(self.class_texts, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.image_features.ndim != 2 or self.class_texts.ndim != 2:
-            raise ShapeError("batch features must be 2-D")
-        if self.image_features.shape[1] != self.class_texts.shape[1]:
-            raise ShapeError(
-                f"image/text feature dims differ: {self.image_features.shape[1]} "
-                f"vs {self.class_texts.shape[1]}"
-            )
-        if self.labels.shape != (self.image_features.shape[0],):
-            raise ShapeError("labels must be one index per batch row")
-        if self.size and (self.labels.min() < 0 or self.labels.max() >= len(self.class_texts)):
-            raise InvalidArgumentError(
-                f"labels {self.labels.min()}..{self.labels.max()} do not index "
-                f"the {len(self.class_texts)} class texts"
-            )
 
     @property
     def size(self) -> int:
@@ -137,25 +128,17 @@ def build_negative_set(
     a different class; the mixed text of row i blends the description of
     class labels[i] with a uniformly chosen peer description of that class,
     and each distinct (label, peer) blend is made once. Deterministic given
-    the rng.
+    the rng. The batch holds at least two classes and each of them has peers:
+    ``trainer.train`` skips single-class batches and checks the peers up front.
     """
     n = batch.size
-    if n < 2:
-        raise DegenerateBatchError(f"need a batch of >= 2 samples, got {n}")
     labels = batch.labels
-    if np.unique(labels).size < 2:
-        raise DegenerateBatchError("batch holds a single class; cannot mix across classes")
-
     q_indices = np.empty(n, dtype=np.int64)
     p_choices = np.empty(n, dtype=np.int64)
     for i in range(n):
         candidates = np.flatnonzero(labels != labels[i])
         q_indices[i] = candidates[rng.integers(len(candidates))]
-        cls = int(labels[i])
-        peers = peer_text_features.get(cls)
-        if peers is None or len(peers) == 0:
-            raise ConfigError(f"class {cls} has no peer description features")
-        p_choices[i] = rng.integers(len(peers))
+        p_choices[i] = rng.integers(len(peer_text_features[int(labels[i])]))
 
     # One integer per (label, peer) pair, ascending in (label, peer) order.
     pair_keys = labels * (p_choices.max() + 1) + p_choices
@@ -184,16 +167,11 @@ def _pcc_value_and_input_grads(anchors, positives, negatives, tau: float, form: 
     """Loss value and, optionally, gradients w.r.t. the raw inputs.
 
     ``anchors``, ``positives`` and each of ``negatives`` are ``_normalized``
-    (unit rows, row norms) pairs. Returns (value, (g_img, g_pos, [g_neg, ...])).
+    (unit rows, row norms) pairs of N >= 2 rows; ``tau`` > 0 and ``form`` is
+    one of PCC_FORMS. Returns (value, (g_img, g_pos, [g_neg, ...])).
     """
-    if not tau > 0:
-        raise InvalidArgumentError(f"temperature must be > 0, got {tau}")
-    if form not in PCC_FORMS:
-        raise InvalidArgumentError(f"unknown pcc form {form!r}")
     (a_hat, a_n), (p_hat, p_n) = anchors, positives
     n = a_hat.shape[0]
-    if n < 2:
-        raise DegenerateBatchError(f"contrastive loss needs N >= 2, got {n}")
 
     inv_tau = 1.0 / tau
     sp = np.einsum("ij,ij->i", a_hat, p_hat)
@@ -254,7 +232,13 @@ def pcc_loss(
     All inputs must come from the same shared layer. Mixed-feature matrices
     may be None to drop the mixup negatives (text negatives remain).
     """
+    if not tau > 0:
+        raise InvalidArgumentError(f"temperature must be > 0, got {tau}")
+    if form not in PCC_FORMS:
+        raise InvalidArgumentError(f"unknown pcc form {form!r}")
     anchors = _normalized(layer_img, "image features")
+    if anchors[0].shape[0] < 2:
+        raise DegenerateBatchError(f"contrastive loss needs N >= 2, got {anchors[0].shape[0]}")
 
     def like_images(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         hat, norms = _normalized(x, what)
@@ -295,31 +279,6 @@ class LossBreakdown:
     ce: float
 
 
-def _check_inputs(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None, cfg: LossConfig):
-    if cfg.use_pcc and cfg.use_mixup and negatives is None:
-        raise InvalidArgumentError("mixup enabled but no negative set supplied")
-    if batch.size and batch.labels.max() >= head.num_id_classes:
-        raise InvalidArgumentError(
-            f"batch label {batch.labels.max()} out of range for {head.num_id_classes} ID classes"
-        )
-    if cfg.use_pcc and cfg.use_mixup:
-        shape = batch.image_features.shape
-        got = np.shape(negatives.mixed_images)
-        if got != shape:
-            raise ShapeError(f"mixed_images shape {got} does not match images {shape}")
-        texts = np.shape(negatives.mixed_texts)
-        if len(texts) != 2 or texts[1] != shape[1]:
-            raise ShapeError(f"mixed_texts shape {texts} does not have the image dim {shape[1]}")
-        index = np.asarray(negatives.text_index)
-        if index.shape != (batch.size,):
-            raise ShapeError("text_index must be one mixed_texts row per batch row")
-        if batch.size and (index.min() < 0 or index.max() >= texts[0]):
-            raise InvalidArgumentError(
-                f"text_index {index.min()}..{index.max()} does not index the "
-                f"{texts[0]} mixed_texts rows"
-            )
-
-
 def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.ndarray:
     """Sum per-row adjoints into their distinct rows with a one-hot GEMM."""
     one_hot = (np.arange(count)[:, None] == inverse[None, :]).astype(np.float64)
@@ -341,10 +300,11 @@ def loss_and_grad(
     contributes to the shared-layer gradients; encoder inputs stay frozen.
     The gradients come back as a float64 head in ``head``'s layout, so
     ``grads.params`` lines up element for element with ``head.params``.
+    cfg alone turns the mixup negatives on: with use_pcc and use_mixup set,
+    ``negatives`` is build_negative_set's set for this batch.
     """
-    _check_inputs(head, batch, negatives, cfg)
     n = batch.size
-    use_mix = cfg.use_pcc and cfg.use_mixup and negatives is not None
+    use_mix = cfg.use_pcc and cfg.use_mixup
 
     classes, text_inv = np.unique(batch.labels, return_inverse=True)
     streams = [batch.image_features, batch.class_texts[classes]]

@@ -191,8 +191,8 @@ def write_bank(matrix: np.ndarray, path: str | Path, normalized: bool = False) -
 def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
     """Read a feature bank file; returns (float32 matrix, normalized flag).
 
-    Raises FormatError on a bad magic/version/size, CorruptFileError on a
-    CRC mismatch.
+    Raises FormatError on a bad magic/version/flag/size, CorruptFileError
+    on a CRC mismatch.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX)
@@ -203,5 +203,7 @@ def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
         version, n_rows, dim, norm_flag = _HEADER.unpack_from(prefix, len(BANK_MAGIC))
         if version != BANK_VERSION:
             raise FormatError(f"{path}: unsupported bank version {version}")
+        if norm_flag not in (0, 1):
+            raise FormatError(f"{path}: normalized flag must be 0 or 1, got {norm_flag}")
         (matrix,) = _read_payload(fh, path, [(n_rows, dim)])
     return matrix, bool(norm_flag)

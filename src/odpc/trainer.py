@@ -6,6 +6,10 @@ negative-sampling generators are derived from (seed, epoch, batch) seed
 sequences, parameters update in a fixed order, and float64 does the math
 while parameters stay float32.
 
+``train`` checks a run's inputs once, before the first epoch (see its
+docstring); the per-step code it calls in ``losses`` trusts that and only
+computes.
+
 Parameters, their gradients and the velocity share one flat layout
 (``MlpHead.params``), so the SGD update is one pass over three flat arrays
 in cache-sized blocks: per block, the velocity is scaled and the gradient
@@ -27,13 +31,7 @@ import numpy as np
 from . import persist
 from .errors import ConfigError, InvalidArgumentError
 from .head import N_SHARED_LAYERS, MlpHead
-from .losses import (
-    LossConfig,
-    NegativeSet,
-    TrainingBatch,
-    build_negative_set,
-    loss_and_grad,
-)
+from .losses import LossConfig, TrainingBatch, build_negative_set, loss_and_grad
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +147,12 @@ def train(
     are drawn by a seeded shuffle each epoch, the last partial batch is
     dropped, and single-class batches are skipped; an epoch that skips any
     logs one warning with their count.
+
+    The one check of a run's inputs comes first, also with ``epochs=0``:
+    a ConfigError unless the features are (n, dim) with one label per row,
+    the class descriptions, every peer matrix and the head are dim wide,
+    the labels cover 2+ classes within [0, min(class descriptions, ID
+    classes)), and with mixup on every present class has peers.
     """
     # No float64 copy of the whole matrix: TrainingBatch casts each batch,
     # and float32 -> float64 is exact, so the results are the same bits.
@@ -156,18 +160,26 @@ def train(
     labels = np.asarray(labels, dtype=np.int64)
     class_text = np.asarray(class_text_features, dtype=np.float64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
-        raise InvalidArgumentError("features must be (n, dim) with one label per row")
-    n_classes = class_text.shape[0]
+        raise ConfigError("features must be (n, dim) with one label per row")
+    dim = x.shape[1]
+    if head.feature_dim != dim:
+        raise ConfigError(f"the features are {dim}-d but the head takes {head.feature_dim}-d rows")
+    matrices = {"the class descriptions": class_text,
+                **{f"class {c}'s peer descriptions": p for c, p in peer_text_features.items()}}
+    for what, matrix in matrices.items():
+        if np.ndim(matrix) != 2 or np.shape(matrix)[1] != dim:
+            raise ConfigError(f"the features are {dim}-d but {what} have shape {np.shape(matrix)}")
     present = np.unique(labels)
     if present.size < 2:
         raise ConfigError("training data must cover at least 2 classes")
-    if present.max() >= n_classes:
-        raise ConfigError("a label indexes past the class description matrix")
+    n_classes = min(len(class_text), head.num_id_classes)
+    if present[0] < 0 or present[-1] >= n_classes:
+        raise ConfigError(f"labels {present[0]}..{present[-1]} do not lie in [0, {n_classes}) for "
+                          f"{len(class_text)} class descriptions and {head.num_id_classes} ID classes")
     if cfg.loss.use_pcc and cfg.loss.use_mixup:
-        for cls in present:
-            peers = peer_text_features.get(int(cls))
-            if peers is None or len(peers) == 0:
-                raise ConfigError(f"class {int(cls)} has no peer description features")
+        for cls in map(int, present):
+            if len(peer_text_features.get(cls, ())) == 0:
+                raise ConfigError(f"class {cls} has no peer description features")
 
     state = TrainingState.fresh(head)
     n = x.shape[0]
@@ -191,7 +203,7 @@ def train(
                 skipped += 1
                 continue
             batch = TrainingBatch(x[idx], batch_labels, class_text)
-            negatives: NegativeSet | None = None
+            negatives = None
             if cfg.loss.use_pcc and cfg.loss.use_mixup:
                 negatives = build_negative_set(
                     batch, peer_text_features, cfg.loss.mix_lambda,

@@ -196,6 +196,40 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert doc["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["gen-peers", "--classes", "a,b", "--bogus"], "--bogus"),
+        (["encode", "--out", "data", "--bogus"], "--bogus"),
+        (["train", "--features", "all.fb", "--labels", "labels.json", "--peers", "peers.json",
+          "--bogus"], "--bogus"),
+        (["eval", "--offline"], "--offline"),
+        (["eval", "--repeats", "abc"], "--repeats"),
+        (["report", "--results", "results.csv", "--bogus"], "--bogus"),
+        (["project", "--features", "all.fb", "--bogus"], "--bogus"),
+        ([], "command"),
+    ],
+    ids=["gen-peers", "encode", "train", "eval", "eval-bad-type", "report", "project", "bare"],
+)
+def test_parser_rejection_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError" and named in doc["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: odpc") and captured.err == ""
+
+
 def test_gen_peers_stub_six_classes(tmp_path, capsys):
     out = tmp_path / "peers.json"
     rc = main([
@@ -533,6 +567,27 @@ def _edited_manifest(tmp_path, inputs, edit):
     path = tmp_path / "labels.json"
     persist.write_json(path, doc)
     return path
+
+
+def test_train_zero_epochs_bank_of_another_width_is_usage_error(tmp_path, rng, capsys):
+    # The default config encodes descriptions 512-d; the bank is 64-d.
+    names, labels = ["cat", "dog"], np.repeat([0, 1], 20)
+    persist.write_bank(unit_rows(rng, labels.size, 64).astype(np.float32), tmp_path / "all.fb",
+                       normalized=True)
+    bench.write_manifest(tmp_path / "labels.json", "two", names, labels, np.ones(labels.size, bool),
+                         [f"s{i}" for i in range(labels.size)])
+    assert main(["gen-peers", "--classes", "cat,dog", "--out", str(tmp_path / "peers.json")]) == 0
+    ckpt, hist = tmp_path / "head.ckpt", tmp_path / "history.csv"
+    capsys.readouterr()
+    rc = main(["train", "--features", str(tmp_path / "all.fb"), "--labels", str(tmp_path / "labels.json"),
+               "--peers", str(tmp_path / "peers.json"), "--epochs", "0",
+               "--out", str(ckpt), "--history", str(hist)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError" and "64-d" in doc["message"] and "512" in doc["message"]
+    assert not ckpt.exists() and not hist.exists()
 
 
 def test_train_manifest_unknown_class_is_usage_error(tmp_path, capsys, train_inputs):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,24 +66,12 @@ def _small_batch(rng, labels):
     return TrainingBatch(img, labels, class_txt)
 
 
-@pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
-def test_training_batch_label_must_index_class_texts(rng, labels):
-    with pytest.raises(InvalidArgumentError):
-        TrainingBatch(unit_rows(rng, 2, 8), labels, unit_rows(rng, 3, 8))
-
-
 def test_negative_set_two_rows_forced_swap(rng):
     batch = _small_batch(rng, [0, 1])
     peers = {0: unit_rows(rng, 2, 8), 1: unit_rows(rng, 2, 8)}
     neg = build_negative_set(batch, peers, 0.5, np.random.default_rng(0))
     assert list(neg.q_indices) == [1, 0]
     assert np.allclose(neg.mixed_images[0], 0.5 * batch.image_features[0] + 0.5 * batch.image_features[1])
-
-
-def test_negative_set_single_class_rejected(rng):
-    batch = _small_batch(rng, [1, 1, 1])
-    with pytest.raises(DegenerateBatchError):
-        build_negative_set(batch, {1: unit_rows(rng, 1, 8)}, 0.5, np.random.default_rng(0))
 
 
 def test_negative_set_deterministic(rng):
@@ -124,12 +114,6 @@ def test_negative_set_holds_each_blend_once(labels, peer_counts, seed, lam):
     pairs = sorted(set(zip(labels, p)))
     assert len(neg.mixed_texts) == len(pairs)
     assert [pairs[j] for j in neg.text_index] == list(zip(labels, p))
-
-
-def test_negative_set_missing_peers_is_config_error(rng):
-    batch = _small_batch(rng, [0, 1])
-    with pytest.raises(ConfigError):
-        build_negative_set(batch, {0: unit_rows(rng, 1, 8)}, 0.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +373,6 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
         assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
-def test_malformed_negative_set_rejected():
-    batch, negatives = _mixup_batch(10)
-    head = init_head(6, 6, seed=10, feature_dim=16)
-    mi, mt, ti = negatives.mixed_images, negatives.mixed_texts, negatives.text_index
-    q, p = negatives.q_indices, negatives.p_choices
-    for bad, error in (
-        (NegativeSet(mi[:-1], mt, ti, q, p), ShapeError),
-        (NegativeSet(mi, mt[:, :-1], ti, q, p), ShapeError),
-        (NegativeSet(mi, mt[0], ti, q, p), ShapeError),
-        (NegativeSet(mi, mt, ti[:-1], q, p), ShapeError),
-        (NegativeSet(mi, mt, ti - 1 - ti.max(), q, p), InvalidArgumentError),
-        (NegativeSet(mi, mt, ti + len(mt) - ti.max(), q, p), InvalidArgumentError),
-    ):
-        with pytest.raises(error):
-            loss_and_grad(head, batch, bad, LossConfig())
-
-
 def test_ce_classifier_bias_gradient_closed_form(rng):
     head, batch, negatives, _ = make_grad_instance(4)
     cfg = LossConfig(use_pcc=False)
@@ -444,3 +411,24 @@ def test_loss_config_validation():
         LossConfig(pcc_form="other")
     with pytest.raises(ConfigError):
         LossConfig(use_pcc=False, use_ce=False)
+
+
+def test_step_functions_raise_nothing():
+    """``trainer.train`` checks a run's inputs once; the code it calls per step
+    only computes, so a check that grows back here belongs in ``train``."""
+    tree = ast.parse(Path(odpc.losses.__file__).read_text("utf-8"))
+    step = {"TrainingBatch.__post_init__", "build_negative_set", "loss_and_grad",
+            "_pcc_value_and_input_grads"}
+    found, raising = set(), set()
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = f"{node.name}.{fn.name}" if fn is not node else fn.name
+            if name in step:
+                found.add(name)
+                if any(isinstance(inner, ast.Raise) for inner in ast.walk(fn)):
+                    raising.add(name)
+    assert found == step
+    assert raising == set()

@@ -63,6 +63,17 @@ def test_bank_bad_magic(tmp_path, rng):
         persist.read_bank(path)
 
 
+def test_bank_normalized_flag_other_than_0_or_1_is_format_error(tmp_path, rng):
+    # The flag byte follows the magic and three u32s, and the CRC does not cover it.
+    path = tmp_path / "bank.fb"
+    persist.write_bank(rng.standard_normal((3, 4)).astype(np.float32), path, normalized=True)
+    blob = bytearray(path.read_bytes())
+    blob[len(persist.BANK_MAGIC) + 12] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ".*got 7"):
+        persist.read_bank(path)
+
+
 def test_bank_truncated_file(tmp_path, rng):
     path = tmp_path / "bank.fb"
     persist.write_bank(rng.standard_normal((6, 6)).astype(np.float32), path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,41 @@ def test_train_missing_peers_rejected():
         train(features, labels, class_text, peer_text,
               init_head(3, 6, seed=1, feature_dim=16),
               TrainingConfig(epochs=1, batch_size=8))
+
+
+# Each of train's input checks, by the ConfigError message it gives.
+BOUNDARY_MESSAGES = {
+    "negative-label": "labels -1..2 do not lie in [0, 3)",
+    "label-past-head": "labels 0..2 do not lie in [0, 2) for 3 class descriptions and 2 ID",
+    "label-past-class-texts": "labels 0..2 do not lie in [0, 2) for 2 class descriptions and 3 ID",
+    "features-width": "the features are 15-d but the head takes 16-d rows",
+    "class-texts-width": "the features are 16-d but the class descriptions have shape (3, 15)",
+    "peer-width": "the features are 16-d but class 1's peer descriptions have shape (2, 15)",
+    "head-width": "the features are 16-d but the head takes 17-d rows",
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_MESSAGES))
+def test_train_checks_its_inputs_before_the_first_epoch(case):
+    features, labels, class_text, peer_text = _toy_training_setup()
+    n_id, dim = 3, 16
+    if case == "negative-label":
+        labels[0] = -1
+    elif case == "label-past-head":
+        n_id = 2
+    elif case == "label-past-class-texts":
+        class_text = class_text[:2]
+    elif case == "features-width":
+        features = features[:, :-1]
+    elif case == "class-texts-width":
+        class_text = class_text[:, :-1]
+    elif case == "peer-width":
+        peer_text[1] = peer_text[1][:, :-1]
+    else:
+        dim = 17
+    head = init_head(n_id, 6, seed=1, feature_dim=dim)
+    with pytest.raises(ConfigError, match=re.escape(BOUNDARY_MESSAGES[case])):
+        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8))
 
 
 def test_loss_history_csv(tmp_path):
