@@ -234,6 +234,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     peer_set, _ = load_peers(args.peers)
     # The classes with train rows, in manifest order: local label i is known[i].
     present, labels = np.unique(dataset.labels[dataset.is_train], return_inverse=True)
+    if present.size < 2:
+        raise ConfigError(f"--labels {args.labels}: {present.size} class(es) have train rows; "
+                          "training needs at least 2")
     known = [dataset.class_names[g] for g in present]
     missing = [name for name in known if name not in peer_set.peers]
     if missing:

@@ -22,18 +22,18 @@ image, mixed text; without mixup the list is shorter). Each set's exponent
 matrix has its diagonal (k == i) set to -inf in place, and exp(-inf) is
 exactly 0, so the gradient weights need no second mask.
 
-A batch holds each text row once. TrainingBatch carries the class-description
-matrix, and image i pairs with class_texts[labels[i]]. NegativeSet holds one
-mixed text per distinct (label, peer) pair, and batch row i uses
-mixed_texts[text_index[i]]. loss_and_grad forwards the images, the
-descriptions of the classes in the batch, the mixed images and the mixed
+A batch holds each text row once. Image i pairs with class_texts[labels[i]],
+and NegativeSet holds one mixed text per distinct (label, peer) pair, batch
+row i using mixed_texts[text_index[i]]. loss_and_grad forwards the images,
+the descriptions of the classes in the batch, the mixed images and the mixed
 texts, gathers the per-row text activations for the contrastive terms, and
 sums their adjoints back into the rows they came from.
 
-The step functions (TrainingBatch, build_negative_set, loss_and_grad and the
-contrastive core) raise nothing: they trust ``trainer.train``'s one check of
-labels, peers and widths before the first epoch, and train skips
-single-class batches. The standalone pcc_loss and ce_loss check their inputs.
+The step functions (build_negative_set, loss_and_grad and the contrastive
+core) raise nothing: they take the float64 rows and int64 labels
+``trainer.train`` prepared and trust its one check of labels, peers and
+widths before the first epoch, and train skips single-class batches. The
+standalone pcc_loss and ce_loss check their inputs.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class LossConfig:
     use_mixup: bool = True
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 <= self.mix_lambda <= 1.0:
             raise ConfigError(f"mix_lambda must lie in [0, 1], got {self.mix_lambda}")
         if self.pcc_form not in PCC_FORMS:
@@ -70,69 +70,37 @@ class LossConfig:
 
 
 @dataclass
-class TrainingBatch:
-    """Image features with integer class labels and the class descriptions.
-
-    class_texts row c is the encoded description of class c; image i pairs
-    with class_texts[labels[i]].
-    """
-
-    image_features: np.ndarray
-    labels: np.ndarray
-    class_texts: np.ndarray
-
-    def __post_init__(self):
-        self.image_features = np.asarray(self.image_features, dtype=np.float64)
-        self.class_texts = np.asarray(self.class_texts, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return int(self.labels.shape[0])
-
-
-@dataclass
 class NegativeSet:
-    """Feature-space mixup negatives plus the sampling provenance.
+    """Feature-space mixup negatives for one batch.
 
     mixed_texts holds one blend per distinct (label, peer) pair of the batch,
-    in ascending (label, peer) order: batch row i uses mixed_texts[text_index[i]],
-    the blend of class labels[i]'s description with its peer p_choices[i].
+    in ascending (label, peer) order: batch row i uses mixed_texts[text_index[i]].
     """
 
     mixed_images: np.ndarray
     mixed_texts: np.ndarray
     text_index: np.ndarray  # text_index[i]: the mixed_texts row of batch row i
-    q_indices: np.ndarray   # q_indices[i]: same-batch index of a different class
-    p_choices: np.ndarray   # p_choices[i]: which peer of class labels[i] was mixed in
-
-
-def mixup(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination lam*a + (1-lam)*b; no normalization applied."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"mixup operands differ in shape: {a.shape} vs {b.shape}")
-    return lam * a + (1.0 - lam) * b
 
 
 def build_negative_set(
-    batch: TrainingBatch,
+    images: np.ndarray,
+    labels: np.ndarray,
+    class_texts: np.ndarray,
     peer_text_features: dict[int, np.ndarray],
     lam: float,
     rng: np.random.Generator,
 ) -> NegativeSet:
-    """Sample mixup negatives for a batch.
+    """Sample mixup negatives for a batch of float64 ``images`` rows.
 
     Mixed image i blends image i with a uniformly chosen same-batch image of
     a different class; the mixed text of row i blends the description of
     class labels[i] with a uniformly chosen peer description of that class,
-    and each distinct (label, peer) blend is made once. Deterministic given
-    the rng. The batch holds at least two classes and each of them has peers:
-    ``trainer.train`` skips single-class batches and checks the peers up front.
+    and each distinct (label, peer) blend is made once. A blend of a and b
+    is lam * a + (1 - lam) * b. Deterministic given the rng. The batch holds
+    at least two classes and each of them has peers: ``trainer.train`` skips
+    single-class batches and checks the peers up front.
     """
-    n = batch.size
-    labels = batch.labels
+    n = len(labels)
     q_indices = np.empty(n, dtype=np.int64)
     p_choices = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -144,9 +112,9 @@ def build_negative_set(
     pair_keys = labels * (p_choices.max() + 1) + p_choices
     _, first, text_index = np.unique(pair_keys, return_index=True, return_inverse=True)
     peer_rows = np.stack([peer_text_features[int(labels[i])][p_choices[i]] for i in first])
-    mixed_images = mixup(batch.image_features, batch.image_features[q_indices], lam)
-    mixed_texts = mixup(batch.class_texts[labels[first]], peer_rows, lam)
-    return NegativeSet(mixed_images, mixed_texts, text_index, q_indices, p_choices)
+    mixed_images = lam * images + (1.0 - lam) * images[q_indices]
+    mixed_texts = lam * class_texts[labels[first]] + (1.0 - lam) * peer_rows
+    return NegativeSet(mixed_images, mixed_texts, text_index)
 
 
 def _normalized(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +255,15 @@ def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.nda
 
 def loss_and_grad(
     head: MlpHead,
-    batch: TrainingBatch,
+    images: np.ndarray,
+    labels: np.ndarray,
+    class_texts: np.ndarray,
     negatives: NegativeSet | None,
     cfg: LossConfig,
     want_grad: bool = True,
 ) -> tuple[LossBreakdown, MlpHead | None]:
-    """Objective value (and gradients) for one batch.
+    """Objective value (and gradients) for one batch of float64 ``images``
+    rows, image i of class labels[i] and paired with class_texts[labels[i]].
 
     The objective is the sum of the contrastive term at each shared layer
     plus cross-entropy on the image logits, with terms switched by cfg.
@@ -303,13 +274,13 @@ def loss_and_grad(
     cfg alone turns the mixup negatives on: with use_pcc and use_mixup set,
     ``negatives`` is build_negative_set's set for this batch.
     """
-    n = batch.size
+    n = len(labels)
     use_mix = cfg.use_pcc and cfg.use_mixup
 
-    classes, text_inv = np.unique(batch.labels, return_inverse=True)
-    streams = [batch.image_features, batch.class_texts[classes]]
+    classes, text_inv = np.unique(labels, return_inverse=True)
+    streams = [images, class_texts[classes]]
     if use_mix:
-        mixed_inv = np.asarray(negatives.text_index, dtype=np.int64)
+        mixed_inv = negatives.text_index
         streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
     params = head.like(np.asarray(head.params, dtype=np.float64))
@@ -349,10 +320,10 @@ def loss_and_grad(
     g_logits = None
     if cfg.use_ce:
         logits_img = block(logits_all, 0)
-        ce_value = ce_loss(logits_img, batch.labels)
+        ce_value = ce_loss(logits_img, labels)
         if want_grad:
             g_logits = softmax(logits_img)
-            g_logits[np.arange(n), batch.labels] -= 1.0
+            g_logits[np.arange(n), labels] -= 1.0
             g_logits /= n
 
     total = float(sum(pcc_values) + ce_value)

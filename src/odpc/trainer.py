@@ -31,7 +31,7 @@ import numpy as np
 from . import persist
 from .errors import ConfigError, InvalidArgumentError
 from .head import N_SHARED_LAYERS, MlpHead
-from .losses import LossConfig, TrainingBatch, build_negative_set, loss_and_grad
+from .losses import LossConfig, build_negative_set, loss_and_grad
 
 logger = logging.getLogger(__name__)
 
@@ -57,10 +57,10 @@ class TrainingConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.momentum < 0:
-            raise ConfigError(f"momentum must be >= 0, got {self.momentum}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.momentum) and self.momentum >= 0):
+            raise ConfigError(f"momentum must be finite and >= 0, got {self.momentum}")
         if self.step_size < 1:
             raise ConfigError(f"step_size must be >= 1, got {self.step_size}")
         if not 0 < self.gamma <= 1:
@@ -154,18 +154,22 @@ def train(
     the labels cover 2+ classes within [0, min(class descriptions, ID
     classes)), and with mixup on every present class has peers.
     """
-    # No float64 copy of the whole matrix: TrainingBatch casts each batch,
-    # and float32 -> float64 is exact, so the results are the same bits.
+    # Every cast of the step inputs is made here; the step functions cast
+    # nothing. The labels, class descriptions and peer matrices are cast
+    # once, each batch's rows as the batch is drawn, so the feature matrix
+    # is never copied whole. float32 -> float64 is exact, so float32 inputs
+    # give the same bits as their float64 casts.
     x = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     class_text = np.asarray(class_text_features, dtype=np.float64)
+    peers = {c: np.asarray(p, dtype=np.float64) for c, p in peer_text_features.items()}
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise ConfigError("features must be (n, dim) with one label per row")
     dim = x.shape[1]
     if head.feature_dim != dim:
         raise ConfigError(f"the features are {dim}-d but the head takes {head.feature_dim}-d rows")
     matrices = {"the class descriptions": class_text,
-                **{f"class {c}'s peer descriptions": p for c, p in peer_text_features.items()}}
+                **{f"class {c}'s peer descriptions": p for c, p in peers.items()}}
     for what, matrix in matrices.items():
         if np.ndim(matrix) != 2 or np.shape(matrix)[1] != dim:
             raise ConfigError(f"the features are {dim}-d but {what} have shape {np.shape(matrix)}")
@@ -178,7 +182,7 @@ def train(
                           f"{len(class_text)} class descriptions and {head.num_id_classes} ID classes")
     if cfg.loss.use_pcc and cfg.loss.use_mixup:
         for cls in map(int, present):
-            if len(peer_text_features.get(cls, ())) == 0:
+            if len(peers.get(cls, ())) == 0:
                 raise ConfigError(f"class {cls} has no peer description features")
 
     state = TrainingState.fresh(head)
@@ -202,14 +206,15 @@ def train(
             if np.unique(batch_labels).size < 2:
                 skipped += 1
                 continue
-            batch = TrainingBatch(x[idx], batch_labels, class_text)
+            images = np.asarray(x[idx], dtype=np.float64)
             negatives = None
             if cfg.loss.use_pcc and cfg.loss.use_mixup:
                 negatives = build_negative_set(
-                    batch, peer_text_features, cfg.loss.mix_lambda,
+                    images, batch_labels, class_text, peers, cfg.loss.mix_lambda,
                     _batch_rng(cfg.seed, epoch, b),
                 )
-            breakdown, grads = loss_and_grad(state.head, batch, negatives, cfg.loss)
+            breakdown, grads = loss_and_grad(state.head, images, batch_labels, class_text,
+                                             negatives, cfg.loss)
             sgd_step(state, grads, lr, cfg.momentum)
             sums += (breakdown.total, *breakdown.pcc_layers, breakdown.ce)
             used += 1

@@ -24,7 +24,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from odpc import persist
 from odpc.encoders import _projection
 from odpc.head import MlpHead, init_head, tensor_names
-from odpc.losses import LossConfig, NegativeSet, TrainingBatch, build_negative_set, loss_and_grad
+from odpc.losses import LossConfig, NegativeSet, build_negative_set, loss_and_grad
 
 # Property tests run the same examples on every run and keep no example
 # database; the example count keeps them to seconds. Hypothesis' other
@@ -83,17 +83,18 @@ def ce_reference(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# seeded (head, batch, negatives) instances for gradient checks
+# seeded (head, batch, negatives) instances for gradient checks; a batch is
+# the (images, labels, class_texts) arrays loss_and_grad takes
 
 def unit_rows(rng, n, dim):
     x = rng.standard_normal((n, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _min_abs_preactivation(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None):
+def _min_abs_preactivation(head: MlpHead, images, labels, class_texts, negatives: NegativeSet | None):
     from odpc.head import forward_with_cache
 
-    streams = [batch.image_features, batch.class_texts[batch.labels]]
+    streams = [images, class_texts[labels]]
     if negatives is not None:
         streams += [negatives.mixed_images, negatives.mixed_texts]
     stacked = np.vstack(streams)
@@ -108,8 +109,9 @@ def _min_abs_preactivation(head: MlpHead, batch: TrainingBatch, negatives: Negat
 def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
                        use_mixup: bool = True, tau: float = 0.05,
                        form: str = "per_anchor"):
-    """Deterministic (head, batch, negatives, cfg) with pre-activations bounded
-    away from the ReLU kink so central differences are valid at h=1e-4."""
+    """Deterministic (head, (images, labels, class_texts), negatives, cfg)
+    with pre-activations bounded away from the ReLU kink so central
+    differences are valid at h=1e-4."""
     cfg = LossConfig(temperature=tau, pcc_form=form, use_mixup=use_mixup)
     head = init_head(n_id, 2 * n_id, seed=seed, feature_dim=dim)
     brng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -121,14 +123,13 @@ def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
         labels = np.concatenate([np.arange(n_id), rng.integers(0, n_id, size=n - n_id)])
         img = unit_rows(rng, n, dim)
         class_txt = unit_rows(rng, n_id, dim)
-        batch = TrainingBatch(img, labels, class_txt)
         negatives = None
         if use_mixup:
             peers = {c: unit_rows(rng, 2, dim) for c in range(n_id)}
-            negatives = build_negative_set(batch, peers, 0.5, rng)
-        min_z, min_norm = _min_abs_preactivation(head, batch, negatives)
+            negatives = build_negative_set(img, labels, class_txt, peers, 0.5, rng)
+        min_z, min_norm = _min_abs_preactivation(head, img, labels, class_txt, negatives)
         if min_z > 1e-3 and min_norm > 0.05:
-            return head, batch, negatives, cfg
+            return head, (img, labels, class_txt), negatives, cfg
     raise RuntimeError(f"no kink-free gradient instance found for seed {seed}")
 
 
@@ -144,7 +145,7 @@ def negative_draws_reference(labels, peer_counts, rng):
     return q_indices, p_choices
 
 
-def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
+def loss_and_grad_per_row_reference(head: MlpHead, images, labels, class_texts,
                                     negatives: NegativeSet | None, cfg: LossConfig):
     """loss_and_grad on per-row copies: the batch's texts are expanded to
     class_texts[labels] and mixed_texts[text_index], every one of the 4N
@@ -154,9 +155,9 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     from odpc.head import forward_with_cache, softmax
     from odpc.losses import _normalized, _pcc_value_and_input_grads
 
-    n = batch.size
+    n = len(labels)
     use_mix = cfg.use_pcc and cfg.use_mixup
-    streams = [batch.image_features, batch.class_texts[batch.labels]]
+    streams = [images, class_texts[labels]]
     if use_mix:
         streams += [negatives.mixed_images, negatives.mixed_texts[negatives.text_index]]
     hs, logits = forward_with_cache(head, np.vstack(streams))
@@ -181,9 +182,9 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     d_clf_w = np.zeros(head.clf_weight.shape)
     d_clf_b = np.zeros(head.clf_bias.shape)
     if cfg.use_ce:
-        total += ce_reference(logits[:n], batch.labels)
+        total += ce_reference(logits[:n], labels)
         g_logits = softmax(logits[:n])
-        g_logits[np.arange(n), batch.labels] -= 1.0
+        g_logits[np.arange(n), labels] -= 1.0
         g_logits /= n
         d_clf_w = g_logits.T @ hs[3][:n]
         d_clf_b = g_logits.sum(axis=0)
@@ -199,16 +200,17 @@ def loss_and_grad_per_row_reference(head: MlpHead, batch: TrainingBatch,
     return total, [d_w[0], d_b[0], d_w[1], d_b[1], d_w[2], d_b[2], d_clf_w, d_clf_b]
 
 
-def fd_max_rel_error(head: MlpHead, batch: TrainingBatch, negatives: NegativeSet | None,
+def fd_max_rel_error(head: MlpHead, images, labels, class_texts, negatives: NegativeSet | None,
                      cfg: LossConfig, h: float = 1e-4) -> float:
     """Max relative error between analytic gradients and central differences,
     over every parameter of the head, in float64."""
-    _, grads = loss_and_grad(head, batch, negatives, cfg)
+    _, grads = loss_and_grad(head, images, labels, class_texts, negatives, cfg)
     flat = head.params.astype(np.float64)
     probe = head.like(flat)   # perturbing flat perturbs the probe's parameters
 
     def loss_at():
-        return loss_and_grad(probe, batch, negatives, cfg, want_grad=False)[0].total
+        return loss_and_grad(probe, images, labels, class_texts, negatives, cfg,
+                             want_grad=False)[0].total
 
     worst = 0.0
     gflat = grads.params

@@ -67,7 +67,7 @@ def test_criterion_2_gradients_match_finite_differences():
         for seed in range(10):
             tau = 0.05 if seed < 5 else 0.2
             head, batch, negatives, cfg = make_grad_instance(seed, dim=16, n=4, tau=tau)
-            err = fd_max_rel_error(head, batch, negatives, cfg, h=1e-4)
+            err = fd_max_rel_error(head, *batch, negatives, cfg, h=1e-4)
             worst = max(worst, err)
             assert err < 1e-4, (seed, err)
         print(f"    worst relative gradient error: {worst:.3e}", flush=True)

@@ -546,15 +546,46 @@ def test_read_results_csv_requires_result_columns(tmp_path, column):
         read_results_csv(path)
 
 
-def test_tracer_targets_resolve():
-    """Every attribute perfbench's tracer wraps is still bound in its module."""
+def _perfbench_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_targets_resolve():
+    """Every attribute perfbench's tracer wraps is still bound in its module."""
+    spans = _perfbench_spans()
     bound = spans.originals()
     assert len(bound) == len(spans.TARGETS)
     assert all(callable(fn) for fn in bound.values())
+
+
+def test_tracer_step_spans_fire():
+    """The tracer's train-step spans see one small training run: a wrapped
+    name that the step path stops calling would read zero."""
+    from odpc.trainer import TrainingConfig
+
+    spans = _perfbench_spans()
+    unwrapped = spans.originals()
+    settings = PipelineSettings(
+        training=TrainingConfig(epochs=1),
+        synthetic=SyntheticSpec(train_per_class=20, test_per_class=10),
+        knn=KnnConfig(k=10),
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_iteration()
+        run_benchmark("synthetic", 1, settings, base_seed=0)
+        tracer.end_iteration()
+    finally:
+        tracer.uninstall()
+    assert spans.originals() == unwrapped
+    (seen,) = tracer.iterations
+    for name in ("trainer.steps", "losses.loss_and_grad_s", "losses.negatives_s", "head.forward_rows"):
+        assert seen[name] > 0, name
 
 
 # ---------------------------------------------------------------------------

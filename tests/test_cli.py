@@ -604,6 +604,17 @@ def test_train_manifest_sample_without_split_is_usage_error(tmp_path, capsys, tr
     assert "sample 5" in doc["message"] and "'split'" in doc["message"]
 
 
+@pytest.mark.parametrize("trained", [0, 1])
+def test_train_manifest_with_train_rows_of_fewer_than_2_classes_is_usage_error(
+        tmp_path, capsys, train_inputs, trained):
+    kept = persist.read_json(train_inputs["labels"])["classes"][:trained]
+    labels = _edited_manifest(tmp_path, train_inputs, lambda samples: [
+        sample.update(split="test") for sample in samples if sample["class"] not in kept])
+    doc = _train_usage_error(tmp_path, capsys, train_inputs, labels=labels)
+    assert doc["error"] == "ConfigError"
+    assert f"--labels {labels}: {trained} class(es) have train rows" in doc["message"]
+
+
 def test_train_peers_without_a_trained_class_is_usage_error(tmp_path, capsys, train_inputs):
     doc = persist.read_json(train_inputs["peers"])
     lacking = sorted(doc["classes"])[1]

@@ -23,74 +23,46 @@ from odpc.head import forward_with_cache, init_head, softmax
 from odpc.losses import (
     LossConfig,
     NegativeSet,
-    TrainingBatch,
     build_negative_set,
     ce_loss,
     loss_and_grad,
-    mixup,
     pcc_loss,
 )
-
-
-# ---------------------------------------------------------------------------
-# mixup
-
-def test_mixup_midpoint():
-    assert np.array_equal(mixup(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5), [1.0, 1.0])
-
-
-def test_mixup_lambda_one_returns_a(rng):
-    a, b = rng.standard_normal(6), rng.standard_normal(6)
-    assert np.array_equal(mixup(a, b, 1.0), a)
-
-
-def test_mixup_fixed_point(rng):
-    a = rng.standard_normal(5)
-    for lam in (0.0, 0.3, 1.0):
-        assert np.allclose(mixup(a, a, lam), a)
-
-
-def test_mixup_shape_mismatch(rng):
-    with pytest.raises(ShapeError):
-        mixup(rng.standard_normal(4), rng.standard_normal(5), 0.5)
 
 
 # ---------------------------------------------------------------------------
 # negative set construction
 
 def _small_batch(rng, labels):
-    labels = np.asarray(labels)
-    n = len(labels)
-    img = unit_rows(rng, n, 8)
-    class_txt = unit_rows(rng, int(labels.max()) + 1, 8)
-    return TrainingBatch(img, labels, class_txt)
+    """(images, labels, class_texts) of 8-d unit rows, as ``train`` passes them."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return unit_rows(rng, len(labels), 8), labels, unit_rows(rng, int(labels.max()) + 1, 8)
 
 
 def test_negative_set_two_rows_forced_swap(rng):
-    batch = _small_batch(rng, [0, 1])
+    img, labels, class_txt = _small_batch(rng, [0, 1])
     peers = {0: unit_rows(rng, 2, 8), 1: unit_rows(rng, 2, 8)}
-    neg = build_negative_set(batch, peers, 0.5, np.random.default_rng(0))
-    assert list(neg.q_indices) == [1, 0]
-    assert np.allclose(neg.mixed_images[0], 0.5 * batch.image_features[0] + 0.5 * batch.image_features[1])
+    neg = build_negative_set(img, labels, class_txt, peers, 0.5, np.random.default_rng(0))
+    assert np.array_equal(neg.mixed_images, 0.5 * img + 0.5 * img[[1, 0]])
 
 
 def test_negative_set_deterministic(rng):
     batch = _small_batch(rng, [0, 1, 2, 0])
     peers = {c: unit_rows(rng, 3, 8) for c in range(3)}
-    a = build_negative_set(batch, peers, 0.5, np.random.default_rng(42))
-    b = build_negative_set(batch, peers, 0.5, np.random.default_rng(42))
-    assert np.array_equal(a.q_indices, b.q_indices)
-    assert np.array_equal(a.p_choices, b.p_choices)
+    a = build_negative_set(*batch, peers, 0.5, np.random.default_rng(42))
+    b = build_negative_set(*batch, peers, 0.5, np.random.default_rng(42))
     assert np.array_equal(a.mixed_images, b.mixed_images)
     assert np.array_equal(a.mixed_texts, b.mixed_texts)
+    assert np.array_equal(a.text_index, b.text_index)
 
 
 def test_negative_set_respects_class_constraint(rng):
-    batch = _small_batch(rng, [0, 0, 1, 2, 1, 2])
+    img, labels, class_txt = _small_batch(rng, [0, 0, 1, 2, 1, 2])
     peers = {c: unit_rows(rng, 2, 8) for c in range(3)}
-    neg = build_negative_set(batch, peers, 0.5, np.random.default_rng(3))
-    for i, q in enumerate(neg.q_indices):
-        assert batch.labels[q] != batch.labels[i]
+    neg = build_negative_set(img, labels, class_txt, peers, 0.5, np.random.default_rng(3))
+    q, _ = negative_draws_reference(labels.tolist(), [2, 2, 2], np.random.default_rng(3))
+    assert all(labels[k] != labels[i] for i, k in enumerate(q))
+    assert np.array_equal(neg.mixed_images, 0.5 * img + 0.5 * img[q])
 
 
 @given(
@@ -103,16 +75,15 @@ def test_negative_set_holds_each_blend_once(labels, peer_counts, seed, lam):
     data = np.random.default_rng(seed)
     class_texts = unit_rows(data, 5, 6)
     peers = {c: unit_rows(data, count, 6) for c, count in enumerate(peer_counts)}
-    batch = TrainingBatch(unit_rows(data, len(labels), 6), labels, class_texts)
-    neg = build_negative_set(batch, peers, lam, np.random.default_rng([seed, 1]))
+    img = unit_rows(data, len(labels), 6)
+    neg = build_negative_set(img, np.array(labels), class_texts, peers, lam,
+                             np.random.default_rng([seed, 1]))
 
     q, p = negative_draws_reference(labels, peer_counts, np.random.default_rng([seed, 1]))
-    assert neg.q_indices.tolist() == q
-    assert neg.p_choices.tolist() == p
-    per_row = mixup(class_texts[labels], np.stack([peers[y][c] for y, c in zip(labels, p)]), lam)
-    assert np.array_equal(neg.mixed_texts[neg.text_index], per_row)
+    assert np.array_equal(neg.mixed_images, lam * img + (1.0 - lam) * img[q])
     pairs = sorted(set(zip(labels, p)))
-    assert len(neg.mixed_texts) == len(pairs)
+    blends = [lam * class_texts[y] + (1.0 - lam) * peers[y][c] for y, c in pairs]
+    assert np.array_equal(neg.mixed_texts, np.stack(blends))
     assert [pairs[j] for j in neg.text_index] == list(zip(labels, p))
 
 
@@ -258,81 +229,72 @@ def test_ce_permutation_equivariant(rng):
 
 def test_total_loss_breakdown_sums(rng):
     head, batch, negatives, cfg = make_grad_instance(0)
-    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
+    bd = loss_and_grad(head, *batch, negatives, cfg, want_grad=False)[0]
     assert abs(bd.total - (sum(bd.pcc_layers) + bd.ce)) < 1e-9
     assert len(bd.pcc_layers) == 3
 
 
 def test_total_loss_composes_constituent_oracles():
-    head, batch, negatives, cfg = make_grad_instance(1)
+    head, (img, labels, class_txt), negatives, cfg = make_grad_instance(1)
     streams = np.vstack([
-        batch.image_features, batch.class_texts[batch.labels],
+        img, class_txt[labels],
         negatives.mixed_images, negatives.mixed_texts[negatives.text_index],
     ])
     hs, logits = forward_with_cache(head, streams)
-    n = batch.size
+    n = len(labels)
     expected = 0.0
     for l in (1, 2, 3):
         h = hs[l]
         expected += pcc_reference(
             h[:n], h[n : 2 * n], h[n : 2 * n], h[2 * n : 3 * n], h[3 * n :], cfg.temperature
         )
-    expected += ce_reference(logits[:n], batch.labels)
-    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
+    expected += ce_reference(logits[:n], labels)
+    bd = loss_and_grad(head, img, labels, class_txt, negatives, cfg, want_grad=False)[0]
     assert abs(bd.total - expected) <= 1e-6 * abs(expected)
 
 
 def test_total_loss_tau_large_limit():
     head, batch, negatives, _ = make_grad_instance(2)
     cfg = LossConfig(temperature=1e14)
-    bd = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
-    expected_per_layer = math.log(1 + 3 * (batch.size - 1))
+    bd = loss_and_grad(head, *batch, negatives, cfg, want_grad=False)[0]
+    expected_per_layer = math.log(1 + 3 * (len(batch[1]) - 1))
     for term in bd.pcc_layers:
         assert abs(term - expected_per_layer) < 1e-6
 
 
 def test_total_loss_invariant_to_consistent_reordering():
-    head, batch, negatives, cfg = make_grad_instance(3)
+    head, (img, labels, class_txt), negatives, cfg = make_grad_instance(3)
     perm = np.array([2, 0, 3, 1])
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    reordered = TrainingBatch(batch.image_features[perm], batch.labels[perm], batch.class_texts)
-    reneg = NegativeSet(
-        negatives.mixed_images[perm],
-        negatives.mixed_texts,
-        negatives.text_index[perm],
-        inv[negatives.q_indices[perm]],
-        negatives.p_choices[perm],
-    )
-    a = loss_and_grad(head, batch, negatives, cfg, want_grad=False)[0]
-    b = loss_and_grad(head, reordered, reneg, cfg, want_grad=False)[0]
+    reneg = NegativeSet(negatives.mixed_images[perm], negatives.mixed_texts, negatives.text_index[perm])
+    a = loss_and_grad(head, img, labels, class_txt, negatives, cfg, want_grad=False)[0]
+    b = loss_and_grad(head, img[perm], labels[perm], class_txt, reneg, cfg, want_grad=False)[0]
     assert abs(a.total - b.total) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gradients_match_finite_differences(seed):
     head, batch, negatives, cfg = make_grad_instance(seed, dim=12)
-    assert fd_max_rel_error(head, batch, negatives, cfg) < 1e-4
+    assert fd_max_rel_error(head, *batch, negatives, cfg) < 1e-4
 
 
 def test_gradients_literal_form_match_finite_differences():
     head, batch, negatives, cfg = make_grad_instance(50, dim=10, form="literal")
-    assert fd_max_rel_error(head, batch, negatives, cfg) < 1e-4
+    assert fd_max_rel_error(head, *batch, negatives, cfg) < 1e-4
 
 
 def test_gradients_no_mixup_match_finite_differences():
     head, batch, negatives, cfg = make_grad_instance(60, dim=10, use_mixup=False)
     assert negatives is None
-    assert fd_max_rel_error(head, batch, None, cfg) < 1e-4
+    assert fd_max_rel_error(head, *batch, None, cfg) < 1e-4
 
 
 def _mixup_batch(seed, n=32, n_classes=6, n_peers=3, dim=16):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([[0, 1], rng.integers(0, n_classes, size=n - 2)])
     class_txt = unit_rows(rng, n_classes, dim)
-    batch = TrainingBatch(unit_rows(rng, n, dim), labels, class_txt)
+    batch = (unit_rows(rng, n, dim), labels, class_txt)
     peers = {c: unit_rows(rng, n_peers, dim) for c in range(n_classes)}
-    return batch, build_negative_set(batch, peers, 0.5, rng)
+    return batch, build_negative_set(*batch, peers, 0.5, rng)
 
 
 @pytest.mark.parametrize("use_mixup", [True, False])
@@ -348,13 +310,13 @@ def test_loss_and_grad_forwards_each_distinct_text_row_once(monkeypatch, use_mix
 
     monkeypatch.setattr(odpc.losses, "forward_with_cache", spy)
     cfg = LossConfig(temperature=0.05, use_mixup=use_mixup)
-    loss_and_grad(head, batch, negatives if use_mixup else None, cfg)
-    expected = 32 + np.unique(batch.labels).size
+    loss_and_grad(head, *batch, negatives if use_mixup else None, cfg)
+    labels = batch[1]
+    expected = 32 + np.unique(labels).size
     if use_mixup:
-        pairs = {(int(y), int(p)) for y, p in zip(batch.labels, negatives.p_choices)}
-        assert len(pairs) < 32
-        expected += 32 + len(pairs)
-    assert np.unique(batch.labels).size < 32
+        assert len(negatives.mixed_texts) < 32
+        expected += 32 + len(negatives.mixed_texts)
+    assert np.unique(labels).size < 32
     assert seen_rows == [expected]
 
 
@@ -362,49 +324,48 @@ def test_loss_and_grad_forwards_each_distinct_text_row_once(monkeypatch, use_mix
 def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
     head, batch, negatives, cfg = make_grad_instance(70, dim=12, n=8, n_id=3,
                                                      use_mixup=use_mixup, form=form)
-    assert np.unique(batch.labels).size < batch.size
+    labels = batch[1]
+    assert np.unique(labels).size < len(labels)
     if use_mixup:
-        pairs = {(int(y), int(p)) for y, p in zip(batch.labels, negatives.p_choices)}
-        assert len(pairs) < batch.size
-    breakdown, grads = loss_and_grad(head, batch, negatives, cfg)
-    ref_total, ref_grads = loss_and_grad_per_row_reference(head, batch, negatives, cfg)
+        assert len(negatives.mixed_texts) < len(labels)
+    breakdown, grads = loss_and_grad(head, *batch, negatives, cfg)
+    ref_total, ref_grads = loss_and_grad_per_row_reference(head, *batch, negatives, cfg)
     assert abs(breakdown.total - ref_total) <= 1e-10 * abs(ref_total)
     for (name, ours), ref in zip(named_views(grads), ref_grads, strict=True):
         assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
 def test_ce_classifier_bias_gradient_closed_form(rng):
-    head, batch, negatives, _ = make_grad_instance(4)
+    head, (img, labels, class_txt), _, _ = make_grad_instance(4)
     cfg = LossConfig(use_pcc=False)
-    single = TrainingBatch(batch.image_features[:1], batch.labels[:1], batch.class_texts)
-    grads = loss_and_grad(head, single, None, cfg)[1]
-    probs = softmax(forward_with_cache(head, single.image_features)[1])[0]
+    grads = loss_and_grad(head, img[:1], labels[:1], class_txt, None, cfg)[1]
+    probs = softmax(forward_with_cache(head, img[:1])[1])[0]
     onehot = np.zeros_like(probs)
-    onehot[single.labels[0]] = 1.0
+    onehot[labels[0]] = 1.0
     assert np.max(np.abs(grads.clf_bias - (probs - onehot))) < 1e-12
 
 
 def test_loss_and_grad_names_a_zero_activation_row():
     # Zero biases: a zero image row stays zero through the first layer.
-    batch = _small_batch(np.random.default_rng(0), [0, 1, 0, 1])
-    batch.image_features[2] = 0.0
+    img, labels, class_txt = _small_batch(np.random.default_rng(0), [0, 1, 0, 1])
+    img[2] = 0.0
     head = init_head(2, 1, seed=0, feature_dim=8)
     with pytest.raises(InvalidArgumentError, match=r"^image features row 2 has \(near-\)zero norm$"):
-        loss_and_grad(head, batch, None, LossConfig(use_mixup=False))
+        loss_and_grad(head, img, labels, class_txt, None, LossConfig(use_mixup=False))
 
 
 def test_grad_total_loss_frozen_inputs_untouched():
     head, batch, negatives, cfg = make_grad_instance(5)
-    img = batch.image_features.copy()
-    txt = batch.class_texts.copy()
-    loss_and_grad(head, batch, negatives, cfg)
-    assert np.array_equal(batch.image_features, img)
-    assert np.array_equal(batch.class_texts, txt)
+    snapshot = [a.copy() for a in batch]
+    loss_and_grad(head, *batch, negatives, cfg)
+    for before, after in zip(snapshot, batch, strict=True):
+        assert np.array_equal(before, after)
 
 
 def test_loss_config_validation():
-    with pytest.raises(ConfigError):
-        LossConfig(temperature=0.0)
+    for temperature in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="temperature"):
+            LossConfig(temperature=temperature)
     with pytest.raises(ConfigError):
         LossConfig(mix_lambda=1.5)
     with pytest.raises(ConfigError):
@@ -417,18 +378,9 @@ def test_step_functions_raise_nothing():
     """``trainer.train`` checks a run's inputs once; the code it calls per step
     only computes, so a check that grows back here belongs in ``train``."""
     tree = ast.parse(Path(odpc.losses.__file__).read_text("utf-8"))
-    step = {"TrainingBatch.__post_init__", "build_negative_set", "loss_and_grad",
-            "_pcc_value_and_input_grads"}
-    found, raising = set(), set()
-    for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for fn in members:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            name = f"{node.name}.{fn.name}" if fn is not node else fn.name
-            if name in step:
-                found.add(name)
-                if any(isinstance(inner, ast.Raise) for inner in ast.walk(fn)):
-                    raising.add(name)
-    assert found == step
+    step = {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"}
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert step <= set(functions)
+    raising = {name for name in step if any(isinstance(inner, ast.Raise)
+                                            for inner in ast.walk(functions[name]))}
     assert raising == set()

@@ -125,12 +125,19 @@ def test_train_deterministic_given_seed():
 
 
 def test_train_float32_features_bit_equal_to_float64_cast():
+    """Image features, class descriptions and peer matrices all in float32
+    train the same head as their float64 casts: ``train`` makes every cast
+    the step functions need, and float32 -> float64 is exact."""
     features, labels, class_text, peer_text = _toy_training_setup()
-    f32 = features.astype(np.float32)
+    f32 = (features.astype(np.float32), class_text.astype(np.float32),
+           {c: p.astype(np.float32) for c, p in peer_text.items()})
+    f64 = (f32[0].astype(np.float64), f32[1].astype(np.float64),
+           {c: p.astype(np.float64) for c, p in f32[2].items()})
+    # A mix weight of 0.3, not a power of two, rounds differently in float32.
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
-                         loss=LossConfig(temperature=0.05))
-    runs = [train(x, labels, class_text, peer_text, init_head(3, 6, seed=1, feature_dim=16), cfg)
-            for x in (f32, f32.astype(np.float64))]
+                         loss=LossConfig(temperature=0.05, mix_lambda=0.3))
+    runs = [train(x, labels, texts, peers, init_head(3, 6, seed=1, feature_dim=16), cfg)
+            for x, texts, peers in (f32, f64)]
     assert runs[0].history == runs[1].history
     assert runs[0].head.params.tobytes() == runs[1].head.params.tobytes()
 
@@ -308,3 +315,7 @@ def test_training_config_validation():
         TrainingConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         TrainingConfig(lr=0.0)
+    for field, value in [("lr", float("inf")), ("lr", float("nan")),
+                         ("momentum", float("inf")), ("momentum", float("nan"))]:
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            TrainingConfig(**{field: value})
