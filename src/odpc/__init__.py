@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     CorruptFileError,
     DegenerateBatchError,
+    DivergenceError,
     FormatError,
     GenerationError,
     InvalidArgumentError,

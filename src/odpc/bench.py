@@ -538,12 +538,20 @@ def write_results_csv(result: EvalResult, path: str | Path) -> None:
     persist.write_csv(path, ["protocol", "repeat", "seed", "auroc", "openness"], rows)
 
 
+# The numeric columns of results.csv: what each holds, and the check of a parsed value.
+_RESULT_RANGES = {
+    "auroc": ("nan or in [0, 1]", lambda v: np.isnan(v) or 0 <= v <= 1),
+    "openness": ("in [0, 100)", lambda v: 0 <= v < 100),
+}
+
+
 def read_results_csv(path: str | Path) -> list[dict]:
     """One dict per row of ``persist.write_csv``'s CSV, keyed by the header; blank
-    lines are skipped. Text the CSV reader rejects, a row whose field count
-    differs from the header's, that lacks a ``protocol``, ``auroc`` or ``openness``
-    column, or whose ``auroc`` or ``openness`` does not parse as a float (``nan``
-    does) raises FormatError naming the file and the line.
+    lines are skipped. Text that is not UTF-8 or that the CSV reader rejects, a
+    row whose field count differs from the header's, that lacks a ``protocol``,
+    ``auroc`` or ``openness`` column, whose ``auroc`` is neither ``nan`` nor in
+    [0, 1], or whose ``openness`` is not in [0, 100) raises FormatError naming
+    the file (and the line, once the text decodes).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -551,6 +559,8 @@ def read_results_csv(path: str | Path) -> list[dict]:
             records = [(reader.line_num, parts) for parts in reader]
         except csv.Error as exc:
             raise FormatError(f"{path}: line {reader.line_num} is not CSV ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
     header = records[0][1] if records else []
     rows = []
     for lineno, parts in records[1:]:
@@ -561,16 +571,18 @@ def read_results_csv(path: str | Path) -> list[dict]:
                 f"{path}: line {lineno} has {len(parts)} fields, the header {len(header)}"
             )
         row = dict(zip(header, parts))
-        missing = [c for c in ("protocol", "auroc", "openness") if c not in row]
+        missing = [c for c in ("protocol", *_RESULT_RANGES) if c not in row]
         if missing:
             raise FormatError(f"{path}: line {lineno} has no {missing[0]!r} column")
-        for column in ("auroc", "openness"):
+        for column, (allowed, valid) in _RESULT_RANGES.items():
             try:
-                float(row[column])
+                value = float(row[column])
             except ValueError:
                 raise FormatError(
                     f"{path}: line {lineno} {column} {row[column]!r} is not a number"
                 ) from None
+            if not valid(value):
+                raise FormatError(f"{path}: line {lineno} {column} {row[column]!r} is not {allowed}")
         rows.append(row)
     return rows
 

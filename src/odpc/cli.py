@@ -20,7 +20,8 @@ config trains the same way in both.
 Usage errors (bad config, missing inputs, arguments the parser rejects)
 exit with code 2; runtime failures exit with code 1; each prints a one-line
 JSON error to stderr.
-Warnings (batches skipped in training) go to stdout as ``warning:`` lines.
+Warnings (batches skipped in training, numpy's RuntimeWarnings) go to stdout
+as ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import logging
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -374,9 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    warnings = logging.StreamHandler(sys.stdout)  # removed on return: main may run again
-    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
-    logging.getLogger("odpc").addHandler(warnings)
+    log = logging.getLogger("odpc")
+    handler = logging.StreamHandler(sys.stdout)  # both undone on return: main may run again
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    log.addHandler(handler)
+    shown = warnings.showwarning
+    # Python warnings (numpy's RuntimeWarnings among them) take the same stdout lines.
+    warnings.showwarning = lambda message, category, *_: log.warning(
+        "%s: %s", category.__name__, message)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -386,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) else RUNTIME_EXIT
     finally:
-        logging.getLogger("odpc").removeHandler(warnings)
+        warnings.showwarning = shown
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

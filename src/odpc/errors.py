@@ -40,5 +40,9 @@ class GenerationError(OdpcError):
     """Peer-class generation could not produce enough valid labels."""
 
 
+class DivergenceError(OdpcError):
+    """Training reached a loss that is not finite."""
+
+
 class OfflineError(OdpcError):
     """A network-backed provider was required while running offline."""

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from . import persist
 from .errors import ConfigError, GenerationError, InvalidArgumentError, OfflineError
@@ -84,7 +84,6 @@ def render_description(label: str, template: str) -> str:
     return template.replace("[CLASS]", label)
 
 
-@runtime_checkable
 class LlmProvider(Protocol):
     identifier: str
     requires_network: bool
@@ -128,9 +127,7 @@ class StubProvider:
         digest = hashlib.sha256(prompt.encode("utf-8")).digest()
         key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=key))
-        n_combos = len(_ADJECTIVES) * len(_NOUNS)
-        count = min(STUB_CANDIDATES, n_combos)
-        picks = rng.choice(n_combos, size=count, replace=False)
+        picks = rng.choice(len(_ADJECTIVES) * len(_NOUNS), size=STUB_CANDIDATES, replace=False)
         return [f"{_ADJECTIVES[p // len(_NOUNS)]} {_NOUNS[p % len(_NOUNS)]}" for p in picks]
 
 
@@ -179,8 +176,6 @@ class HttpLlmProvider:
         try:
             body = self._post(self.endpoint, payload, headers, self.timeout)
             content = body["choices"][0]["message"]["content"]
-        except ConfigError:
-            raise
         except Exception as exc:
             raise GenerationError(f"LLM request failed: {exc}") from exc
         return parse_label_list(content)

@@ -7,12 +7,13 @@ sequences, parameters update in a fixed order, and float64 does the math
 while parameters stay float32.
 
 ``train`` checks a run's inputs once, before the first epoch (see its
-docstring); the per-step code it calls in ``losses`` trusts that and only
-computes.
+docstring); the per-step code it calls, in ``losses`` and ``sgd_step``,
+trusts that and only computes.
 
-Parameters, their gradients and the velocity share one flat layout
-(``MlpHead.params``), so the SGD update is one pass over three flat arrays
-in cache-sized blocks: per block, the velocity is scaled and the gradient
+``train`` owns the SGD update's three flat arrays in one layout: the
+parameters (``MlpHead.params``), each step's gradient and a float64
+velocity allocated per run. ``sgd_step`` updates them in place in one pass
+of cache-sized blocks: per block, the velocity is scaled and the gradient
 added in place, lr*v goes into a preallocated scratch block, theta - lr*v
 overwrites that scratch, and the result is written back to the parameters
 in their own dtype. These are the same float64 operations, element by
@@ -23,13 +24,14 @@ it; it only makes fewer passes over main memory.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import persist
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .head import N_SHARED_LAYERS, MlpHead
 from .losses import LossConfig, build_negative_set, loss_and_grad
 
@@ -83,12 +85,7 @@ class EpochStats:
 @dataclass
 class TrainingState:
     head: MlpHead
-    velocity: np.ndarray           # float64, flat, in head.params' layout
-    history: list[EpochStats] = field(default_factory=list)
-
-    @classmethod
-    def fresh(cls, head: MlpHead) -> "TrainingState":
-        return cls(head=head, velocity=np.zeros(head.params.size))
+    history: list[EpochStats]
 
 
 def lr_at(epoch: int, cfg: TrainingConfig) -> float:
@@ -98,30 +95,26 @@ def lr_at(epoch: int, cfg: TrainingConfig) -> float:
     return cfg.lr * cfg.gamma ** (epoch // cfg.step_size)
 
 
-def sgd_step(state: TrainingState, grads: MlpHead, lr: float, momentum: float) -> TrainingState:
-    """Classical momentum update: v <- momentum*v + g; theta <- theta - lr*v.
+def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+             lr: float, momentum: float) -> None:
+    """Classical momentum update, in place: v <- momentum*v + g; theta <- theta - lr*v.
 
-    ``grads`` is laid out like the state's head (``loss_and_grad`` returns
-    it so). Buffers accumulate in float64; parameters are written back in
-    their own dtype. The update runs in blocks of SGD_BLOCK_ELEMS elements
-    and is bit-equal to the whole-array form
-    ``(theta.astype(float64) - lr*v).astype(theta.dtype)`` (see the module
-    docstring). Mutates and returns the state.
+    The three flat arrays share one layout; the float64 velocity is
+    ``train``'s, and the parameters are written back in their own dtype.
+    The update runs in blocks of SGD_BLOCK_ELEMS elements and is bit-equal
+    to ``(theta.astype(float64) - lr*v).astype(theta.dtype)`` (see the
+    module docstring).
     """
-    param, grad, v = state.head.params, grads.params, state.velocity
-    if grad.shape != param.shape:
-        raise InvalidArgumentError(f"gradient {grad.shape} does not match parameters {param.shape}")
-    scratch = np.empty(min(SGD_BLOCK_ELEMS, param.size))
-    for lo in range(0, param.size, SGD_BLOCK_ELEMS):
+    scratch = np.empty(min(SGD_BLOCK_ELEMS, params.size))
+    for lo in range(0, params.size, SGD_BLOCK_ELEMS):
         hi = lo + SGD_BLOCK_ELEMS
-        vb = v[lo:hi]
+        vb = velocity[lo:hi]
         vb *= momentum
         vb += grad[lo:hi]
         step = scratch[: len(vb)]
         np.multiply(vb, lr, out=step)
-        np.subtract(param[lo:hi], step, out=step)
-        param[lo:hi] = step
-    return state
+        np.subtract(params[lo:hi], step, out=step)
+        params[lo:hi] = step
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -152,7 +145,8 @@ def train(
     a ConfigError unless the features are (n, dim) with one label per row,
     the class descriptions, every peer matrix and the head are dim wide,
     the labels cover 2+ classes within [0, min(class descriptions, ID
-    classes)), and with mixup on every present class has peers.
+    classes)), and with mixup on every present class has peers. A batch
+    whose loss is not finite raises DivergenceError before its update.
     """
     # Every cast of the step inputs is made here; the step functions cast
     # nothing. The labels, class descriptions and peer matrices are cast
@@ -185,7 +179,6 @@ def train(
             if len(peers.get(cls, ())) == 0:
                 raise ConfigError(f"class {cls} has no peer description features")
 
-    state = TrainingState.fresh(head)
     n = x.shape[0]
     n_batches = n // cfg.batch_size
     if cfg.epochs > 0 and n_batches == 0:
@@ -193,6 +186,8 @@ def train(
             f"dataset of {n} rows yields no full batch of size {cfg.batch_size}"
         )
 
+    velocity = np.zeros(head.params.size)
+    history = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         perm = _epoch_rng(cfg.seed, epoch).permutation(n)
@@ -213,20 +208,23 @@ def train(
                     images, batch_labels, class_text, peers, cfg.loss.mix_lambda,
                     _batch_rng(cfg.seed, epoch, b),
                 )
-            breakdown, grads = loss_and_grad(state.head, images, batch_labels, class_text,
+            breakdown, grads = loss_and_grad(head, images, batch_labels, class_text,
                                              negatives, cfg.loss)
-            sgd_step(state, grads, lr, cfg.momentum)
+            if not math.isfinite(breakdown.total):
+                raise DivergenceError(f"epoch {epoch}, batch {b}: the loss is {breakdown.total} "
+                                      f"at lr {lr!r}; lower the lr")
+            sgd_step(head.params, grads.params, velocity, lr, cfg.momentum)
             sums += (breakdown.total, *breakdown.pcc_layers, breakdown.ce)
             used += 1
 
         if skipped:
             logger.warning("epoch %d: skipped %d single-class batch(es)", epoch, skipped)
         total, *pcc_layers, ce = (sums / used if used else np.full_like(sums, np.nan)).tolist()
-        state.head.epoch = epoch + 1
-        state.history.append(
+        head.epoch = epoch + 1
+        history.append(
             EpochStats(epoch, lr, total, tuple(pcc_layers), ce, batches=used, skipped=skipped)
         )
-    return state
+    return TrainingState(head, history)
 
 
 def write_loss_history(history: list[EpochStats], path: str | Path) -> None:

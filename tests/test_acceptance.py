@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
 criterion. The synthetic end-to-end criteria share one session-scoped set of
-benchmark runs to stay inside their time budgets.
+benchmark runs to stay inside their time budgets. Criteria 6 and 7, which
+train those runs, are marked ``slow``: ``pytest -m "not slow"`` leaves them out.
 """
 
 import math
@@ -13,6 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import (
     auroc_pair_count_reference,
@@ -163,6 +165,7 @@ def synthetic_aurocs_for(variant: str) -> list[float]:
     return _variant_cache[variant]
 
 
+@pytest.mark.slow
 def test_criterion_6_trained_beats_passthrough():
     with criterion(6, "trained PCC+CE beats untrained pass-through by >= 0.02 "
                       "in >= 4 of 5 seeds (20 epochs, synthetic protocol)"):
@@ -178,6 +181,7 @@ def test_criterion_6_trained_beats_passthrough():
             assert 0.70 <= b <= 0.95, ("baseline drifted out of its design window", base)
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_orderings():
     with criterion(7, "PCC-only > CE-only in >= 4/5 seeds and "
                       "mixup > no-mixup in >= 3/5 seeds"):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -569,6 +570,52 @@ def _edited_manifest(tmp_path, inputs, edit):
     return path
 
 
+# An lr at which the loss stops being finite within the first epoch.
+DIVERGING = {"epochs": 3, "lr": 1e6, "momentum": 0.0}
+
+
+def _diverging_argv(tmp_path, inputs, command):
+    """``command`` under the DIVERGING config, writing only into ``tmp_path / "out"``."""
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_config(tmp_path, DIVERGING)
+    if command == "train":
+        return out, ["train", "--config", cfg, "--features", inputs["features"],
+                     "--labels", inputs["labels"], "--peers", inputs["peers"],
+                     "--out", str(out / "head.ckpt"), "--history", str(out / "history.csv")]
+    return out, ["eval", "--config", cfg, "--repeats", "1", "--out", str(out / "results.csv")]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_diverging_run_is_runtime_error_with_one_stderr_line(tmp_path, train_inputs, command):
+    """Run as a child process, so numpy's warnings would reach the real stderr."""
+    out, argv = _diverging_argv(tmp_path, train_inputs, command)
+    src = str(Path(odpc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "odpc.cli", *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["error"] == "DivergenceError"
+    assert re.match(r"epoch 0, batch \d+: the loss is .* at lr 1000000\.0", doc["message"])
+    assert re.search(r"^warning: RuntimeWarning: ", proc.stdout, re.M)
+    assert list(out.iterdir()) == []
+
+
+def test_python_warnings_go_to_stdout_until_main_returns(tmp_path, capsys, train_inputs):
+    out, argv = _diverging_argv(tmp_path, train_inputs, "eval")
+    shown, handlers = warnings.showwarning, list(logging.getLogger("odpc").handlers)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^warning: RuntimeWarning: ", captured.out, re.M)
+    assert len(captured.err.splitlines()) == 1
+    assert warnings.showwarning is shown and logging.getLogger("odpc").handlers == handlers
+    assert list(out.iterdir()) == []
+
+
 def test_train_zero_epochs_bank_of_another_width_is_usage_error(tmp_path, rng, capsys):
     # The default config encodes descriptions 512-d; the bank is 64-d.
     names, labels = ["cat", "dog"], np.repeat([0, 1], 20)
@@ -937,8 +984,13 @@ def test_gen_peers_labels_classes_not_a_list_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "bad_row",
     ["synthetic,1,8", "synthetic,1,8,abc,13.39", "synthetic,1,8,0.8,",
-     "synthetic,1,8," + "9" * 200_000 + ",13.39"],
-    ids=["short-row", "auroc-abc", "openness-empty", "field-beyond-csv-limit"],
+     "synthetic,1,8," + "9" * 200_000 + ",13.39",
+     # Values eval cannot write: an AUROC off nan and [0, 1], an openness off [0, 100).
+     "synthetic,1,8,inf,13.39", "synthetic,1,8,-0.5,13.39", "synthetic,1,8,1.5,13.39",
+     "synthetic,1,8,0.8,100", "synthetic,1,8,0.8,-1", "synthetic,1,8,0.8,nan"],
+    ids=["short-row", "auroc-abc", "openness-empty", "field-beyond-csv-limit",
+         "auroc-inf", "auroc-negative", "auroc-above-1", "openness-100", "openness-negative",
+         "openness-nan"],
 )
 def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
@@ -956,6 +1008,21 @@ def test_report_row_with_wrong_field_count_is_runtime_error(tmp_path, capsys, ba
     doc = json.loads(lines[0])
     assert doc["error"] == "FormatError"
     assert str(results) in doc["message"] and "line 3" in doc["message"]
+    assert not table.exists()
+
+
+def test_report_text_not_utf8_is_runtime_error(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes("protocol,repeat,seed,auroc,openness\n".encode("utf-16"))
+    table = tmp_path / "table.md"
+    capsys.readouterr()
+    rc = main(["report", "--results", str(results), "--out", str(table)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "FormatError"
+    assert str(results) in doc["message"] and "UTF-8" in doc["message"]
     assert not table.exists()
 
 

@@ -19,6 +19,7 @@ from conftest import (
 )
 from odpc.errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
 import odpc.losses
+import odpc.trainer
 from odpc.head import forward_with_cache, init_head, softmax
 from odpc.losses import (
     LossConfig,
@@ -377,10 +378,12 @@ def test_loss_config_validation():
 def test_step_functions_raise_nothing():
     """``trainer.train`` checks a run's inputs once; the code it calls per step
     only computes, so a check that grows back here belongs in ``train``."""
-    tree = ast.parse(Path(odpc.losses.__file__).read_text("utf-8"))
-    step = {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"}
-    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    assert step <= set(functions)
-    raising = {name for name in step if any(isinstance(inner, ast.Raise)
-                                            for inner in ast.walk(functions[name]))}
-    assert raising == set()
+    steps = {odpc.losses: {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"},
+             odpc.trainer: {"sgd_step"}}
+    for module, step in steps.items():
+        tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+        functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        assert step <= set(functions)
+        raising = {name for name in step if any(isinstance(inner, ast.Raise)
+                                                for inner in ast.walk(functions[name]))}
+        assert raising == set()

@@ -1,16 +1,16 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import assert_views_follow_layout, unit_rows
-from odpc.errors import ConfigError, InvalidArgumentError
+from odpc.errors import ConfigError, DivergenceError, InvalidArgumentError
 from odpc.head import init_head
 from odpc.losses import LossConfig
 from odpc.trainer import (
     SGD_BLOCK_ELEMS,
     TrainingConfig,
-    TrainingState,
     lr_at,
     sgd_step,
     train,
@@ -28,69 +28,53 @@ def test_lr_schedule_values():
         lr_at(-1, cfg)
 
 
-def _scalar_state():
-    head = init_head(2, 0, seed=0, feature_dim=4)
-    head.params[...] = 0.0
-    head.weights[0][0, 0] = 1.0
-    return TrainingState.fresh(head)
-
-
-def _grads_like(head, fill):
-    return head.like(np.full(head.params.size, fill))
+def _scalar_arrays(fill):
+    """Parameters, gradient and velocity of 4 elements; the first parameter is 1."""
+    params = np.zeros(4, dtype=np.float32)
+    params[0] = 1.0
+    return params, np.full(4, fill), np.zeros(4)
 
 
 def test_sgd_plain_step():
-    state = _scalar_state()
-    grads = _grads_like(state.head, 0.5)
-    sgd_step(state, grads, lr=0.1, momentum=0.0)
-    assert state.head.weights[0][0, 0] == pytest.approx(0.95, rel=1e-6)
+    params, grad, velocity = _scalar_arrays(0.5)
+    assert sgd_step(params, grad, velocity, lr=0.1, momentum=0.0) is None
+    assert params[0] == pytest.approx(0.95, rel=1e-6)
 
 
 def test_sgd_momentum_two_steps():
-    state = _scalar_state()
-    grads = _grads_like(state.head, 1.0)
-    sgd_step(state, grads, lr=0.1, momentum=0.9)
-    assert state.head.weights[0][0, 0] == pytest.approx(0.9, rel=1e-6)
-    sgd_step(state, grads, lr=0.1, momentum=0.9)
+    params, grad, velocity = _scalar_arrays(1.0)
+    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9)
+    assert params[0] == pytest.approx(0.9, rel=1e-6)
+    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9)
     # v = 0.9*1 + 1 = 1.9 -> theta = 0.9 - 0.19
-    assert state.head.weights[0][0, 0] == pytest.approx(0.71, rel=1e-6)
+    assert params[0] == pytest.approx(0.71, rel=1e-6)
 
 
 def test_sgd_zero_lr_updates_buffers_only():
-    state = _scalar_state()
-    before = state.head.weights[0].copy()
-    sgd_step(state, _grads_like(state.head, 1.0), lr=0.0, momentum=0.5)
-    assert np.array_equal(state.head.weights[0], before)
-    assert state.head.like(state.velocity).weights[0][0, 0] == pytest.approx(1.0)
+    params, grad, velocity = _scalar_arrays(1.0)
+    before = params.copy()
+    sgd_step(params, grad, velocity, lr=0.0, momentum=0.5)
+    assert np.array_equal(params, before)
+    assert np.array_equal(velocity, grad)
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["block-1", "block", "block+1"])
 def test_sgd_blocked_update_bit_equal_to_whole_array(delta):
     rng = np.random.default_rng(40 + delta)
-    # Layer widths (d, 1, 1, 1, 2) hold d + 9 parameters.
-    head = init_head(2, 0, seed=0, feature_dim=SGD_BLOCK_ELEMS + delta - 9, hidden_dims=(1, 1, 1))
-    assert head.params.size == SGD_BLOCK_ELEMS + delta
-    head.params[...] = rng.standard_normal(head.params.size)
-    state = TrainingState.fresh(head)
-    expected = head.params.copy()
-    velocity = np.zeros(head.params.size)
+    size = SGD_BLOCK_ELEMS + delta
+    params = rng.standard_normal(size).astype(np.float32)
+    velocity = np.zeros(size)
+    expected, expected_velocity = params.copy(), np.zeros(size)
     lr, momentum = 1e-3, 0.9
     for _ in range(2):
-        grads = head.like(rng.standard_normal(head.params.size))
-        velocity *= momentum
-        velocity += grads.params
-        expected = (expected.astype(np.float64) - lr * velocity).astype(np.float32)
-        sgd_step(state, grads, lr, momentum)
-    assert head.params.dtype == np.float32
-    assert np.array_equal(head.params, expected)
-    assert np.array_equal(state.velocity, velocity)
-
-
-def test_sgd_rejects_gradient_of_another_layout():
-    state = _scalar_state()
-    other = init_head(2, 0, seed=0, feature_dim=5)
-    with pytest.raises(InvalidArgumentError):
-        sgd_step(state, _grads_like(other, 1.0), lr=0.1, momentum=0.0)
+        grad = rng.standard_normal(size)
+        expected_velocity *= momentum
+        expected_velocity += grad
+        expected = (expected.astype(np.float64) - lr * expected_velocity).astype(np.float32)
+        sgd_step(params, grad, velocity, lr, momentum)
+    assert params.dtype == np.float32
+    assert np.array_equal(params, expected)
+    assert np.array_equal(velocity, expected_velocity)
 
 
 def _toy_training_setup(seed=0, n_per_class=20, n_classes=3, dim=16):
@@ -148,6 +132,7 @@ def test_train_zero_epochs_leaves_head_unchanged():
     before = head.params.copy()
     state = train(features, labels, class_text, peer_text, head,
                   TrainingConfig(epochs=0, batch_size=8))
+    assert [f.name for f in fields(state)] == ["head", "history"]
     assert state.history == []
     assert np.array_equal(state.head.params, before)
 
@@ -234,6 +219,17 @@ def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[1] == f"0,{cfg.lr!r},nan,nan,nan,nan,nan"
     assert "nan" not in rows[2]
+
+
+def test_train_stops_at_the_first_non_finite_loss():
+    features, labels, class_text, peer_text = _toy_training_setup()
+    head = init_head(3, 6, seed=1, feature_dim=16)
+    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e6, momentum=0.0, seed=5,
+                         loss=LossConfig(temperature=0.05))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        train(features, labels, class_text, peer_text, head, cfg)
+    message = str(err.value)
+    assert re.match(r"epoch \d+, batch \d+: the loss is (nan|-?inf) at lr 1000000\.0", message), message
 
 
 def test_train_requires_two_classes():
