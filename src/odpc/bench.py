@@ -30,7 +30,7 @@ from .encoders import (
     toy_encode_images,
     toy_encode_texts,
 )
-from .errors import ConfigError, FormatError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError, FormatError, InvalidArgumentError
 from .head import init_head
 from .knn_detector import (
     FeatureBank,
@@ -437,8 +437,10 @@ class EvalResult:
 
 
 def fit(features: np.ndarray, labels: np.ndarray, peers: PeerClassSet,
-        settings: PipelineSettings, seed: int) -> TrainingState:
-    """Train a head on the ``features`` rows, row j of class ``labels[j]``.
+        settings: PipelineSettings, seed: int, rows: np.ndarray | None = None) -> TrainingState:
+    """Train a head on the ``features`` rows that ``rows`` indexes (default:
+    every row), row ``rows[j]`` of class ``labels[j]``; ``train`` reads them
+    in place.
 
     Class i is the i-th key of ``peers.peers``. The classes' descriptions
     and then each class's peer descriptions, in order, are rendered with
@@ -460,7 +462,7 @@ def fit(features: np.ndarray, labels: np.ndarray, peers: PeerClassSet,
                      feature_dim=features.shape[1], hidden_dims=settings.hidden_dims)
     loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
     cfg = replace(settings.training, seed=seed, loss=loss)
-    return train(features, labels, class_texts, dict(enumerate(peer_rows)), head, cfg)
+    return train(features, labels, class_texts, dict(enumerate(peer_rows)), head, cfg, rows)
 
 
 def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: PipelineSettings, seed: int) -> float:
@@ -476,23 +478,24 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
     if k > train_rows.size:
         raise ConfigError(f"knn_k {k} exceeds the split's {train_rows.size} train rows")
 
-    # Rows stay float32: the transforms cast to float64, which is exact.
+    # The rows are read in place and stay float32: training and the
+    # transforms gather them in batches and chunks and cast to float64, which
+    # is exact.
     values = dataset.features.values
-    train_x, id_x, ood_x = (values[rows] for rows in (train_rows, id_rows, ood_rows))
-
     if settings.variant == "passthrough":
-        bank = FeatureBank(passthrough_transform(train_x))
-        id_q = passthrough_transform(id_x)
-        ood_q = passthrough_transform(ood_x)
+        bank = FeatureBank(passthrough_transform(values, train_rows))
+        id_q = passthrough_transform(values, id_rows)
+        ood_q = passthrough_transform(values, ood_rows)
     else:
         # Known class i is local label i, and the i-th key of the peer set.
         local = {name: i for i, name in enumerate(known)}
         to_local = np.array([local.get(name, -1) for name in dataset.class_names], dtype=np.int64)
         peers = generate_peer_classes(known, settings.peer, StubProvider(seed=seed))
-        head = fit(train_x, to_local[dataset.labels[train_rows]], peers, settings, seed).head
-        bank = build_bank(head, train_x)
-        id_q = bank_transform(head, id_x)
-        ood_q = bank_transform(head, ood_x)
+        head = fit(values, to_local[dataset.labels[train_rows]], peers, settings, seed,
+                   rows=train_rows).head
+        bank = build_bank(head, values, train_rows)
+        id_q = bank_transform(head, values, id_rows)
+        ood_q = bank_transform(head, values, ood_rows)
 
     id_scores = knn_scores(id_q, bank, k, settings.knn.backend)
     ood_scores = knn_scores(ood_q, bank, k, settings.knn.backend)
@@ -510,7 +513,8 @@ def run_benchmark(
 
     Every split samples from the dataset's own classes. Repeat r uses seed
     base_seed + r for the split, peers, head init, and training, so results
-    are reproducible end to end.
+    are reproducible end to end. A repeat whose training diverges raises
+    DivergenceError with ``repeat r (seed s): `` before train's message.
     """
     if repeats < 1:
         raise InvalidArgumentError(f"repeats must be >= 1, got {repeats}")
@@ -525,7 +529,10 @@ def run_benchmark(
     for r in range(repeats):
         seed = base_seed + r
         split = make_split(protocol, catalog, seed)
-        aurocs.append(run_single(dataset, split, settings, seed))
+        try:
+            aurocs.append(run_single(dataset, split, settings, seed))
+        except DivergenceError as exc:
+            raise DivergenceError(f"repeat {r} (seed {seed}): {exc}") from exc
         seeds.append(seed)
     # Every split of a protocol has the protocol's class counts.
     return EvalResult(protocol=protocol, aurocs=aurocs, seeds=seeds,

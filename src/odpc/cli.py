@@ -245,7 +245,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.peers}: no entry for classes {missing}")
     peers = replace(peer_set, peers={name: peer_set.peers[name] for name in known})
     training = settings.training
-    state = bench.fit(features.values[dataset.is_train], labels, peers, settings, training.seed)
+    state = bench.fit(features.values, labels, peers, settings, training.seed,
+                      rows=np.flatnonzero(dataset.is_train))
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
     print(f"trained {training.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")

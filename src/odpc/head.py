@@ -10,7 +10,7 @@ All parameters live in one flat float32 array, ``MlpHead.params``, in
 checkpoint order (``tensor_names``); ``weights``, ``biases``, ``clf_weight``
 and ``clf_bias`` are views into it. All math runs in float64.
 ``MlpHead.like`` lays the same views over another flat buffer: a training
-step's float64 copy of the parameters and its gradients share the layout,
+run's float64 mirror of the parameters and its gradient share the layout,
 so the optimizer updates them in one pass over one array.
 
 Checkpoints are ``persist`` manifest frames whose payload is ``params``;

@@ -7,18 +7,24 @@ closest bank row: the farther a sample sits from the training manifold, the
 higher the score. A threshold calibrated to accept a target fraction of
 held-out ID scores turns scores into ID/OOD decisions.
 
+The bank functions read a split's rows in place: ``bank_transform``,
+``passthrough_transform`` and ``build_bank`` take the whole feature matrix
+and an optional ``rows`` index, and gather one chunk of at most
+``BANK_CHUNK_ROWS`` rows at a time, so no caller copies the split.
+
 Scoring is one exact scan. Per chunk of queries, one GEMM gives the squared
-distances ``|q|^2 + |b|^2 - 2 q.b`` to every bank row, ``argpartition``
-picks the k-th closest row, and that row's distance is recomputed by direct
-float64 subtraction, so GEMM rounding never reaches the returned score (a
-query equal to a bank row scores exactly 0 at k=1). The tests check the scan
+distances ``|q|^2 + |b|^2 - 2 q.b`` to every bank row (the bank computes
+its ``|b|^2`` once), ``argpartition`` picks the k-th closest row, and that
+row's distance is recomputed by direct float64 subtraction, so GEMM
+rounding never reaches the returned score (a query equal to a bank row
+scores exactly 0 at k=1). The tests check the scan
 against a float64 direct-subtraction full scan over every bank row.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +62,11 @@ class KnnConfig:
 @dataclass
 class FeatureBank:
     """Immutable search structure: per-layer-normalized, concatenated activations.
-    The non-empty 2-D float64 ``vectors`` are frozen in place, not copied."""
+    The non-empty 2-D float64 ``vectors`` are frozen in place, not copied, and
+    their squared row norms are computed once."""
 
     vectors: np.ndarray          # (n_train, bank dim), float64, read-only
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # (n_train,), read-only
 
     def __post_init__(self):
         v = self.vectors
@@ -66,6 +74,8 @@ class FeatureBank:
             raise InvalidArgumentError(f"bank vectors must be a non-empty 2-D float64 array, "
                                        f"got {np.shape(v)} {getattr(v, 'dtype', type(v))}")
         v.setflags(write=False)
+        self.sq_norms = np.einsum("ij,ij->i", v, v)
+        self.sq_norms.setflags(write=False)
 
     @property
     def rows(self) -> int:
@@ -76,42 +86,57 @@ class FeatureBank:
         return int(self.vectors.shape[1])
 
 
-def bank_transform(head: MlpHead, features: np.ndarray) -> np.ndarray:
-    """Map encoder features to bank space: forward, per-layer normalize, concatenate.
-
-    Rows go through ``forward`` in near-equal chunks of at most
-    ``BANK_CHUNK_ROWS`` (``blocks.row_chunks``, so the result is bit-equal
-    to one batch); each chunk's normalized layers, and first their squares,
-    are written straight into the output. A zero row names its layer and row.
-    """
+def _matrix_and_rows(features: np.ndarray, rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-D feature matrix and the rows to read from it (default: all)."""
     values = np.asarray(features)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-D batch, got shape {values.shape}")
-    n = values.shape[0]
+    return values, np.arange(values.shape[0]) if rows is None else np.asarray(rows)
+
+
+def bank_transform(head: MlpHead, features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Map the ``features`` rows that ``rows`` indexes (default: all) to bank
+    space: forward, per-layer normalize, concatenate.
+
+    The rows are gathered and go through ``forward`` in near-equal chunks of
+    at most ``BANK_CHUNK_ROWS`` (``blocks.row_chunks``, so the result is
+    bit-equal to one batch); each chunk's normalized layers, and first their
+    squares, are written straight into the output. A zero row names its
+    layer and its position in ``rows``.
+    """
+    values, rows = _matrix_and_rows(features, rows)
+    n = rows.size
     out = np.empty((n, sum(head.dims[1:-1])))
     for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
         segments = np.split(out[lo:hi], np.cumsum(head.dims[1:-2]), axis=1)
-        for l, (h, seg) in enumerate(zip(forward(head, values[lo:hi]), segments), start=1):
+        for l, (h, seg) in enumerate(zip(forward(head, values[rows[lo:hi]]), segments), start=1):
             normalize_rows(h, seg, f"layer {l}", lo, square=seg)
         del h  # or the last layer's rows stay alive through the next chunk's forward
     return out
 
 
-def passthrough_transform(features: np.ndarray) -> np.ndarray:
-    """Bank-space stand-in without a trained head: the normalized feature
-    rows stacked once per shared layer, as a head's bank stacks its layers."""
-    values = np.asarray(features, dtype=np.float64)
-    out = np.empty((values.shape[0], N_SHARED_LAYERS, values.shape[1]))
-    normalize_rows(values, out[:, 0], "feature", square=out[:, 0])
+def passthrough_transform(features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Bank-space stand-in without a trained head: the normalized ``features``
+    rows that ``rows`` indexes (default: all), stacked once per shared layer
+    as a head's bank stacks its layers. Rows are read in the chunks of
+    ``bank_transform``, so the matrix is never cast whole."""
+    values, rows = _matrix_and_rows(features, rows)
+    n = rows.size
+    out = np.empty((n, N_SHARED_LAYERS, values.shape[1]))
+    for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
+        seg = out[lo:hi, 0]
+        normalize_rows(values[rows[lo:hi]], seg, "feature", lo, square=seg)
     out[:, 1:] = out[:, :1]
-    return out.reshape(values.shape[0], -1)
+    return out.reshape(n, -1)
 
 
-def build_bank(head: MlpHead, train_features: np.ndarray) -> FeatureBank:
-    """Forward all training features and freeze them into a search bank."""
-    if np.asarray(train_features).shape[0] == 0:
+def build_bank(head: MlpHead, train_features: np.ndarray, rows: np.ndarray | None = None) -> FeatureBank:
+    """Forward the training rows (``rows`` of ``train_features``, default
+    all) and freeze them into a search bank."""
+    values, rows = _matrix_and_rows(train_features, rows)
+    if rows.size == 0:
         raise InvalidArgumentError("cannot build a feature bank from an empty train set")
-    return FeatureBank(bank_transform(head, train_features))
+    return FeatureBank(bank_transform(head, values, rows))
 
 
 def knn_scores(
@@ -126,7 +151,6 @@ def knn_scores(
     if q.ndim != 2 or q.shape[1] != bank.dim:
         raise ShapeError(f"queries must be (n, {bank.dim}), got {q.shape}")
     b = bank.vectors
-    b_sq = np.einsum("ij,ij->i", b, b)
     scores = np.empty(q.shape[0])
     step = rows_per_block(bank.rows, SCAN_BLOCK_ELEMS)  # queries per distance block
     for lo in range(0, q.shape[0], step):
@@ -134,7 +158,7 @@ def knn_scores(
         d2 = qc @ b.T
         d2 *= -2.0
         d2 += np.einsum("ij,ij->i", qc, qc)[:, None]
-        d2 += b_sq
+        d2 += bank.sq_norms
         kth = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
         diff = qc - b[kth]
         scores[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))

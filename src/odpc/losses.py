@@ -29,6 +29,12 @@ the descriptions of the classes in the batch, the mixed images and the mixed
 texts, gathers the per-row text activations for the contrastive terms, and
 sums their adjoints back into the rows they came from.
 
+A training run's float64 buffers live in one Workspace in the head's
+layout: the parameter mirror the forward and backward read, which
+``trainer.sgd_step`` refreshes as it writes the parameters, and the gradient,
+which loss_and_grad writes in place with ``out=``. Without a workspace,
+loss_and_grad makes a one-off one, so every caller takes the same path.
+
 The step functions (build_negative_set, loss_and_grad and the contrastive
 core) raise nothing: they take the float64 rows and int64 labels
 ``trainer.train`` prepared and trust its one check of labels, peers and
@@ -247,6 +253,24 @@ class LossBreakdown:
     ce: float
 
 
+@dataclass
+class Workspace:
+    """A training run's float64 buffers, each a head in ``head``'s layout.
+
+    ``mirror.params`` is the head's parameters cast to float64, read by the
+    forward and backward and kept equal to them by ``trainer.sgd_step``;
+    ``grads.params`` is the gradient, rewritten in full by each
+    ``loss_and_grad`` call.
+    """
+
+    mirror: MlpHead
+    grads: MlpHead
+
+    @classmethod
+    def of(cls, head: MlpHead) -> Workspace:
+        return cls(head.like(head.params.astype(np.float64)), head.like(np.empty(head.params.size)))
+
+
 def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.ndarray:
     """Sum per-row adjoints into their distinct rows with a one-hot GEMM."""
     one_hot = (np.arange(count)[:, None] == inverse[None, :]).astype(np.float64)
@@ -261,6 +285,7 @@ def loss_and_grad(
     negatives: NegativeSet | None,
     cfg: LossConfig,
     want_grad: bool = True,
+    work: Workspace | None = None,
 ) -> tuple[LossBreakdown, MlpHead | None]:
     """Objective value (and gradients) for one batch of float64 ``images``
     rows, image i of class labels[i] and paired with class_texts[labels[i]].
@@ -269,10 +294,12 @@ def loss_and_grad(
     plus cross-entropy on the image logits, with terms switched by cfg.
     Text and image features share the same layers, so every enabled stream
     contributes to the shared-layer gradients; encoder inputs stay frozen.
-    The gradients come back as a float64 head in ``head``'s layout, so
-    ``grads.params`` lines up element for element with ``head.params``.
-    cfg alone turns the mixup negatives on: with use_pcc and use_mixup set,
-    ``negatives`` is build_negative_set's set for this batch.
+    The gradients come back as ``work.grads``, a float64 head in ``head``'s
+    layout, so ``grads.params`` lines up element for element with
+    ``head.params``; the forward reads ``work.mirror``, which must equal
+    ``head.params`` cast to float64. Without ``work`` a one-off Workspace
+    is made. cfg alone turns the mixup negatives on: with use_pcc and
+    use_mixup set, ``negatives`` is build_negative_set's set for this batch.
     """
     n = len(labels)
     use_mix = cfg.use_pcc and cfg.use_mixup
@@ -283,7 +310,9 @@ def loss_and_grad(
         mixed_inv = negatives.text_index
         streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
-    params = head.like(np.asarray(head.params, dtype=np.float64))
+    if work is None:
+        work = Workspace.of(head)
+    params = work.mirror
     hs, logits_all = forward_with_cache(params, np.vstack(streams))
     n_layers = len(head.weights)
 
@@ -331,12 +360,17 @@ def loss_and_grad(
     if not want_grad:
         return breakdown, None
 
-    grads = head.like(np.zeros(head.params.size))
+    # The backward writes every block of the reused gradient buffer except
+    # the classifier's without CE; those are zeroed.
+    grads = work.grads
     running = adj[n_layers - 1]
     if g_logits is not None:
         np.matmul(g_logits.T, block(hs[n_layers], 0), out=grads.clf_weight)
         np.sum(g_logits, axis=0, out=grads.clf_bias)
         running[0:n] += g_logits @ params.clf_weight
+    else:
+        grads.clf_weight.fill(0.0)
+        grads.clf_bias.fill(0.0)
 
     for li in range(n_layers - 1, -1, -1):
         dz = running * (hs[li + 1] > 0)

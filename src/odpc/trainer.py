@@ -10,15 +10,20 @@ while parameters stay float32.
 docstring); the per-step code it calls, in ``losses`` and ``sgd_step``,
 trusts that and only computes.
 
-``train`` owns the SGD update's three flat arrays in one layout: the
-parameters (``MlpHead.params``), each step's gradient and a float64
-velocity allocated per run. ``sgd_step`` updates them in place in one pass
+``train`` allocates its large buffers once per run, so a step allocates
+nothing the size of the parameters: a float64 velocity and a
+``losses.Workspace`` holding the float64 parameter mirror and the flat
+gradient, all in the layout of ``MlpHead.params``. It reads the features in
+place: each batch's rows are gathered as the batch is drawn, through the
+optional ``rows`` index, so a caller passes a split's rows without copying
+them. ``sgd_step`` updates the parameters, velocity and mirror in one pass
 of cache-sized blocks: per block, the velocity is scaled and the gradient
 added in place, lr*v goes into a preallocated scratch block, theta - lr*v
-overwrites that scratch, and the result is written back to the parameters
-in their own dtype. These are the same float64 operations, element by
-element, as the whole-array update, so the blocked update is bit-equal to
-it; it only makes fewer passes over main memory.
+overwrites that scratch, the result is written back to the parameters in
+their own dtype, and the mirror takes the written values. These are the
+same float64 operations, element by element, as the whole-array update
+followed by a fresh float64 cast of the parameters, so the blocked update
+is bit-equal to them; it only makes fewer passes over main memory.
 """
 
 from __future__ import annotations
@@ -33,13 +38,13 @@ import numpy as np
 from . import persist
 from .errors import ConfigError, DivergenceError, InvalidArgumentError
 from .head import N_SHARED_LAYERS, MlpHead
-from .losses import LossConfig, build_negative_set, loss_and_grad
+from .losses import LossConfig, Workspace, build_negative_set, loss_and_grad
 
 logger = logging.getLogger(__name__)
 
 # Elements per block of sgd_step's update: a block's float64 velocity,
-# gradient and scratch plus its float32 parameter (28 bytes an element,
-# 896 KiB a block) stay within a 2 MiB L2 cache.
+# gradient, mirror and scratch plus its float32 parameter (36 bytes an
+# element, 1,152 KiB a block) stay within a 2 MiB L2 cache.
 SGD_BLOCK_ELEMS = 32768
 
 
@@ -96,13 +101,14 @@ def lr_at(epoch: int, cfg: TrainingConfig) -> float:
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float) -> None:
+             lr: float, momentum: float, mirror: np.ndarray) -> None:
     """Classical momentum update, in place: v <- momentum*v + g; theta <- theta - lr*v.
 
-    The three flat arrays share one layout; the float64 velocity is
-    ``train``'s, and the parameters are written back in their own dtype.
-    The update runs in blocks of SGD_BLOCK_ELEMS elements and is bit-equal
-    to ``(theta.astype(float64) - lr*v).astype(theta.dtype)`` (see the
+    The four flat arrays share one layout; the float64 velocity and mirror
+    are ``train``'s, and the parameters are written back in their own
+    dtype. The update runs in blocks of SGD_BLOCK_ELEMS elements and is
+    bit-equal to ``(theta.astype(float64) - lr*v).astype(theta.dtype)``;
+    ``mirror`` then equals the new parameters cast to float64 (see the
     module docstring).
     """
     scratch = np.empty(min(SGD_BLOCK_ELEMS, params.size))
@@ -115,6 +121,7 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
         np.multiply(vb, lr, out=step)
         np.subtract(params[lo:hi], step, out=step)
         params[lo:hi] = step
+        mirror[lo:hi] = params[lo:hi]
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -132,8 +139,10 @@ def train(
     peer_text_features: dict[int, np.ndarray],
     head: MlpHead,
     cfg: TrainingConfig,
+    rows: np.ndarray | None = None,
 ) -> TrainingState:
-    """Train the head on frozen features.
+    """Train the head on the frozen ``features`` rows that ``rows`` indexes
+    (default: every row), row ``rows[j]`` of class ``labels[j]``.
 
     class_text_features row c is the encoded description of class c;
     peer_text_features maps class index -> (n_peers, dim) matrix. Batches
@@ -142,11 +151,12 @@ def train(
     logs one warning with their count.
 
     The one check of a run's inputs comes first, also with ``epochs=0``:
-    a ConfigError unless the features are (n, dim) with one label per row,
-    the class descriptions, every peer matrix and the head are dim wide,
-    the labels cover 2+ classes within [0, min(class descriptions, ID
-    classes)), and with mixup on every present class has peers. A batch
-    whose loss is not finite raises DivergenceError before its update.
+    a ConfigError unless the features are (n, dim), ``rows`` holds 1-D
+    integer indices in [0, n) with one label per row, the class
+    descriptions, every peer matrix and the head are dim wide, the labels
+    cover 2+ classes within [0, min(class descriptions, ID classes)), and
+    with mixup on every present class has peers. A batch whose loss is not
+    finite raises DivergenceError before its update.
     """
     # Every cast of the step inputs is made here; the step functions cast
     # nothing. The labels, class descriptions and peer matrices are cast
@@ -154,11 +164,20 @@ def train(
     # is never copied whole. float32 -> float64 is exact, so float32 inputs
     # give the same bits as their float64 casts.
     x = np.asarray(features)
+    if x.ndim != 2:
+        raise ConfigError(f"features must be (n, dim), got shape {x.shape}")
+    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise ConfigError(f"rows must be 1-D integer indices, got shape {rows.shape} {rows.dtype}")
+    if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
+        raise ConfigError(f"rows {rows.min()}..{rows.max()} do not lie in [0, {x.shape[0]}) "
+                          "for the feature rows")
     labels = np.asarray(labels, dtype=np.int64)
     class_text = np.asarray(class_text_features, dtype=np.float64)
     peers = {c: np.asarray(p, dtype=np.float64) for c, p in peer_text_features.items()}
-    if x.ndim != 2 or labels.shape != (x.shape[0],):
-        raise ConfigError("features must be (n, dim) with one label per row")
+    if labels.shape != rows.shape:
+        raise ConfigError(f"labels of shape {labels.shape} do not give one label per row "
+                          f"of the {rows.size} rows")
     dim = x.shape[1]
     if head.feature_dim != dim:
         raise ConfigError(f"the features are {dim}-d but the head takes {head.feature_dim}-d rows")
@@ -179,7 +198,7 @@ def train(
             if len(peers.get(cls, ())) == 0:
                 raise ConfigError(f"class {cls} has no peer description features")
 
-    n = x.shape[0]
+    n = rows.size
     n_batches = n // cfg.batch_size
     if cfg.epochs > 0 and n_batches == 0:
         raise ConfigError(
@@ -187,6 +206,7 @@ def train(
         )
 
     velocity = np.zeros(head.params.size)
+    work = Workspace.of(head)
     history = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -201,7 +221,7 @@ def train(
             if np.unique(batch_labels).size < 2:
                 skipped += 1
                 continue
-            images = np.asarray(x[idx], dtype=np.float64)
+            images = np.asarray(x[rows[idx]], dtype=np.float64)
             negatives = None
             if cfg.loss.use_pcc and cfg.loss.use_mixup:
                 negatives = build_negative_set(
@@ -209,11 +229,11 @@ def train(
                     _batch_rng(cfg.seed, epoch, b),
                 )
             breakdown, grads = loss_and_grad(head, images, batch_labels, class_text,
-                                             negatives, cfg.loss)
+                                             negatives, cfg.loss, work=work)
             if not math.isfinite(breakdown.total):
                 raise DivergenceError(f"epoch {epoch}, batch {b}: the loss is {breakdown.total} "
                                       f"at lr {lr!r}; lower the lr")
-            sgd_step(head.params, grads.params, velocity, lr, cfg.momentum)
+            sgd_step(head.params, grads.params, velocity, lr, cfg.momentum, work.mirror.params)
             sums += (breakdown.total, *breakdown.pcc_layers, breakdown.ce)
             used += 1
 

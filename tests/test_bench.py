@@ -478,7 +478,7 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
         calls.append(list(texts))
         return toy_encode_texts(texts, cfg)
 
-    def capture(features, labels, class_texts, peer_texts, head, cfg):
+    def capture(features, labels, class_texts, peer_texts, head, cfg, rows):
         seen.update(class_texts=class_texts, peer_texts=peer_texts)
         return "state"
 

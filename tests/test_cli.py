@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
@@ -599,9 +600,25 @@ def test_diverging_run_is_runtime_error_with_one_stderr_line(tmp_path, train_inp
     assert len(lines) == 1, proc.stderr
     doc = json.loads(lines[0])
     assert doc["error"] == "DivergenceError"
-    assert re.match(r"epoch 0, batch \d+: the loss is .* at lr 1000000\.0", doc["message"])
+    # eval names the repeat and its seed; the config's seed is 3.
+    repeat = "" if command == "train" else r"repeat 0 \(seed 3\): "
+    assert re.match(repeat + r"epoch 0, batch \d+: the loss is .* at lr 1000000\.0", doc["message"])
     assert re.search(r"^warning: RuntimeWarning: ", proc.stdout, re.M)
     assert list(out.iterdir()) == []
+
+
+def test_eval_divergence_names_the_repeat_and_its_seed(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    cfg = write_config(tmp_path, {"epochs": 2, "lr": 1e6, "momentum": 0.0})
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--repeats", "2", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "DivergenceError"
+    assert re.match(r"repeat 0 \(seed 3\): epoch 0, batch \d+: the loss is .* at lr 1000000\.0",
+                    doc["message"])
+    assert not out.exists()
 
 
 def test_python_warnings_go_to_stdout_until_main_returns(tmp_path, capsys, train_inputs):
@@ -635,6 +652,46 @@ def test_train_zero_epochs_bank_of_another_width_is_usage_error(tmp_path, rng, c
     doc = json.loads(lines[0])
     assert doc["error"] == "ConfigError" and "64-d" in doc["message"] and "512" in doc["message"]
     assert not ckpt.exists() and not hist.exists()
+
+
+def test_train_reads_its_train_rows_in_place(tmp_path, monkeypatch):
+    """``odpc train --epochs 0`` on a 20,000 x 64 bank allocates, from the end
+    of loading its inputs to the end of ``bench.fit``, less than half the
+    bytes of its train rows: no copy of them is made. tracemalloc sees
+    numpy's buffers."""
+    rng = np.random.default_rng(0)
+    names = list(shipped_class_names("cifar10"))
+    labels = np.repeat(np.arange(len(names)), 2000)
+    is_train = np.arange(labels.size) % 10 != 0
+    persist.write_bank(unit_rows(rng, labels.size, 64).astype(np.float32), tmp_path / "all.fb",
+                       normalized=True)
+    bench.write_manifest(tmp_path / "labels.json", "cifar10", names, labels, is_train,
+                         [f"s{i}" for i in range(labels.size)])
+    cfg = write_config(tmp_path, {"epochs": 0, "feature_dim": 64, "hidden_dims": [64, 64, 64]})
+    assert main(["gen-peers", "--config", cfg, "--classes", ",".join(names),
+                 "--out", str(tmp_path / "peers.json")]) == 0
+    load, fit, peaks = bench.load_manifest_dataset, bench.fit, []
+
+    def loaded_then_traced(*args):
+        dataset = load(*args)
+        tracemalloc.start()
+        return dataset
+
+    def traced_fit(*args, **kwargs):
+        state = fit(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return state
+
+    monkeypatch.setattr(bench, "load_manifest_dataset", loaded_then_traced)
+    monkeypatch.setattr(bench, "fit", traced_fit)
+    try:
+        assert main(["train", "--config", cfg, "--features", str(tmp_path / "all.fb"),
+                     "--labels", str(tmp_path / "labels.json"), "--peers", str(tmp_path / "peers.json"),
+                     "--out", str(tmp_path / "head.ckpt"), "--history", str(tmp_path / "h.csv")]) == 0
+    finally:
+        tracemalloc.stop()
+    train_bytes = int(is_train.sum()) * 64 * np.dtype(np.float32).itemsize
+    assert len(peaks) == 1 and peaks[0] < train_bytes / 2
 
 
 def test_train_manifest_unknown_class_is_usage_error(tmp_path, capsys, train_inputs):

@@ -130,6 +130,22 @@ def test_bank_transform_chunks_bit_equal_to_one_batch(rows):
     assert np.array_equal(build_bank(head, feats).vectors, want)
 
 
+@pytest.mark.parametrize("n", [BANK_CHUNK_ROWS - 1, BANK_CHUNK_ROWS, BANK_CHUNK_ROWS + 1])
+def test_transforms_read_rows_in_place_bit_equal_to_the_gathered_call(n):
+    """``rows`` of a float32 matrix, shuffled and non-contiguous, give the
+    bytes of the same call on the gathered rows."""
+    r = np.random.default_rng(n)
+    head = init_head(3, 2, seed=4, feature_dim=16)
+    feats = r.standard_normal((n + 300, 16)).astype(np.float32)
+    rows = r.permutation(n + 300)[:n]
+    for call in (lambda x, *rows: bank_transform(head, x, *rows),
+                 lambda x, *rows: build_bank(head, x, *rows).vectors,
+                 passthrough_transform):
+        want = call(feats[rows])
+        got = call(feats, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_bank_transform_zero_row_in_second_chunk_raises(rng):
     head = init_head(3, 2, seed=4, feature_dim=16)
     feats = unit_rows(rng, BANK_CHUNK_ROWS + 1, 16)
@@ -221,8 +237,10 @@ def test_bank_immutable(rng):
     rows = unit_rows(rng, 4, 6)
     bank = FeatureBank(rows)
     assert bank.vectors is rows  # frozen in place, not copied
-    with pytest.raises(ValueError):
-        bank.vectors[0, 0] = 5.0
+    assert bank.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    for frozen in (bank.vectors, bank.sq_norms):
+        with pytest.raises(ValueError):
+            frozen[0] = 5.0
 
 
 @pytest.mark.parametrize(

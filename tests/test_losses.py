@@ -17,13 +17,17 @@ from conftest import (
     pcc_reference,
     unit_rows,
 )
+from odpc.bench import VARIANT_LOSS
 from odpc.errors import ConfigError, DegenerateBatchError, InvalidArgumentError, ShapeError
 import odpc.losses
 import odpc.trainer
+from odpc.trainer import sgd_step
 from odpc.head import forward_with_cache, init_head, softmax
 from odpc.losses import (
+    PCC_FORMS,
     LossConfig,
     NegativeSet,
+    Workspace,
     build_negative_set,
     ce_loss,
     loss_and_grad,
@@ -353,6 +357,30 @@ def test_loss_and_grad_names_a_zero_activation_row():
     head = init_head(2, 1, seed=0, feature_dim=8)
     with pytest.raises(InvalidArgumentError, match=r"^image features row 2 has \(near-\)zero norm$"):
         loss_and_grad(head, img, labels, class_txt, None, LossConfig(use_mixup=False))
+
+
+@given(variant=st.sampled_from(sorted(VARIANT_LOSS)), form=st.sampled_from(PCC_FORMS),
+       seed=st.integers(0, 10_000))
+def test_two_steps_through_one_workspace_equal_two_through_fresh_ones(variant, form, seed):
+    """A Workspace reused across steps, and dirty before the first, gives the
+    bits of a fresh one per step: every gradient block is rewritten on every
+    call (with CE off, the classifier's blocks are zeroed), and sgd_step keeps
+    the mirror equal to the parameters."""
+    head, batch, negatives, _ = make_grad_instance(seed, dim=8, n=6, form=form)
+    cfg = LossConfig(temperature=0.05, pcc_form=form, **VARIANT_LOSS[variant])
+    heads = [head, head.like(head.params.copy())]
+    velocities = [np.zeros(head.params.size) for _ in heads]
+    reused = Workspace.of(head)
+    reused.grads.params.fill(np.nan)
+    for _ in range(2):
+        steps = []
+        for h, velocity, work in zip(heads, velocities, (reused, None)):
+            breakdown, grads = loss_and_grad(h, *batch, negatives, cfg, work=work)
+            mirror = reused.mirror.params if work is reused else np.empty(h.params.size)
+            sgd_step(h.params, grads.params, velocity, 1e-2, 0.9, mirror)
+            steps.append((breakdown, grads.params.tobytes(), h.params.tobytes()))
+        assert steps[0] == steps[1]
+        assert reused.mirror.params.tobytes() == heads[0].params.astype(np.float64).tobytes()
 
 
 def test_grad_total_loss_frozen_inputs_untouched():

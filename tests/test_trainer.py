@@ -29,33 +29,37 @@ def test_lr_schedule_values():
 
 
 def _scalar_arrays(fill):
-    """Parameters, gradient and velocity of 4 elements; the first parameter is 1."""
+    """Parameters, gradient, velocity and float64 mirror of 4 elements; the
+    first parameter is 1."""
     params = np.zeros(4, dtype=np.float32)
     params[0] = 1.0
-    return params, np.full(4, fill), np.zeros(4)
+    return params, np.full(4, fill), np.zeros(4), params.astype(np.float64)
 
 
 def test_sgd_plain_step():
-    params, grad, velocity = _scalar_arrays(0.5)
-    assert sgd_step(params, grad, velocity, lr=0.1, momentum=0.0) is None
+    params, grad, velocity, mirror = _scalar_arrays(0.5)
+    assert sgd_step(params, grad, velocity, lr=0.1, momentum=0.0, mirror=mirror) is None
     assert params[0] == pytest.approx(0.95, rel=1e-6)
+    assert np.array_equal(mirror, params.astype(np.float64))
 
 
 def test_sgd_momentum_two_steps():
-    params, grad, velocity = _scalar_arrays(1.0)
-    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9)
+    params, grad, velocity, mirror = _scalar_arrays(1.0)
+    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9, mirror=mirror)
     assert params[0] == pytest.approx(0.9, rel=1e-6)
-    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9)
+    sgd_step(params, grad, velocity, lr=0.1, momentum=0.9, mirror=mirror)
     # v = 0.9*1 + 1 = 1.9 -> theta = 0.9 - 0.19
     assert params[0] == pytest.approx(0.71, rel=1e-6)
+    assert np.array_equal(mirror, params.astype(np.float64))
 
 
 def test_sgd_zero_lr_updates_buffers_only():
-    params, grad, velocity = _scalar_arrays(1.0)
+    params, grad, velocity, mirror = _scalar_arrays(1.0)
     before = params.copy()
-    sgd_step(params, grad, velocity, lr=0.0, momentum=0.5)
+    sgd_step(params, grad, velocity, lr=0.0, momentum=0.5, mirror=mirror)
     assert np.array_equal(params, before)
     assert np.array_equal(velocity, grad)
+    assert np.array_equal(mirror, before.astype(np.float64))
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["block-1", "block", "block+1"])
@@ -64,6 +68,8 @@ def test_sgd_blocked_update_bit_equal_to_whole_array(delta):
     size = SGD_BLOCK_ELEMS + delta
     params = rng.standard_normal(size).astype(np.float32)
     velocity = np.zeros(size)
+    # A stale mirror: every element must be rewritten by the update.
+    mirror = np.full(size, np.nan)
     expected, expected_velocity = params.copy(), np.zeros(size)
     lr, momentum = 1e-3, 0.9
     for _ in range(2):
@@ -71,10 +77,11 @@ def test_sgd_blocked_update_bit_equal_to_whole_array(delta):
         expected_velocity *= momentum
         expected_velocity += grad
         expected = (expected.astype(np.float64) - lr * expected_velocity).astype(np.float32)
-        sgd_step(params, grad, velocity, lr, momentum)
+        sgd_step(params, grad, velocity, lr, momentum, mirror)
     assert params.dtype == np.float32
     assert np.array_equal(params, expected)
     assert np.array_equal(velocity, expected_velocity)
+    assert mirror.tobytes() == expected.astype(np.float64).tobytes()
 
 
 def _toy_training_setup(seed=0, n_per_class=20, n_classes=3, dim=16):
@@ -124,6 +131,24 @@ def test_train_float32_features_bit_equal_to_float64_cast():
             for x, texts, peers in (f32, f64)]
     assert runs[0].history == runs[1].history
     assert runs[0].head.params.tobytes() == runs[1].head.params.tobytes()
+
+
+def test_train_rows_in_place_bit_equal_to_the_gathered_rows():
+    """``rows`` that are shuffled and non-contiguous train the head that the
+    gathered rows train, with the same history."""
+    features, labels, class_text, peer_text = _toy_training_setup()
+    rng = np.random.default_rng(9)
+    matrix = rng.standard_normal((3 * len(features), features.shape[1])).astype(np.float32)
+    rows = rng.permutation(len(matrix))[: len(features)]
+    matrix[rows] = features
+    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
+                         loss=LossConfig(temperature=0.05))
+    gathered = train(matrix[rows], labels, class_text, peer_text,
+                     init_head(3, 6, seed=1, feature_dim=16), cfg)
+    in_place = train(matrix, labels, class_text, peer_text,
+                     init_head(3, 6, seed=1, feature_dim=16), cfg, rows=rows)
+    assert in_place.history == gathered.history
+    assert in_place.head.params.tobytes() == gathered.head.params.tobytes()
 
 
 def test_train_zero_epochs_leaves_head_unchanged():
@@ -259,13 +284,18 @@ BOUNDARY_MESSAGES = {
     "class-texts-width": "the features are 16-d but the class descriptions have shape (3, 15)",
     "peer-width": "the features are 16-d but class 1's peer descriptions have shape (2, 15)",
     "head-width": "the features are 16-d but the head takes 17-d rows",
+    "rows-past-features": "rows 0..60 do not lie in [0, 60)",
+    "negative-row": "rows -1..59 do not lie in [0, 60)",
+    "rows-2d": "rows must be 1-D integer indices, got shape (60, 1)",
+    "float-rows": "rows must be 1-D integer indices, got shape (60,) float64",
+    "label-per-row": "labels of shape (60,) do not give one label per row of the 59 rows",
 }
 
 
 @pytest.mark.parametrize("case", list(BOUNDARY_MESSAGES))
 def test_train_checks_its_inputs_before_the_first_epoch(case):
     features, labels, class_text, peer_text = _toy_training_setup()
-    n_id, dim = 3, 16
+    n_id, dim, rows = 3, 16, np.arange(len(features))
     if case == "negative-label":
         labels[0] = -1
     elif case == "label-past-head":
@@ -278,11 +308,22 @@ def test_train_checks_its_inputs_before_the_first_epoch(case):
         class_text = class_text[:, :-1]
     elif case == "peer-width":
         peer_text[1] = peer_text[1][:, :-1]
+    elif case == "rows-past-features":
+        rows[-1] = len(features)
+    elif case == "negative-row":
+        rows[0] = -1
+    elif case == "rows-2d":
+        rows = rows[:, None]
+    elif case == "float-rows":
+        rows = rows.astype(np.float64)
+    elif case == "label-per-row":
+        rows = rows[1:]
     else:
         dim = 17
     head = init_head(n_id, 6, seed=1, feature_dim=dim)
     with pytest.raises(ConfigError, match=re.escape(BOUNDARY_MESSAGES[case])):
-        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8))
+        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8),
+              rows=rows)
 
 
 def test_loss_history_csv(tmp_path):
