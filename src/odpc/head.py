@@ -19,6 +19,7 @@ this module builds and checks the manifest.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +49,7 @@ def param_shapes(dims: tuple[int, ...]) -> list[tuple[int, ...]]:
 @dataclass
 class MlpHead:
     params: np.ndarray             # every parameter, flat, in tensor_names() order
-    dims: tuple[int, ...]          # feature_dim, the N_SHARED_LAYERS hidden widths, num_outputs
+    dims: tuple[int, ...]          # feature_dim, the N_SHARED_LAYERS hidden widths, classifier rows
     num_id_classes: int
     num_peer_outputs: int
     seed: int
@@ -76,10 +77,6 @@ class MlpHead:
     @property
     def feature_dim(self) -> int:
         return self.dims[0]
-
-    @property
-    def num_outputs(self) -> int:
-        return self.dims[-1]
 
     def like(self, flat: np.ndarray) -> MlpHead:
         """This head's layout and metadata laid over ``flat`` (shared, not copied)."""
@@ -162,72 +159,54 @@ def forward(head: MlpHead, features: np.ndarray) -> list[np.ndarray]:
     return forward_with_cache(head, features)[0][1:]
 
 
+def _manifest(dims: tuple[int, ...], num_id_classes: int, num_peer_outputs: int,
+              seed: int, epoch: int) -> dict:
+    """The checkpoint manifest of a head with these layer widths and counts:
+    what ``save_checkpoint`` writes, and all that ``load_checkpoint`` accepts."""
+    tensors = [{"name": name, "shape": list(shape)}
+               for name, shape in zip(tensor_names(), param_shapes(dims))]
+    return {"version": CK_VERSION, "feature_dim": dims[0], "hidden_dims": list(dims[1:-1]),
+            "num_id_classes": num_id_classes, "num_peer_outputs": num_peer_outputs,
+            "seed": seed, "epoch": epoch, "tensors": tensors}
+
+
 def save_checkpoint(head: MlpHead, path: str | Path) -> None:
     """Write all parameters plus metadata; atomic, lossless for float32."""
-    manifest = {
-        "version": CK_VERSION,
-        "feature_dim": head.feature_dim,
-        "hidden_dims": list(head.dims[1:-1]),
-        "num_id_classes": head.num_id_classes,
-        "num_peer_outputs": head.num_peer_outputs,
-        "seed": head.seed,
-        "epoch": head.epoch,
-        "tensors": [{"name": name, "shape": list(shape)}
-                    for name, shape in zip(tensor_names(), param_shapes(head.dims))],
-    }
+    manifest = _manifest(head.dims, head.num_id_classes, head.num_peer_outputs, head.seed, head.epoch)
     persist.write_manifest_frame(path, CK_MAGIC, manifest, [head.params])
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _declared(path: str | Path, manifest: dict) -> tuple:
+    """The ``_manifest`` arguments ``manifest`` declares; FormatError unless its
+    widths and counts are non-negative integers, with N_SHARED_LAYERS hidden widths."""
+    keys = ("feature_dim", "num_id_classes", "num_peer_outputs", "seed", "epoch")
+    counts, hidden = [manifest.get(key) for key in keys], manifest.get("hidden_dims")
+    if not (isinstance(hidden, list) and len(hidden) == N_SHARED_LAYERS and all(
+            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in counts + hidden)):
+        raise FormatError(f"{path}: manifest lacks one of the non-negative integers {list(keys)} "
+                          f"or the {N_SHARED_LAYERS} of hidden_dims")
+    feature_dim, num_id_classes, num_peer_outputs, seed, epoch = counts
+    dims = (feature_dim, *hidden, num_id_classes + num_peer_outputs)
+    return dims, num_id_classes, num_peer_outputs, seed, epoch
 
 
-def _tensor_shapes(path: str | Path, manifest: dict) -> list[tuple[int]]:
-    """Validate a checkpoint manifest; returns the one flat shape of its payload."""
+def _payload_shape(path: str | Path, manifest: dict) -> list[tuple[int]]:
+    """Check that ``manifest`` is the one ``_manifest`` makes of the widths and
+    counts it declares; returns the one flat shape of its payload."""
     if manifest.get("version") != CK_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {manifest.get('version')}")
-    counts = ("num_id_classes", "num_peer_outputs", "seed", "epoch")
-    if not all(_is_count(manifest.get(key)) for key in counts):
-        raise FormatError(f"{path}: manifest lacks one of the non-negative integers {list(counts)}")
-    tensors = manifest.get("tensors")
-    if not isinstance(tensors, list) or not all(
-        isinstance(t, dict) and isinstance(t.get("shape"), list) and all(map(_is_count, t["shape"]))
-        for t in tensors
-    ):
-        raise FormatError(f"{path}: manifest tensors are not a list of named shapes")
-    names = [t.get("name") for t in tensors]
-    if names != tensor_names():
-        raise FormatError(f"{path}: tensors {names} are not {tensor_names()} in that order")
-    return [(sum(math.prod(t["shape"]) for t in tensors),)]
+    declared = _declared(path, manifest)
+    if json.dumps(manifest, sort_keys=True) != json.dumps(_manifest(*declared), sort_keys=True):
+        raise FormatError(f"{path}: manifest is not what a head of widths {list(declared[0])} is saved with")
+    return [(sum(math.prod(shape) for shape in param_shapes(declared[0])),)]
 
 
 def load_checkpoint(path: str | Path) -> MlpHead:
     """Read a checkpoint back; validates magic, manifest, sizes, and CRC.
 
-    The manifest lists the tensors in layout order, so the payload is read
-    straight into the head's flat ``params``.
+    The manifest must be exactly the one ``save_checkpoint`` writes for the
+    widths and counts it declares; the payload is read straight into the
+    head's flat ``params``.
     """
-    manifest, (params,) = persist.read_manifest_frame(path, CK_MAGIC, _tensor_shapes)
-    shapes = [tuple(t["shape"]) for t in manifest["tensors"]]
-    weights = shapes[::2]
-    # Widths read off the weights; a weight that is not 2-D gives none, which no layout matches.
-    dims = ()
-    if all(len(w) == 2 for w in weights):
-        dims = (weights[0][1], *(w[0] for w in weights))
-    if shapes != param_shapes(dims):
-        raise FormatError(f"{path}: tensor shapes do not chain fc1 -> fc2 -> fc3 -> classifier")
-    declared = [manifest.get("feature_dim"), manifest.get("hidden_dims")]
-    if declared != [dims[0], list(dims[1:-1])]:
-        raise FormatError(f"{path}: manifest feature_dim and hidden_dims {declared} disagree "
-                          f"with the tensor widths {list(dims[:-1])}")
-    head = MlpHead(
-        params=params,
-        dims=dims,
-        num_id_classes=manifest["num_id_classes"],
-        num_peer_outputs=manifest["num_peer_outputs"],
-        seed=manifest["seed"],
-        epoch=manifest["epoch"],
-    )
-    if head.num_outputs != head.num_id_classes + head.num_peer_outputs:
-        raise FormatError(f"{path}: classifier rows disagree with class counts")
-    return head
+    manifest, (params,) = persist.read_manifest_frame(path, CK_MAGIC, _payload_shape)
+    return MlpHead(params, *_declared(path, manifest))

@@ -285,36 +285,27 @@ def generate_peer_classes(
     timestamps: list[str] = []
     try:
         for label in id_labels:
-            if cfg.peers_per_class == 0:
-                peers[label] = []
-                continue
-            base_prompt = build_prompt(label, cfg)
-            accepted: list[str] = []
-            accepted_norm: set[str] = set()
+            prompt = build_prompt(label, cfg)
+            accepted: dict[str, str] = {}  # normalized label -> the label as accepted
             for attempt in range(cfg.max_requery_attempts):
-                prompt = base_prompt if attempt == 0 else base_prompt + REQUERY_SUFFIX * attempt
+                if len(accepted) == cfg.peers_per_class:
+                    break
                 try:
-                    candidates, fetched_at = cache.fetch(provider, prompt, cfg.offline)
+                    candidates, fetched_at = cache.fetch(provider, prompt + REQUERY_SUFFIX * attempt, cfg.offline)
                 except (OfflineError, GenerationError) as exc:
                     exc.args = (f"class {label!r}: {exc}",)
                     raise
                 timestamps.append(fetched_at)
                 for cand in candidates:
                     norm = normalize_label(cand)
-                    if not norm or norm in id_set or norm in accepted_norm:
-                        continue
-                    accepted.append(cand.strip())
-                    accepted_norm.add(norm)
-                    if len(accepted) == cfg.peers_per_class:
-                        break
-                if len(accepted) == cfg.peers_per_class:
-                    break
+                    if norm and norm not in id_set and len(accepted) < cfg.peers_per_class:
+                        accepted.setdefault(norm, cand.strip())
             if len(accepted) < cfg.peers_per_class:
                 raise GenerationError(
                     f"class {label!r}: only {len(accepted)} of {cfg.peers_per_class} "
                     f"valid peer labels after {cfg.max_requery_attempts} attempts"
                 )
-            peers[label] = accepted
+            peers[label] = list(accepted.values())
     finally:
         cache.save()
 

@@ -311,6 +311,14 @@ def assert_views_follow_layout(head: MlpHead) -> None:
     assert offset == head.params.size
 
 
+def json_paths(doc, prefix=()):
+    """The key path of every value inside ``doc``: each object key and list index."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from json_paths(value, (*prefix, key))
+
+
 def checkpoint_bytes_reference(head: MlpHead) -> bytes:
     """The checkpoint file for ``head``, assembled from one whole-file join."""
     tensors, blob_parts = [], []

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import shipped_class_names, unit_rows
+from conftest import json_paths, shipped_class_names, unit_rows
 import odpc
 from odpc import bench, persist
 from odpc.bench import PipelineSettings
@@ -825,14 +825,6 @@ def small_pipeline_files(tmp_path_factory):
     return files
 
 
-def _json_paths(doc, prefix=()):
-    """The key path of every value inside ``doc``: each object key and list index."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield (*prefix, key)
-        yield from _json_paths(value, (*prefix, key))
-
-
 _JSON_TYPE = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string",
               list: "array", dict: "object"}
 _JSON_VALUES = (None, True, 7, 2.5, "abc", [], ["x"], {}, {"k": "v"})
@@ -847,7 +839,7 @@ def test_mutated_peers_or_cache_file_exits_cleanly(small_pipeline_files, data):
     files = small_pipeline_files
     which = data.draw(st.sampled_from(["peers", "cache"]))
     doc = persist.read_json(files[which])
-    *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+    *parents, last = data.draw(st.sampled_from(list(json_paths(doc))))
     parent = doc
     for key in parents:
         parent = parent[key]
@@ -921,7 +913,7 @@ def _mutated_manifest(doc, data):
         parent, last = (doc, key) if isinstance(key, str) else (samples[i], key[2])
         del parent[last]
     elif kind == "retype":
-        *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+        *parents, last = data.draw(st.sampled_from(list(json_paths(doc))))
         parent = doc
         for key in parents:
             parent = parent[key]

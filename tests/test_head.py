@@ -1,20 +1,28 @@
 import json
+import math
 import re
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import assert_views_follow_layout, checkpoint_bytes_reference
+from conftest import assert_views_follow_layout, checkpoint_bytes_reference, json_paths
+from odpc import persist
 from odpc.errors import CorruptFileError, FormatError, InvalidArgumentError, ShapeError
 from odpc.head import (
     CK_MAGIC,
     MlpHead,
+    _manifest,
     forward,
     forward_with_cache,
     init_head,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     softmax,
 )
@@ -41,7 +49,7 @@ def manual_forward(head, x):
 
 def test_init_classifier_dimension():
     head = init_head(6, 18, seed=0)
-    assert head.num_outputs == 24
+    assert head.dims[-1] == 24
     assert head.clf_weight.shape == (24, 512)
     assert [w.shape for w in head.weights] == [(512, 512)] * 3
 
@@ -168,13 +176,14 @@ def test_checkpoint_manifest_shape_mismatch(tmp_path):
 
 
 def _rewrite_manifest(path, edit):
-    """Rewrite a checkpoint's manifest with ``edit`` and a matching CRC."""
+    """Rewrite a checkpoint's manifest with ``edit``, as sorted-key JSON with a
+    matching CRC, as the writer writes it."""
     data = path.read_bytes()
     off = len(CK_MAGIC)
     (mlen,) = struct.unpack_from("<I", data, off)
     manifest = json.loads(data[off + 4 : off + 4 + mlen])
     blob = data[off + 4 + mlen : -4]
-    manifest_bytes = json.dumps(edit(manifest)).encode("utf-8")
+    manifest_bytes = json.dumps(edit(manifest), sort_keys=True).encode("utf-8")
     crc = zlib.crc32(manifest_bytes + blob) & 0xFFFFFFFF
     path.write_bytes(CK_MAGIC + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
                      + blob + struct.pack("<I", crc))
@@ -203,10 +212,16 @@ def _reshaped(manifest, index, shape):
         # the tensors still chain as (8, 8, 8, 8, 4); only the declared widths differ
         lambda m: {**m, "feature_dim": 999},
         lambda m: {**m, "hidden_dims": [1, 2, 3]},
+        # the writer writes no other key, no other tensor field, and integer widths only
+        lambda m: {**m, "comment": "x"},
+        lambda m: {**m, "tensors": [{**m["tensors"][0], "dtype": "f4"}] + m["tensors"][1:]},
+        lambda m: {**m, "feature_dim": 8.0},
+        lambda m: {**m, "version": True},
     ],
     ids=["manifest-list", "tensor-without-shape", "tensor-not-object", "negative-dim",
          "missing-num-id-classes", "epoch-string", "weights-do-not-chain", "bias-not-1d",
-         "tensors-out-of-order", "feature-dim-disagrees", "hidden-dims-disagree"],
+         "tensors-out-of-order", "feature-dim-disagrees", "hidden-dims-disagree",
+         "extra-key", "extra-tensor-field", "float-width", "bool-version"],
 )
 def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edit):
     head = init_head(2, 2, seed=1, feature_dim=8)
@@ -215,6 +230,66 @@ def test_checkpoint_malformed_manifest_is_format_error_naming_path(tmp_path, edi
     _rewrite_manifest(path, edit)
     with pytest.raises(FormatError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(8, 4, 6, 4), (8, 4, 6, 5, 7, 4)], ids=["two-hidden", "four-hidden"])
+def test_checkpoint_of_another_layer_count_is_format_error_naming_path(tmp_path, dims):
+    # The manifest _manifest makes of these widths, with a payload of the size they
+    # declare: only the count of hidden widths tells the file from a head's.
+    path = tmp_path / "head.ckpt"
+    params = np.zeros(sum(math.prod(shape) for shape in param_shapes(dims)), dtype=np.float32)
+    persist.write_manifest_frame(path, CK_MAGIC, _manifest(dims, 2, 2, 1, 0), [params])
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+_JSON_VALUE = st.one_of(
+    st.integers(-1, 9), st.integers(2**31, 2**63), st.integers(0, 9).map(float), st.floats(),
+    st.booleans(), st.text(max_size=4), st.lists(st.integers(0, 9), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(0, 9), max_size=2),
+)
+# The head the property below saves, and the key path of every value in its manifest.
+_SAVED = dict(num_id_classes=2, num_peer_outputs=2, seed=1, feature_dim=8, hidden_dims=(4, 6, 5))
+_PATHS = list(json_paths(_manifest((8, 4, 6, 5, 4), 2, 2, 1, 0)))
+
+
+@given(action=st.sampled_from(["drop", "set", "add"]), at=st.sampled_from(_PATHS),
+       value=_JSON_VALUE, key=st.text(max_size=12))
+@example(action="set", at=("epoch",), value=3, key="")
+@example(action="set", at=("seed",), value=2**40, key="")
+def test_mutated_checkpoint_is_format_error_or_saves_back_to_the_same_bytes(action, at, value, key):
+    """A saved checkpoint whose manifest has the value ``at`` dropped, set to
+    ``value``, or given a sibling ``key`` (list: element) ``value``, written
+    back as the writer writes it: ``load_checkpoint`` either raises
+    FormatError naming the file, or returns a head that ``save_checkpoint``
+    writes to the same bytes."""
+
+    def edit(manifest):
+        *parents, last = at
+        parent = manifest
+        for step in parents:
+            parent = parent[step]
+        if action == "drop":
+            del parent[last]
+        elif action == "set":
+            parent[last] = value
+        elif isinstance(parent, dict):
+            parent[key] = value
+        else:
+            parent.append(value)
+        return manifest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "head.ckpt", Path(tmp) / "again.ckpt"
+        save_checkpoint(init_head(**_SAVED), path)
+        _rewrite_manifest(path, edit)
+        try:
+            head = load_checkpoint(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        save_checkpoint(head, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -241,9 +316,10 @@ def _cut_in_manifest(path):
 @pytest.mark.parametrize(
     ("damage", "message"),
     [
-        # 2**31 x 2**31 float32s: np.empty of that would raise MemoryError, so a
-        # FormatError shows the size was checked before anything was allocated
-        (lambda p: _rewrite_manifest(p, lambda m: _reshaped(m, 0, [2**31, 2**31])),
+        # a self-consistent manifest whose fc1 is 2**31 x 2**31 float32s: np.empty of that
+        # would raise MemoryError, so a FormatError shows the size was checked before
+        # anything was allocated
+        (lambda p: _rewrite_manifest(p, lambda m: _manifest((2**31, 2**31, 8, 8, 4), 2, 2, 1, 0)),
          "payload size mismatch"),
         (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "payload size mismatch"),
         (_cut_in_manifest, "truncated manifest"),
