@@ -390,8 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # only --help exits, with 0, once its usage is on stdout
         return exc.code
-    except (OdpcError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    except (OdpcError, OSError, MemoryError) as exc:  # numpy's MemoryError is a private subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT if isinstance(exc, USAGE_ERRORS) else RUNTIME_EXIT
     finally:
         warnings.showwarning = shown

@@ -41,7 +41,7 @@ class GenerationError(OdpcError):
 
 
 class DivergenceError(OdpcError):
-    """Training reached a loss that is not finite."""
+    """Training reached a loss, or an update wrote parameters, that are not finite."""
 
 
 class OfflineError(OdpcError):

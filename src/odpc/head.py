@@ -64,6 +64,10 @@ class MlpHead:
         self.dims = tuple(map(int, self.dims))
         if len(self.dims) != N_SHARED_LAYERS + 2:
             raise ShapeError(f"a head has {N_SHARED_LAYERS + 2} layer widths, got {self.dims}")
+        counts = (self.num_id_classes, self.num_peer_outputs)
+        if min(counts) < 0 or sum(counts) != self.dims[-1]:
+            raise ShapeError(f"class counts {counts} are not >= 0 with the sum {self.dims[-1]}, "
+                             "the classifier rows")
         shapes = param_shapes(self.dims)
         sizes = [math.prod(shape) for shape in shapes]
         if np.shape(self.params) != (sum(sizes),):

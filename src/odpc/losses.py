@@ -32,8 +32,7 @@ sums their adjoints back into the rows they came from.
 A training run's float64 buffers live in one Workspace in the head's
 layout: the parameter mirror the forward and backward read, which
 ``trainer.sgd_step`` refreshes as it writes the parameters, and the gradient,
-which loss_and_grad writes in place with ``out=``. Without a workspace,
-loss_and_grad makes a one-off one, so every caller takes the same path.
+which loss_and_grad writes in place with ``out=``.
 
 The step functions (build_negative_set, loss_and_grad and the contrastive
 core) raise nothing: they take the float64 rows and int64 labels
@@ -137,8 +136,8 @@ def _logsumexp_rows(parts: list[np.ndarray]) -> np.ndarray:
     return m + np.log(np.exp(stacked - m[:, None]).sum(axis=1))
 
 
-def _pcc_value_and_input_grads(anchors, positives, negatives, tau: float, form: str, want_grad: bool):
-    """Loss value and, optionally, gradients w.r.t. the raw inputs.
+def _pcc_value_and_input_grads(anchors, positives, negatives, tau: float, form: str):
+    """Loss value and gradients w.r.t. the raw inputs.
 
     ``anchors``, ``positives`` and each of ``negatives`` are ``_normalized``
     (unit rows, row norms) pairs of N >= 2 rows; ``tau`` > 0 and ``form`` is
@@ -163,9 +162,6 @@ def _pcc_value_and_input_grads(anchors, positives, negatives, tau: float, form: 
         log_ratio = sp * inv_tau - lse
         m = log_ratio.max()
         value = float(np.log(n) - (m + np.log(np.exp(log_ratio - m).sum())))
-
-    if not want_grad:
-        return value, None
 
     # dL/d(similarity) for the positive vector and each negative matrix.
     if form == "per_anchor":
@@ -226,8 +222,7 @@ def pcc_loss(
         negatives.append(like_images(layer_mixed_img, "mixed image features"))
     if layer_mixed_txt is not None:
         negatives.append(like_images(layer_mixed_txt, "mixed text features"))
-    value, _ = _pcc_value_and_input_grads(anchors, positives, negatives, tau, form, want_grad=False)
-    return value
+    return _pcc_value_and_input_grads(anchors, positives, negatives, tau, form)[0]
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -257,10 +252,9 @@ class LossBreakdown:
 class Workspace:
     """A training run's float64 buffers, each a head in ``head``'s layout.
 
-    ``mirror.params`` is the head's parameters cast to float64, read by the
-    forward and backward and kept equal to them by ``trainer.sgd_step``;
-    ``grads.params`` is the gradient, rewritten in full by each
-    ``loss_and_grad`` call.
+    ``mirror.params`` is the head's parameters cast to float64, kept equal to
+    them by ``trainer.sgd_step``; ``grads.params`` is the gradient, rewritten
+    in full by each ``loss_and_grad`` call.
     """
 
     mirror: MlpHead
@@ -278,28 +272,25 @@ def _scatter_sum(inverse: np.ndarray, count: int, per_row: np.ndarray) -> np.nda
 
 
 def loss_and_grad(
-    head: MlpHead,
+    work: Workspace,
     images: np.ndarray,
     labels: np.ndarray,
     class_texts: np.ndarray,
     negatives: NegativeSet | None,
     cfg: LossConfig,
-    want_grad: bool = True,
-    work: Workspace | None = None,
-) -> tuple[LossBreakdown, MlpHead | None]:
-    """Objective value (and gradients) for one batch of float64 ``images``
-    rows, image i of class labels[i] and paired with class_texts[labels[i]].
+) -> tuple[LossBreakdown, MlpHead]:
+    """Objective value and gradients at the parameters ``work.mirror`` for one
+    batch of float64 ``images`` rows, image i of class labels[i] and paired
+    with class_texts[labels[i]].
 
     The objective is the sum of the contrastive term at each shared layer
     plus cross-entropy on the image logits, with terms switched by cfg.
     Text and image features share the same layers, so every enabled stream
     contributes to the shared-layer gradients; encoder inputs stay frozen.
-    The gradients come back as ``work.grads``, a float64 head in ``head``'s
-    layout, so ``grads.params`` lines up element for element with
-    ``head.params``; the forward reads ``work.mirror``, which must equal
-    ``head.params`` cast to float64. Without ``work`` a one-off Workspace
-    is made. cfg alone turns the mixup negatives on: with use_pcc and
-    use_mixup set, ``negatives`` is build_negative_set's set for this batch.
+    The gradients are written into, and returned as, ``work.grads``, so
+    ``grads.params`` lines up element for element with the head's params.
+    cfg alone turns the mixup negatives on: with use_pcc and use_mixup set,
+    ``negatives`` is build_negative_set's set for this batch.
     """
     n = len(labels)
     use_mix = cfg.use_pcc and cfg.use_mixup
@@ -310,11 +301,9 @@ def loss_and_grad(
         mixed_inv = negatives.text_index
         streams += [negatives.mixed_images, negatives.mixed_texts]
     bounds = np.cumsum([0] + [len(s) for s in streams])
-    if work is None:
-        work = Workspace.of(head)
     params = work.mirror
     hs, logits_all = forward_with_cache(params, np.vstack(streams))
-    n_layers = len(head.weights)
+    n_layers = len(params.weights)
 
     def block(arr: np.ndarray, s: int) -> np.ndarray:
         return arr[bounds[s] : bounds[s + 1]]
@@ -331,40 +320,34 @@ def loss_and_grad(
             if use_mix:
                 sets.append(_normalized(block(h, 2), "mixed image features"))
                 sets.append(_normalized(block(h, 3)[mixed_inv], "mixed text features"))
-            value, grads = _pcc_value_and_input_grads(
-                anchors, sets[0], sets, cfg.temperature, cfg.pcc_form, want_grad
+            value, (g_img, g_pos, g_negs) = _pcc_value_and_input_grads(
+                anchors, sets[0], sets, cfg.temperature, cfg.pcc_form
             )
             pcc_values.append(value)
-            if want_grad:
-                g_img, g_pos, g_negs = grads
-                block(adj[l - 1], 0)[...] = g_img
-                block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(classes), g_pos + g_negs[0])
-                if use_mix:
-                    block(adj[l - 1], 2)[...] = g_negs[1]
-                    block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(negatives.mixed_texts), g_negs[2])
+            block(adj[l - 1], 0)[...] = g_img
+            block(adj[l - 1], 1)[...] = _scatter_sum(text_inv, len(classes), g_pos + g_negs[0])
+            if use_mix:
+                block(adj[l - 1], 2)[...] = g_negs[1]
+                block(adj[l - 1], 3)[...] = _scatter_sum(mixed_inv, len(negatives.mixed_texts), g_negs[2])
     else:
         pcc_values = [0.0] * n_layers
 
     ce_value = 0.0
-    g_logits = None
     if cfg.use_ce:
         logits_img = block(logits_all, 0)
         ce_value = ce_loss(logits_img, labels)
-        if want_grad:
-            g_logits = softmax(logits_img)
-            g_logits[np.arange(n), labels] -= 1.0
-            g_logits /= n
+        g_logits = softmax(logits_img)
+        g_logits[np.arange(n), labels] -= 1.0
+        g_logits /= n
 
     total = float(sum(pcc_values) + ce_value)
     breakdown = LossBreakdown(total=total, pcc_layers=tuple(pcc_values), ce=ce_value)
-    if not want_grad:
-        return breakdown, None
 
     # The backward writes every block of the reused gradient buffer except
     # the classifier's without CE; those are zeroed.
     grads = work.grads
     running = adj[n_layers - 1]
-    if g_logits is not None:
+    if cfg.use_ce:
         np.matmul(g_logits.T, block(hs[n_layers], 0), out=grads.clf_weight)
         np.sum(g_logits, axis=0, out=grads.clf_bias)
         running[0:n] += g_logits @ params.clf_weight

@@ -96,11 +96,12 @@ def write_json(path: str | Path, obj: object) -> None:
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a UTF-8 JSON file; text that is not valid JSON raises ConfigError."""
+    """Parse a UTF-8 JSON file; text that is not valid JSON, or nests deeper
+    than the parser recurses, raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
 
 
@@ -163,7 +164,7 @@ def read_manifest_frame(path: str | Path, magic: bytes, shapes_of) -> tuple[dict
         manifest_bytes = fh.read(length)
         try:
             manifest = json.loads(manifest_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: manifest is not valid JSON") from exc
         if not isinstance(manifest, dict):
             raise FormatError(f"{path}: manifest is not a JSON object")

@@ -156,7 +156,8 @@ def train(
     descriptions, every peer matrix and the head are dim wide, the labels
     cover 2+ classes within [0, min(class descriptions, ID classes)), and
     with mixup on every present class has peers. A batch whose loss is not
-    finite raises DivergenceError before its update.
+    finite raises DivergenceError before its update, and one whose update
+    overflows the parameters raises it naming that batch.
     """
     # Every cast of the step inputs is made here; the step functions cast
     # nothing. The labels, class descriptions and peer matrices are cast
@@ -228,12 +229,16 @@ def train(
                     images, batch_labels, class_text, peers, cfg.loss.mix_lambda,
                     _batch_rng(cfg.seed, epoch, b),
                 )
-            breakdown, grads = loss_and_grad(head, images, batch_labels, class_text,
-                                             negatives, cfg.loss, work=work)
+            breakdown, grads = loss_and_grad(work, images, batch_labels, class_text, negatives, cfg.loss)
             if not math.isfinite(breakdown.total):
                 raise DivergenceError(f"epoch {epoch}, batch {b}: the loss is {breakdown.total} "
                                       f"at lr {lr!r}; lower the lr")
-            sgd_step(head.params, grads.params, velocity, lr, cfg.momentum, work.mirror.params)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    sgd_step(head.params, grads.params, velocity, lr, cfg.momentum, work.mirror.params)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"epoch {epoch}, batch {b}: the update at lr {lr!r} overflows "
+                                      "the float32 parameters; lower the lr") from exc
             sums += (breakdown.total, *breakdown.pcc_layers, breakdown.ce)
             used += 1
 

@@ -24,7 +24,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from odpc import persist
 from odpc.encoders import _projection
 from odpc.head import MlpHead, init_head, tensor_names
-from odpc.losses import LossConfig, NegativeSet, build_negative_set, loss_and_grad
+from odpc.losses import LossConfig, NegativeSet, Workspace, build_negative_set, loss_and_grad
 
 # Property tests run the same examples on every run and keep no example
 # database; the example count keeps them to seconds. Hypothesis' other
@@ -170,7 +170,7 @@ def loss_and_grad_per_row_reference(head: MlpHead, images, labels, class_texts,
         sets = [_normalized(part, "features") for part in parts[1:]]
         value, grads = _pcc_value_and_input_grads(
             _normalized(parts[0], "features"), sets[0], sets,
-            cfg.temperature, cfg.pcc_form, True,
+            cfg.temperature, cfg.pcc_form,
         )
         total += value
         g_img, g_pos, g_negs = grads
@@ -203,14 +203,14 @@ def loss_and_grad_per_row_reference(head: MlpHead, images, labels, class_texts,
 def fd_max_rel_error(head: MlpHead, images, labels, class_texts, negatives: NegativeSet | None,
                      cfg: LossConfig, h: float = 1e-4) -> float:
     """Max relative error between analytic gradients and central differences,
-    over every parameter of the head, in float64."""
-    _, grads = loss_and_grad(head, images, labels, class_texts, negatives, cfg)
-    flat = head.params.astype(np.float64)
-    probe = head.like(flat)   # perturbing flat perturbs the probe's parameters
+    over every parameter of the head, in float64. The analytic gradient comes
+    from one workspace; the differences perturb a second one's mirror."""
+    _, grads = loss_and_grad(Workspace.of(head), images, labels, class_texts, negatives, cfg)
+    probe = Workspace.of(head)
+    flat = probe.mirror.params
 
     def loss_at():
-        return loss_and_grad(probe, images, labels, class_texts, negatives, cfg,
-                             want_grad=False)[0].total
+        return loss_and_grad(probe, images, labels, class_texts, negatives, cfg)[0].total
 
     worst = 0.0
     gflat = grads.params

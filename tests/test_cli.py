@@ -602,8 +602,9 @@ def test_diverging_run_is_runtime_error_with_one_stderr_line(tmp_path, train_inp
     assert doc["error"] == "DivergenceError"
     # eval names the repeat and its seed; the config's seed is 3.
     repeat = "" if command == "train" else r"repeat 0 \(seed 3\): "
-    assert re.match(repeat + r"epoch 0, batch \d+: the loss is .* at lr 1000000\.0", doc["message"])
-    assert re.search(r"^warning: RuntimeWarning: ", proc.stdout, re.M)
+    assert re.match(repeat + r"epoch 0, batch \d+: the update at lr 1000000\.0 overflows the float32 "
+                    r"parameters; lower the lr$", doc["message"])
+    assert "overflow encountered in cast" not in proc.stdout
     assert list(out.iterdir()) == []
 
 
@@ -616,13 +617,33 @@ def test_eval_divergence_names_the_repeat_and_its_seed(tmp_path, capsys):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["error"] == "DivergenceError"
-    assert re.match(r"repeat 0 \(seed 3\): epoch 0, batch \d+: the loss is .* at lr 1000000\.0",
+    assert re.match(r"repeat 0 \(seed 3\): epoch 0, batch \d+: the update at lr 1000000\.0 overflows",
                     doc["message"])
     assert not out.exists()
 
 
-def test_python_warnings_go_to_stdout_until_main_returns(tmp_path, capsys, train_inputs):
+def test_failed_allocation_is_runtime_error_with_one_stderr_line(tmp_path, capsys):
+    # Parameters of about 4 EiB exceed any address space, so the allocation
+    # fails at once whatever the host's overcommit policy.
+    out = tmp_path / "results.csv"
+    cfg = write_config(tmp_path, {"hidden_dims": [1073741824, 1073741824, 8], "epochs": 0})
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--repeats", "1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MemoryError"
+    assert not out.exists()
+
+
+def test_python_warnings_go_to_stdout_until_main_returns(tmp_path, capsys, train_inputs, monkeypatch):
     out, argv = _diverging_argv(tmp_path, train_inputs, "eval")
+    fit = bench.fit
+
+    def warning_fit(*args, **kwargs):
+        warnings.warn("a pipeline warning", RuntimeWarning)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "fit", warning_fit)
     shown, handlers = warnings.showwarning, list(logging.getLogger("odpc").handlers)
     capsys.readouterr()
     assert main(argv) == 1
@@ -757,25 +778,40 @@ def test_train_manifest_with_carriage_return_is_usage_error(tmp_path, capsys, tr
     assert str(labels) in doc["message"] and named in doc["message"]
 
 
-@pytest.mark.parametrize("which", ["config", "labels", "peers"])
-def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which):
+@pytest.mark.parametrize(("which", "nested"), [
+    *[pytest.param(which, False, id=which) for which in ("config", "labels", "peers")],
+    *[pytest.param(which, True, id=f"{which}-deeply-nested") for which in ("config", "labels", "peers")],
+])
+def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which, nested):
+    """A file cut in half, or nested deeper than the JSON parser recurses."""
     path = tmp_path / f"{which}.json"
     text = open(train_inputs[which], encoding="utf-8").read()
-    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    path.write_text("[" * 100_000 if nested else text[: len(text) // 2], encoding="utf-8")
     doc = _train_usage_error(tmp_path, capsys, train_inputs, **{which: path})
     assert doc["error"] == "ConfigError"
     assert str(path) in doc["message"]
 
 
-def test_gen_peers_truncated_llm_cache_is_usage_error(tmp_path, capsys):
+def _gen_peers_with_cache_text(tmp_path, capsys, text):
+    """Run ``gen-peers`` on an llm_cache.json holding ``text``; expect exit 2,
+    one ConfigError line naming the cache and no peers file."""
     cache = tmp_path / "llm_cache.json"
-    cache.write_text('{"entries": {', encoding="utf-8")
+    cache.write_text(text, encoding="utf-8")
     out = tmp_path / "peers.json"
     rc = main(["gen-peers", "--classes", "cat,dog", "--cache", str(cache), "--out", str(out)])
     assert rc == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert str(cache) in json.loads(lines[0])["message"]
     assert not out.exists()
+
+
+def test_gen_peers_truncated_llm_cache_is_usage_error(tmp_path, capsys):
+    _gen_peers_with_cache_text(tmp_path, capsys, '{"entries": {')
+
+
+def test_gen_peers_deeply_nested_llm_cache_is_usage_error(tmp_path, capsys):
+    _gen_peers_with_cache_text(tmp_path, capsys, "[" * 100_000)
 
 
 def _each_entry(edit):

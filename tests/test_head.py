@@ -151,6 +151,13 @@ def test_mis_sized_params_rejected(extra):
         MlpHead(np.zeros(head.params.size + extra, dtype=np.float32), head.dims, 3, 2, seed=1)
     with pytest.raises(ShapeError):
         MlpHead(head.params, head.dims[1:], 3, 2, seed=1)
+    # 2 + 7 classes for 5 classifier rows: save_checkpoint could write this head,
+    # and load_checkpoint would reject the file.
+    rows = init_head(2, 3, seed=0, feature_dim=4, hidden_dims=(3, 3, 3))
+    with pytest.raises(ShapeError, match=r"class counts \(2, 7\) are not >= 0 with the sum 5"):
+        MlpHead(rows.params, (4, 3, 3, 3, 5), num_id_classes=2, num_peer_outputs=7, seed=0)
+    with pytest.raises(ShapeError):
+        MlpHead(rows.params, (4, 3, 3, 3, 5), num_id_classes=6, num_peer_outputs=-1, seed=0)
 
 
 def test_checkpoint_corrupt_blob(tmp_path):
@@ -313,6 +320,12 @@ def _cut_in_manifest(path):
     path.write_bytes(path.read_bytes()[: len(CK_MAGIC) + 4 + 10])
 
 
+def _deeply_nested_manifest(path):
+    # json.dumps cannot write a manifest nested this deep, so the frame is raw bytes.
+    depth = 100_000
+    path.write_bytes(CK_MAGIC + struct.pack("<I", depth) + b"[" * depth + bytes(4))
+
+
 @pytest.mark.parametrize(
     ("damage", "message"),
     [
@@ -323,8 +336,9 @@ def _cut_in_manifest(path):
          "payload size mismatch"),
         (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "payload size mismatch"),
         (_cut_in_manifest, "truncated manifest"),
+        (_deeply_nested_manifest, "manifest is not valid JSON"),
     ],
-    ids=["declares-more-than-held", "trailing-byte", "cut-in-manifest"],
+    ids=["declares-more-than-held", "trailing-byte", "cut-in-manifest", "deeply-nested"],
 )
 def test_checkpoint_size_damage_is_format_error_naming_path(tmp_path, damage, message):
     path = tmp_path / "head.ckpt"

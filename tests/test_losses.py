@@ -234,7 +234,7 @@ def test_ce_permutation_equivariant(rng):
 
 def test_total_loss_breakdown_sums(rng):
     head, batch, negatives, cfg = make_grad_instance(0)
-    bd = loss_and_grad(head, *batch, negatives, cfg, want_grad=False)[0]
+    bd = loss_and_grad(Workspace.of(head), *batch, negatives, cfg)[0]
     assert abs(bd.total - (sum(bd.pcc_layers) + bd.ce)) < 1e-9
     assert len(bd.pcc_layers) == 3
 
@@ -254,14 +254,14 @@ def test_total_loss_composes_constituent_oracles():
             h[:n], h[n : 2 * n], h[n : 2 * n], h[2 * n : 3 * n], h[3 * n :], cfg.temperature
         )
     expected += ce_reference(logits[:n], labels)
-    bd = loss_and_grad(head, img, labels, class_txt, negatives, cfg, want_grad=False)[0]
+    bd = loss_and_grad(Workspace.of(head), img, labels, class_txt, negatives, cfg)[0]
     assert abs(bd.total - expected) <= 1e-6 * abs(expected)
 
 
 def test_total_loss_tau_large_limit():
     head, batch, negatives, _ = make_grad_instance(2)
     cfg = LossConfig(temperature=1e14)
-    bd = loss_and_grad(head, *batch, negatives, cfg, want_grad=False)[0]
+    bd = loss_and_grad(Workspace.of(head), *batch, negatives, cfg)[0]
     expected_per_layer = math.log(1 + 3 * (len(batch[1]) - 1))
     for term in bd.pcc_layers:
         assert abs(term - expected_per_layer) < 1e-6
@@ -271,8 +271,8 @@ def test_total_loss_invariant_to_consistent_reordering():
     head, (img, labels, class_txt), negatives, cfg = make_grad_instance(3)
     perm = np.array([2, 0, 3, 1])
     reneg = NegativeSet(negatives.mixed_images[perm], negatives.mixed_texts, negatives.text_index[perm])
-    a = loss_and_grad(head, img, labels, class_txt, negatives, cfg, want_grad=False)[0]
-    b = loss_and_grad(head, img[perm], labels[perm], class_txt, reneg, cfg, want_grad=False)[0]
+    a = loss_and_grad(Workspace.of(head), img, labels, class_txt, negatives, cfg)[0]
+    b = loss_and_grad(Workspace.of(head), img[perm], labels[perm], class_txt, reneg, cfg)[0]
     assert abs(a.total - b.total) < 1e-9
 
 
@@ -315,7 +315,7 @@ def test_loss_and_grad_forwards_each_distinct_text_row_once(monkeypatch, use_mix
 
     monkeypatch.setattr(odpc.losses, "forward_with_cache", spy)
     cfg = LossConfig(temperature=0.05, use_mixup=use_mixup)
-    loss_and_grad(head, *batch, negatives if use_mixup else None, cfg)
+    loss_and_grad(Workspace.of(head), *batch, negatives if use_mixup else None, cfg)
     labels = batch[1]
     expected = 32 + np.unique(labels).size
     if use_mixup:
@@ -333,7 +333,7 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
     assert np.unique(labels).size < len(labels)
     if use_mixup:
         assert len(negatives.mixed_texts) < len(labels)
-    breakdown, grads = loss_and_grad(head, *batch, negatives, cfg)
+    breakdown, grads = loss_and_grad(Workspace.of(head), *batch, negatives, cfg)
     ref_total, ref_grads = loss_and_grad_per_row_reference(head, *batch, negatives, cfg)
     assert abs(breakdown.total - ref_total) <= 1e-10 * abs(ref_total)
     for (name, ours), ref in zip(named_views(grads), ref_grads, strict=True):
@@ -343,7 +343,7 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
 def test_ce_classifier_bias_gradient_closed_form(rng):
     head, (img, labels, class_txt), _, _ = make_grad_instance(4)
     cfg = LossConfig(use_pcc=False)
-    grads = loss_and_grad(head, img[:1], labels[:1], class_txt, None, cfg)[1]
+    grads = loss_and_grad(Workspace.of(head), img[:1], labels[:1], class_txt, None, cfg)[1]
     probs = softmax(forward_with_cache(head, img[:1])[1])[0]
     onehot = np.zeros_like(probs)
     onehot[labels[0]] = 1.0
@@ -356,7 +356,7 @@ def test_loss_and_grad_names_a_zero_activation_row():
     img[2] = 0.0
     head = init_head(2, 1, seed=0, feature_dim=8)
     with pytest.raises(InvalidArgumentError, match=r"^image features row 2 has \(near-\)zero norm$"):
-        loss_and_grad(head, img, labels, class_txt, None, LossConfig(use_mixup=False))
+        loss_and_grad(Workspace.of(head), img, labels, class_txt, None, LossConfig(use_mixup=False))
 
 
 @given(variant=st.sampled_from(sorted(VARIANT_LOSS)), form=st.sampled_from(PCC_FORMS),
@@ -374,10 +374,9 @@ def test_two_steps_through_one_workspace_equal_two_through_fresh_ones(variant, f
     reused.grads.params.fill(np.nan)
     for _ in range(2):
         steps = []
-        for h, velocity, work in zip(heads, velocities, (reused, None)):
-            breakdown, grads = loss_and_grad(h, *batch, negatives, cfg, work=work)
-            mirror = reused.mirror.params if work is reused else np.empty(h.params.size)
-            sgd_step(h.params, grads.params, velocity, 1e-2, 0.9, mirror)
+        for h, velocity, work in zip(heads, velocities, (reused, Workspace.of(heads[1]))):
+            breakdown, grads = loss_and_grad(work, *batch, negatives, cfg)
+            sgd_step(h.params, grads.params, velocity, 1e-2, 0.9, work.mirror.params)
             steps.append((breakdown, grads.params.tobytes(), h.params.tobytes()))
         assert steps[0] == steps[1]
         assert reused.mirror.params.tobytes() == heads[0].params.astype(np.float64).tobytes()
@@ -386,7 +385,7 @@ def test_two_steps_through_one_workspace_equal_two_through_fresh_ones(variant, f
 def test_grad_total_loss_frozen_inputs_untouched():
     head, batch, negatives, cfg = make_grad_instance(5)
     snapshot = [a.copy() for a in batch]
-    loss_and_grad(head, *batch, negatives, cfg)
+    loss_and_grad(Workspace.of(head), *batch, negatives, cfg)
     for before, after in zip(snapshot, batch, strict=True):
         assert np.array_equal(before, after)
 
@@ -403,15 +402,30 @@ def test_loss_config_validation():
         LossConfig(use_pcc=False, use_ce=False)
 
 
+def _step_functions() -> dict[str, ast.FunctionDef]:
+    """The syntax trees of the functions ``trainer.train`` calls per step."""
+    steps = {odpc.losses: {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"},
+             odpc.trainer: {"sgd_step"}}
+    found = {}
+    for module, names in steps.items():
+        tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+        found.update({fn.name: fn for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name in names})
+    assert set(found) == set().union(*steps.values())
+    return found
+
+
 def test_step_functions_raise_nothing():
     """``trainer.train`` checks a run's inputs once; the code it calls per step
     only computes, so a check that grows back here belongs in ``train``."""
-    steps = {odpc.losses: {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"},
-             odpc.trainer: {"sgd_step"}}
-    for module, step in steps.items():
-        tree = ast.parse(Path(module.__file__).read_text("utf-8"))
-        functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-        assert step <= set(functions)
-        raising = {name for name in step if any(isinstance(inner, ast.Raise)
-                                                for inner in ast.walk(functions[name]))}
-        assert raising == set()
+    raising = {name for name, fn in _step_functions().items()
+               if any(isinstance(inner, ast.Raise) for inner in ast.walk(fn))}
+    assert raising == set()
+
+
+def test_step_functions_declare_no_defaults():
+    """Each step function has one call shape: ``train`` passes every argument,
+    so a parameter a caller may leave out is a second path only tests take."""
+    defaulted = {name for name, fn in _step_functions().items()
+                 if fn.args.defaults or any(d is not None for d in fn.args.kw_defaults)}
+    assert defaulted == set()

@@ -128,7 +128,8 @@ def test_bank_trailing_byte_is_format_error(tmp_path, rng):
         persist.read_bank(path)
 
 
-@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'{"a": "\xff"}'], ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'{"a": "\xff"}', b"[" * 100_000],
+                         ids=["truncated", "not-utf8", "deeply-nested"])
 def test_read_json_bad_text_is_config_error(tmp_path, blob):
     path = tmp_path / "doc.json"
     path.write_bytes(blob)

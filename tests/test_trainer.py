@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_views_follow_layout, unit_rows
 from odpc.errors import ConfigError, DivergenceError, InvalidArgumentError
+import odpc.trainer
 from odpc.head import init_head
 from odpc.losses import LossConfig
 from odpc.trainer import (
@@ -247,14 +248,55 @@ def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
 
 
 def test_train_stops_at_the_first_non_finite_loss():
+    # An infinite class description makes the first batch's loss non-finite
+    # before any update.
     features, labels, class_text, peer_text = _toy_training_setup()
+    class_text[1, 0] = np.inf
     head = init_head(3, 6, seed=1, feature_dim=16)
-    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e6, momentum=0.0, seed=5,
+    before = head.params.copy()
+    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-3, momentum=0.0, seed=5,
                          loss=LossConfig(temperature=0.05))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
         train(features, labels, class_text, peer_text, head, cfg)
     message = str(err.value)
-    assert re.match(r"epoch \d+, batch \d+: the loss is (nan|-?inf) at lr 1000000\.0", message), message
+    assert re.match(r"epoch 0, batch \d+: the loss is (nan|-?inf) at lr 0\.001", message), message
+    assert head.params.tobytes() == before.tobytes()
+
+
+def test_a_diverging_update_names_its_own_batch(monkeypatch):
+    """The batch DivergenceError names is the first whose update leaves a
+    parameter non-finite, as a replay with the overflow ignored shows."""
+    features, labels, class_text, peer_text = _toy_training_setup()
+    cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e6, momentum=0.0, seed=5,
+                         loss=LossConfig(temperature=0.05))
+
+    def run():
+        train(features, labels, class_text, peer_text, init_head(3, 6, seed=1, feature_dim=16), cfg)
+
+    with pytest.raises(DivergenceError, match=r"^epoch \d+, batch \d+: the update at lr 1000000\.0 "
+                                              r"overflows the float32 parameters; lower the lr$") as err:
+        run()
+    named = tuple(map(int, re.match(r"epoch (\d+), batch (\d+)", str(err.value)).groups()))
+
+    # Each drawn batch's (epoch, batch), and after each update whether the
+    # parameters are all finite.
+    drawn, finite = [], []
+    batch_rng, step = odpc.trainer._batch_rng, odpc.trainer.sgd_step
+
+    def recording_batch_rng(seed, epoch, b):
+        drawn.append((epoch, b))
+        return batch_rng(seed, epoch, b)
+
+    def ignoring_step(params, *rest):
+        with np.errstate(all="ignore"):
+            step(params, *rest)
+        finite.append(bool(np.isfinite(params).all()))
+
+    monkeypatch.setattr(odpc.trainer, "_batch_rng", recording_batch_rng)
+    monkeypatch.setattr(odpc.trainer, "sgd_step", ignoring_step)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="the loss is"):
+        run()
+    assert drawn[finite.index(False)] == named
 
 
 def test_train_requires_two_classes():
