@@ -436,22 +436,27 @@ class EvalResult:
         return float(np.std(self.aurocs))
 
 
-def fit(features: np.ndarray, labels: np.ndarray, peers: PeerClassSet,
-        settings: PipelineSettings, seed: int, rows: np.ndarray | None = None) -> TrainingState:
-    """Train a head on the ``features`` rows that ``rows`` indexes (default:
-    every row), row ``rows[j]`` of class ``labels[j]``; ``train`` reads them
-    in place.
+def fit(dataset: FeatureDataset, peers: PeerClassSet, settings: PipelineSettings,
+        seed: int) -> TrainingState:
+    """Train a head on ``dataset``'s train rows of the classes ``peers``
+    names; ``train`` reads them in place.
 
-    Class i is the i-th key of ``peers.peers``. The classes' descriptions
-    and then each class's peer descriptions, in order, are rendered with
-    ``peers.description_template`` and encoded with ``settings.encoder`` in
-    one call; the classifier gets one peer output per distinct peer label.
-    ``seed`` seeds the head and the training run, and ``settings.variant``
-    picks the loss terms.
+    Class i is the i-th key of ``peers.peers`` and gets local label i. The
+    classes' descriptions and then each class's peer descriptions, in order,
+    are rendered with ``peers.description_template`` and encoded with
+    ``settings.encoder`` in one call; the classifier gets one peer output per
+    distinct peer label. ``seed`` seeds the head and the training run, and
+    ``settings.variant`` picks the loss terms.
     """
     if settings.variant == "passthrough":
         raise ConfigError("variant 'passthrough' trains no head")
     classes, peer_lists = list(peers.peers), list(peers.peers.values())
+    missing = set(classes) - set(dataset.class_names)
+    if missing:
+        raise ConfigError(f"the peer set names classes {sorted(missing)} that the dataset lacks")
+    rows = dataset.rows_for(classes, train=True)
+    local_label = np.full(len(dataset.class_names), -1)
+    local_label[[dataset.class_names.index(name) for name in classes]] = np.arange(len(classes))
     texts = [render_description(label, peers.description_template)
              for label in [*classes, *(p for labels in peer_lists for p in labels)]]
     encoded = toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
@@ -459,10 +464,11 @@ def fit(features: np.ndarray, labels: np.ndarray, peers: PeerClassSet,
     bounds = np.cumsum([len(classes)] + [len(labels) for labels in peer_lists[:-1]])
     class_texts, *peer_rows = np.split(encoded, bounds)
     head = init_head(len(classes), peers.distinct_peer_count(), seed=seed,
-                     feature_dim=features.shape[1], hidden_dims=settings.hidden_dims)
+                     feature_dim=dataset.features.dim, hidden_dims=settings.hidden_dims)
     loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
     cfg = replace(settings.training, seed=seed, loss=loss)
-    return train(features, labels, class_texts, dict(enumerate(peer_rows)), head, cfg, rows)
+    return train(dataset.features.values, local_label[dataset.labels[rows]], class_texts,
+                 dict(enumerate(peer_rows)), head, cfg, rows)
 
 
 def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: PipelineSettings, seed: int) -> float:
@@ -487,12 +493,8 @@ def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: Pipelin
         id_q = passthrough_transform(values, id_rows)
         ood_q = passthrough_transform(values, ood_rows)
     else:
-        # Known class i is local label i, and the i-th key of the peer set.
-        local = {name: i for i, name in enumerate(known)}
-        to_local = np.array([local.get(name, -1) for name in dataset.class_names], dtype=np.int64)
         peers = generate_peer_classes(known, settings.peer, StubProvider(seed=seed))
-        head = fit(values, to_local[dataset.labels[train_rows]], peers, settings, seed,
-                   rows=train_rows).head
+        head = fit(dataset, peers, settings, seed).head
         bank = build_bank(head, values, train_rows)
         id_q = bank_transform(head, values, id_rows)
         ood_q = bank_transform(head, values, ood_rows)
@@ -617,11 +619,11 @@ def write_table_md(results_rows: list[dict], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # projection export
 
-def pca_projection(data: np.ndarray, n_components: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Centered PCA with a deterministic sign convention.
+def pca_projection(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered 2-D PCA with a deterministic sign convention.
 
-    Returns (coords (n, n_components), components (n_components, dim)). Each
-    component's first non-negligible loading is made positive.
+    Returns (coords (n, 2), components (2, dim)); 1-d data gets a zero second
+    component. Each component's first non-negligible loading is made positive.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -631,9 +633,8 @@ def pca_projection(data: np.ndarray, n_components: int = 2) -> tuple[np.ndarray,
     scale = float(s[0]) if s.size else 0.0
     if scale < 1e-12:
         raise InvalidArgumentError("data has rank 0 after centering; nothing to project")
-    comps = vt[:n_components].copy()
-    if comps.shape[0] < n_components:
-        comps = np.vstack([comps, np.zeros((n_components - comps.shape[0], x.shape[1]))])
+    comps = np.zeros((2, x.shape[1]))
+    comps[: min(2, len(vt))] = vt[:2]
     for row in comps:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:
@@ -650,7 +651,7 @@ def export_projection(
     sample_ids: list[str] | None = None,
 ) -> np.ndarray:
     """Write (sample_id, x, y, label, id_or_ood) CSV rows of the 2-D PCA."""
-    coords, _ = pca_projection(data, 2)
+    coords, _ = pca_projection(data)
     n = coords.shape[0]
     if len(labels) != n:
         raise InvalidArgumentError("one label per sample required")

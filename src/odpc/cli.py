@@ -231,22 +231,19 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     settings = _command_config(args).settings
-    features = import_embeddings(args.features)
-    dataset = bench.load_manifest_dataset(args.labels, features)
+    dataset = bench.load_manifest_dataset(args.labels, import_embeddings(args.features))
     peer_set, _ = load_peers(args.peers)
-    # The classes with train rows, in manifest order: local label i is known[i].
-    present, labels = np.unique(dataset.labels[dataset.is_train], return_inverse=True)
-    if present.size < 2:
-        raise ConfigError(f"--labels {args.labels}: {present.size} class(es) have train rows; "
+    # The classes with train rows, in manifest order.
+    known = [dataset.class_names[g] for g in np.unique(dataset.labels[dataset.is_train])]
+    if len(known) < 2:
+        raise ConfigError(f"--labels {args.labels}: {len(known)} class(es) have train rows; "
                           "training needs at least 2")
-    known = [dataset.class_names[g] for g in present]
     missing = [name for name in known if name not in peer_set.peers]
     if missing:
         raise ConfigError(f"{args.peers}: no entry for classes {missing}")
     peers = replace(peer_set, peers={name: peer_set.peers[name] for name in known})
     training = settings.training
-    state = bench.fit(features.values, labels, peers, settings, training.seed,
-                      rows=np.flatnonzero(dataset.is_train))
+    state = bench.fit(dataset, peers, settings, training.seed)
     save_checkpoint(state.head, args.out)
     write_loss_history(state.history, args.history)
     print(f"trained {training.epochs} epochs; checkpoint -> {args.out}, history -> {args.history}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import persist
 from .blocks import normalize_rows, row_chunks, rows_per_block
 from .errors import ConfigError, InvalidArgumentError, ShapeError
-from .head import N_SHARED_LAYERS, MlpHead, forward
+from .head import MlpHead, forward
 
 # The scan is the only backend; ``KnnConfig.backend`` and the ``backend``
 # argument remain because perfbench/workloads.py passes the latter.
@@ -117,17 +117,13 @@ def bank_transform(head: MlpHead, features: np.ndarray, rows: np.ndarray | None 
 
 def passthrough_transform(features: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Bank-space stand-in without a trained head: the normalized ``features``
-    rows that ``rows`` indexes (default: all), stacked once per shared layer
-    as a head's bank stacks its layers. Rows are read in the chunks of
+    rows that ``rows`` indexes (default: all). Rows are read in the chunks of
     ``bank_transform``, so the matrix is never cast whole."""
     values, rows = _matrix_and_rows(features, rows)
-    n = rows.size
-    out = np.empty((n, N_SHARED_LAYERS, values.shape[1]))
-    for lo, hi in row_chunks(n, BANK_CHUNK_ROWS):
-        seg = out[lo:hi, 0]
-        normalize_rows(values[rows[lo:hi]], seg, "feature", lo, square=seg)
-    out[:, 1:] = out[:, :1]
-    return out.reshape(n, -1)
+    out = np.empty((rows.size, values.shape[1]))
+    for lo, hi in row_chunks(rows.size, BANK_CHUNK_ROWS):
+        normalize_rows(values[rows[lo:hi]], out[lo:hi], "feature", lo, square=out[lo:hi])
+    return out
 
 
 def build_bank(head: MlpHead, train_features: np.ndarray, rows: np.ndarray | None = None) -> FeatureBank:
@@ -162,6 +158,7 @@ def knn_scores(
         kth = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
         diff = qc - b[kth]
         scores[lo : lo + step] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        del d2, kth  # or this block's distances and indices stay alive through the next GEMM
     return scores
 
 

@@ -96,13 +96,13 @@ def write_json(path: str | Path, obj: object) -> None:
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a UTF-8 JSON file; text that is not valid JSON, or nests deeper
-    than the parser recurses, raises ConfigError."""
+    """Parse a UTF-8 JSON file; text that is not UTF-8 JSON, nests deeper than
+    the parser recurses or holds an integer too long to convert raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: cannot be parsed as JSON ({exc})") from exc
 
 
 def _crc32(start: bytes, payloads) -> int:
@@ -164,8 +164,8 @@ def read_manifest_frame(path: str | Path, magic: bytes, shapes_of) -> tuple[dict
         manifest_bytes = fh.read(length)
         try:
             manifest = json.loads(manifest_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}: manifest is not valid JSON") from exc
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: manifest cannot be parsed as JSON") from exc
         if not isinstance(manifest, dict):
             raise FormatError(f"{path}: manifest is not a JSON object")
         arrays = _read_payload(fh, path, shapes_of(path, manifest), crc_start=manifest_bytes)

@@ -152,12 +152,12 @@ def train(
 
     The one check of a run's inputs comes first, also with ``epochs=0``:
     a ConfigError unless the features are (n, dim), ``rows`` holds 1-D
-    integer indices in [0, n) with one label per row, the class
-    descriptions, every peer matrix and the head are dim wide, the labels
-    cover 2+ classes within [0, min(class descriptions, ID classes)), and
-    with mixup on every present class has peers. A batch whose loss is not
-    finite raises DivergenceError before its update, and one whose update
-    overflows the parameters raises it naming that batch.
+    integer indices in [0, n) with one label per row, the head, the class
+    descriptions and every peer matrix are dim wide and those matrices
+    finite, the labels cover 2+ classes within [0, min(class descriptions,
+    ID classes)), and with mixup on every present class has peers. A batch
+    whose loss is not finite raises DivergenceError before its update, and
+    one whose update overflows the parameters raises it naming that batch.
     """
     # Every cast of the step inputs is made here; the step functions cast
     # nothing. The labels, class descriptions and peer matrices are cast
@@ -187,6 +187,8 @@ def train(
     for what, matrix in matrices.items():
         if np.ndim(matrix) != 2 or np.shape(matrix)[1] != dim:
             raise ConfigError(f"the features are {dim}-d but {what} have shape {np.shape(matrix)}")
+        if not np.isfinite(matrix).all():
+            raise ConfigError(f"{what} hold a value that is not finite")
     present = np.unique(labels)
     if present.size < 2:
         raise ConfigError("training data must cover at least 2 classes")

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from odpc.bench import (
     read_manifest,
     read_results_csv,
     run_benchmark,
+    run_single,
     synthetic_class_names,
     synthetic_feature_dataset,
     write_manifest,
@@ -435,40 +437,84 @@ def test_run_benchmark_validates_repeats():
         run_benchmark("synthetic", 0, _fast_settings())
 
 
+def test_one_repeat_peaks_at_its_bank_and_queries_plus_named_buffers():
+    """One ``pcc_ce`` repeat (0 epochs) over a 12,000-row bank and 3,000
+    queries allocates at most the float64 bank and queries plus the named
+    buffers below and a slack. A full ID-query x bank distance matrix (165
+    MiB), a float64 copy of the dataset (90 MiB) or a second bank (141 MiB)
+    breaks the bound, and the named buffers must stay smaller than the first.
+    tracemalloc sees numpy's buffers."""
+    from odpc.head import param_shapes
+    from odpc.knn_detector import BANK_CHUNK_ROWS, SCAN_BLOCK_ELEMS
+    from odpc.trainer import TrainingConfig
+
+    settings = replace(PipelineSettings(), training=TrainingConfig(epochs=0),
+                       synthetic=SyntheticSpec(train_per_class=2000, test_per_class=300))
+    dataset = synthetic_feature_dataset(settings.synthetic, settings.encoder)
+    split = make_split("synthetic", ClassCatalog(classes=tuple(dataset.class_names)), 0)
+    n_known = len(split.known_classes)
+    bank_rows = dataset.rows_for(split.known_classes, train=True).size
+    queries = int((~dataset.is_train).sum())
+    assert (bank_rows, queries) == (12_000, 3_000)
+    width = sum(settings.hidden_dims)
+    # At most one peer output per generated peer label.
+    dims = (dataset.features.dim, *settings.hidden_dims, n_known * (1 + settings.peer.peers_per_class))
+    n_params = sum(math.prod(shape) for shape in param_shapes(dims))
+    allowance = (
+        n_params * (3 * 8 + 4)  # the float64 mirror, gradient and velocity; the float32 head
+        + SCAN_BLOCK_ELEMS * (8 + 8)  # one block's float64 distances and int64 partition indices
+        + BANK_CHUNK_ROWS * width * 8  # one chunk's float64 activations
+        + 16 * 2**20  # slack: the k-th rows and their differences, the texts, index arrays
+    )
+    id_queries = dataset.rows_for(split.known_classes, train=False).size
+    assert allowance < id_queries * bank_rows * 8
+    tracemalloc.start()
+    try:
+        run_single(dataset, split, settings, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (bank_rows + queries) * width * 8 + allowance
+
+
 def _fit_inputs(variant="pcc_ce", encoder=None):
-    """The train rows of a synthetic dataset's first three classes, their
-    labels, a peer set naming those classes, and settings that train 0 epochs."""
+    """A synthetic dataset, a peer set naming its classes 4, 1 and 7 in that
+    order, and settings that train 0 epochs."""
     from odpc.trainer import TrainingConfig
 
     settings = replace(_fast_settings(variant), training=TrainingConfig(epochs=0),
                        encoder=encoder or ToyEncoderConfig())
     dataset = synthetic_feature_dataset(settings.synthetic, settings.encoder)
-    known = dataset.class_names[:3]
-    rows = dataset.rows_for(known, train=True)
-    # The first three classes: global label i is local label i.
-    features, labels = dataset.features.values[rows], dataset.labels[rows]
+    known = [dataset.class_names[g] for g in (4, 1, 7)]
     peers = PeerClassSet(peers={name: ["wolf", f"Peer {i}"] for i, name in enumerate(known)},
                          description_template=DEFAULT_DESCRIPTION_TEMPLATE, provenance={})
-    return features, labels, peers, settings
+    return dataset, peers, settings
 
 
 def test_fit_sizes_classifier_by_distinct_peers_of_known_classes():
-    features, labels, peers, settings = _fit_inputs()
-    head = fit(features, labels, peers, settings, seed=0).head
+    dataset, peers, settings = _fit_inputs()
+    head = fit(dataset, peers, settings, seed=0).head
     # "wolf" is shared by all three classes.
     assert (head.num_id_classes, head.num_peer_outputs) == (3, 4)
 
 
 def test_fit_rejects_known_class_without_peers():
-    features, labels, peers, settings = _fit_inputs()
+    dataset, peers, settings = _fit_inputs()
     known = list(peers.peers)
     peers.peers[known[1]] = []
     with pytest.raises(ConfigError, match="class 1 has no peer description features"):
-        fit(features, labels, peers, settings, seed=0)
+        fit(dataset, peers, settings, seed=0)
+
+
+def test_fit_rejects_a_peer_class_the_dataset_lacks():
+    dataset, peers, settings = _fit_inputs()
+    peers.peers["nope"] = ["fox"]
+    with pytest.raises(ConfigError, match=r"the peer set names classes \['nope'\] that the dataset lacks"):
+        fit(dataset, peers, settings, seed=0)
 
 
 def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(monkeypatch):
-    features, labels, peers, settings = _fit_inputs()
+    dataset, peers, settings = _fit_inputs()
     known = list(peers.peers)
     peers = replace(peers, description_template="A sketch of a [CLASS]")
     peers.peers[known[2]] = []
@@ -479,13 +525,20 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
         return toy_encode_texts(texts, cfg)
 
     def capture(features, labels, class_texts, peer_texts, head, cfg, rows):
-        seen.update(class_texts=class_texts, peer_texts=peer_texts)
+        seen.update(features=features, labels=labels, class_texts=class_texts,
+                    peer_texts=peer_texts, rows=rows)
         return "state"
 
     monkeypatch.setattr("odpc.bench.toy_encode_texts", counting_encode)
     monkeypatch.setattr("odpc.bench.train", capture)
-    assert fit(features, labels, peers, settings, seed=0) == "state"
+    assert fit(dataset, peers, settings, seed=0) == "state"
     assert len(calls) == 1
+    # The train rows of classes 4, 1 and 7, read in place, with local labels 0, 1 and 2.
+    assert seen["features"] is dataset.features.values
+    expected_rows = np.flatnonzero(np.isin(dataset.labels, [4, 1, 7]) & dataset.is_train)
+    np.testing.assert_array_equal(seen["rows"], expected_rows)
+    np.testing.assert_array_equal(dataset.labels[seen["rows"]], np.array([4, 1, 7])[seen["labels"]])
+    assert sorted(set(seen["labels"].tolist())) == [0, 1, 2]
 
     def per_class(labels):
         texts = [f"A sketch of a {label}" for label in labels]
@@ -502,17 +555,17 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
 def test_fit_default_settings_build_512_wide_layers_like_the_cli():
     from odpc.cli import load_config
 
-    features, labels, peers, settings = _fit_inputs(encoder=ToyEncoderConfig(out_dim=64))
+    dataset, peers, settings = _fit_inputs(encoder=ToyEncoderConfig(out_dim=64))
     assert settings.hidden_dims == PipelineSettings().hidden_dims
-    head = fit(features, labels, peers, settings, seed=0).head
+    head = fit(dataset, peers, settings, seed=0).head
     assert head.dims[:4] == (64, 512, 512, 512)
     assert load_config(None).settings.hidden_dims == settings.hidden_dims
 
 
 def test_fit_rejects_passthrough():
-    features, labels, peers, settings = _fit_inputs("passthrough")
+    dataset, peers, settings = _fit_inputs("passthrough")
     with pytest.raises(ConfigError, match="passthrough"):
-        fit(features, labels, peers, settings, seed=0)
+        fit(dataset, peers, settings, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +646,7 @@ def test_tracer_step_spans_fire():
 
 def test_projection_identity_on_centered_2d():
     pts = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    coords, comps = pca_projection(pts, 2)
+    coords, comps = pca_projection(pts)
     # recovered up to the fixed sign convention; x-axis has larger variance
     assert np.allclose(np.abs(coords), np.abs(pts), atol=1e-12)
     assert np.allclose(np.abs(comps), np.eye(2), atol=1e-12)
@@ -615,21 +668,27 @@ def test_projection_duplicated_sample_duplicates_row(tmp_path):
 def test_projection_matches_eigendecomposition_rank2(seed):
     r = np.random.default_rng(seed)
     data = r.standard_normal((10, 512))
-    coords, comps = pca_projection(data, 2)
+    coords, comps = pca_projection(data)
     ours = coords @ comps
     ref = best_rank2_reconstruction_reference(data)
     assert np.max(np.abs(ours - ref)) < 1e-6
 
 
+def test_projection_of_1d_data_has_a_zero_second_component():
+    coords, comps = pca_projection(np.arange(5.0)[:, None])
+    assert comps.tolist() == [[1.0], [0.0]]
+    assert coords.tolist() == [[-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+
+
 def test_projection_rank0_rejected():
     flat = np.ones((5, 4))
     with pytest.raises(InvalidArgumentError):
-        pca_projection(flat, 2)
+        pca_projection(flat)
 
 
 def test_projection_needs_three_samples():
     with pytest.raises(InvalidArgumentError):
-        pca_projection(np.eye(2), 2)
+        pca_projection(np.eye(2))
 
 
 def test_export_projection_id_ood_flags(tmp_path):

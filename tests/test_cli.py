@@ -778,18 +778,21 @@ def test_train_manifest_with_carriage_return_is_usage_error(tmp_path, capsys, tr
     assert str(labels) in doc["message"] and named in doc["message"]
 
 
-@pytest.mark.parametrize(("which", "nested"), [
-    *[pytest.param(which, False, id=which) for which in ("config", "labels", "peers")],
-    *[pytest.param(which, True, id=f"{which}-deeply-nested") for which in ("config", "labels", "peers")],
+@pytest.mark.parametrize(("which", "damage"), [
+    *[pytest.param(which, "truncated", id=which) for which in ("config", "labels", "peers")],
+    *[pytest.param(which, damage, id=f"{which}-{damage}")
+      for damage in ("deeply-nested", "huge-integer") for which in ("config", "labels", "peers")],
 ])
-def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which, nested):
-    """A file cut in half, or nested deeper than the JSON parser recurses."""
+def test_train_truncated_json_is_usage_error(tmp_path, capsys, train_inputs, which, damage):
+    """A file cut in half, nested deeper than the JSON parser recurses, or
+    holding an integer of more than the 4,300 digits Python converts."""
     path = tmp_path / f"{which}.json"
     text = open(train_inputs[which], encoding="utf-8").read()
-    path.write_text("[" * 100_000 if nested else text[: len(text) // 2], encoding="utf-8")
+    path.write_text({"truncated": text[: len(text) // 2], "deeply-nested": "[" * 100_000,
+                     "huge-integer": "[" + "1" * 5000 + "]"}[damage], encoding="utf-8")
     doc = _train_usage_error(tmp_path, capsys, train_inputs, **{which: path})
     assert doc["error"] == "ConfigError"
-    assert str(path) in doc["message"]
+    assert f"{path}: cannot be parsed as JSON" in doc["message"]
 
 
 def _gen_peers_with_cache_text(tmp_path, capsys, text):

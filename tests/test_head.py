@@ -320,10 +320,10 @@ def _cut_in_manifest(path):
     path.write_bytes(path.read_bytes()[: len(CK_MAGIC) + 4 + 10])
 
 
-def _deeply_nested_manifest(path):
-    # json.dumps cannot write a manifest nested this deep, so the frame is raw bytes.
-    depth = 100_000
-    path.write_bytes(CK_MAGIC + struct.pack("<I", depth) + b"[" * depth + bytes(4))
+def _raw_manifest(text):
+    """Damage that writes ``text`` as the manifest: json.dumps cannot write
+    JSON nested 100,000 deep or an integer of 5,000 digits, so the frame is raw bytes."""
+    return lambda path: path.write_bytes(CK_MAGIC + struct.pack("<I", len(text)) + text + bytes(4))
 
 
 @pytest.mark.parametrize(
@@ -336,9 +336,11 @@ def _deeply_nested_manifest(path):
          "payload size mismatch"),
         (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "payload size mismatch"),
         (_cut_in_manifest, "truncated manifest"),
-        (_deeply_nested_manifest, "manifest is not valid JSON"),
+        (_raw_manifest(b"[" * 100_000), "manifest cannot be parsed as JSON"),
+        (_raw_manifest(b'{"epoch": ' + b"1" * 5000 + b"}"), "manifest cannot be parsed as JSON"),
     ],
-    ids=["declares-more-than-held", "trailing-byte", "cut-in-manifest", "deeply-nested"],
+    ids=["declares-more-than-held", "trailing-byte", "cut-in-manifest", "deeply-nested",
+         "huge-integer"],
 )
 def test_checkpoint_size_damage_is_format_error_naming_path(tmp_path, damage, message):
     path = tmp_path / "head.ckpt"

@@ -128,12 +128,13 @@ def test_bank_trailing_byte_is_format_error(tmp_path, rng):
         persist.read_bank(path)
 
 
-@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'{"a": "\xff"}', b"[" * 100_000],
-                         ids=["truncated", "not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'{"a": "\xff"}', b"[" * 100_000,
+                                  b'{"epochs": ' + b"1" * 5000 + b"}"],
+                         ids=["truncated", "not-utf8", "deeply-nested", "huge-integer"])
 def test_read_json_bad_text_is_config_error(tmp_path, blob):
     path = tmp_path / "doc.json"
     path.write_bytes(blob)
-    with pytest.raises(ConfigError, match="doc.json"):
+    with pytest.raises(ConfigError, match="doc.json: cannot be parsed as JSON"):
         persist.read_json(path)
 
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -247,11 +247,16 @@ def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
     assert "nan" not in rows[2]
 
 
-def test_train_stops_at_the_first_non_finite_loss():
-    # An infinite class description makes the first batch's loss non-finite
-    # before any update.
+def test_train_stops_at_the_first_non_finite_loss(monkeypatch):
+    # A step that reports a nan loss stops the run before any update.
     features, labels, class_text, peer_text = _toy_training_setup()
-    class_text[1, 0] = np.inf
+    loss_and_grad = odpc.trainer.loss_and_grad
+
+    def nan_loss(*args):
+        breakdown, grads = loss_and_grad(*args)
+        return replace(breakdown, total=float("nan")), grads
+
+    monkeypatch.setattr(odpc.trainer, "loss_and_grad", nan_loss)
     head = init_head(3, 6, seed=1, feature_dim=16)
     before = head.params.copy()
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-3, momentum=0.0, seed=5,
@@ -325,6 +330,8 @@ BOUNDARY_MESSAGES = {
     "features-width": "the features are 15-d but the head takes 16-d rows",
     "class-texts-width": "the features are 16-d but the class descriptions have shape (3, 15)",
     "peer-width": "the features are 16-d but class 1's peer descriptions have shape (2, 15)",
+    "class-texts-inf": "the class descriptions hold a value that is not finite",
+    "peer-nan": "class 1's peer descriptions hold a value that is not finite",
     "head-width": "the features are 16-d but the head takes 17-d rows",
     "rows-past-features": "rows 0..60 do not lie in [0, 60)",
     "negative-row": "rows -1..59 do not lie in [0, 60)",
@@ -350,6 +357,10 @@ def test_train_checks_its_inputs_before_the_first_epoch(case):
         class_text = class_text[:, :-1]
     elif case == "peer-width":
         peer_text[1] = peer_text[1][:, :-1]
+    elif case == "class-texts-inf":
+        class_text[1, 0] = np.inf
+    elif case == "peer-nan":
+        peer_text[1][0, 3] = np.nan
     elif case == "rows-past-features":
         rows[-1] = len(features)
     elif case == "negative-row":
