@@ -41,7 +41,12 @@ def rows_per_block(dim: int, block_elems: int) -> int:
 def row_norms(rows: np.ndarray, square: np.ndarray | None = None) -> np.ndarray:
     """Float64 L2 norm of each row, bit for bit ``np.linalg.norm(rows.astype(np.float64),
     axis=1)``; the squares go into ``square`` (float64, ``rows``' shape) if given."""
-    square = np.multiply(rows, rows, out=square, dtype=np.float64)
+    if rows.dtype != np.float64:
+        # One exact cast, squared in place (a casting multiply buffers both operands).
+        square = np.empty(rows.shape) if square is None else square
+        square[...] = rows
+        rows = square
+    square = np.multiply(rows, rows, out=square)
     return np.sqrt(np.add.reduce(square, axis=1))
 
 

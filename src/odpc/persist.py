@@ -91,8 +91,8 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def write_json(path: str | Path, obj: object) -> None:
-    """Serialize obj as UTF-8 JSON with stable key ordering."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Serialize obj as one line of sorted-key UTF-8 JSON, a manifest's layout."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path) -> object:

@@ -200,10 +200,12 @@ def train(
         for cls in map(int, present):
             if len(peers.get(cls, ())) == 0:
                 raise ConfigError(f"class {cls} has no peer description features")
+    if cfg.epochs == 0:
+        return TrainingState(head, [])
 
     n = rows.size
     n_batches = n // cfg.batch_size
-    if cfg.epochs > 0 and n_batches == 0:
+    if n_batches == 0:
         raise ConfigError(
             f"dataset of {n} rows yields no full batch of size {cfg.batch_size}"
         )

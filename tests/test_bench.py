@@ -40,7 +40,7 @@ from odpc.bench import (
 from odpc.encoders import EmbeddingMatrix, ToyEncoderConfig, toy_encode_texts
 from odpc.errors import ConfigError, FormatError, InvalidArgumentError
 from odpc.knn_detector import KnnConfig
-from odpc.peer_gen import DEFAULT_DESCRIPTION_TEMPLATE, PeerClassSet
+from odpc.peer_gen import DEFAULT_DESCRIPTION_TEMPLATE, PeerClassSet, StubProvider, generate_peer_classes
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,10 @@ def test_manifest_roundtrip(tmp_path, rng):
     assert np.array_equal(ds.labels, labels)
     assert np.array_equal(ds.is_train, is_train)
     assert ds.sample_ids == ids
-    # Manifests written with an ``animal_classes`` key still load the same.
+    # Manifests written indented, with an ``animal_classes`` key, still load the same.
     old = tmp_path / "old_labels.json"
-    old.write_text(json.dumps({**json.loads(path.read_text()), "animal_classes": [names[0]]}))
+    old.write_text(json.dumps({**json.loads(path.read_text()), "animal_classes": [names[0]]},
+                              sort_keys=True, indent=2) + "\n")
     old_ds = load_manifest_dataset(old, feats)
     assert (old_ds.class_names, old_ds.sample_ids) == (names, ids)
     assert np.array_equal(old_ds.labels, labels)
@@ -475,6 +476,31 @@ def test_one_repeat_peaks_at_its_bank_and_queries_plus_named_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= (bank_rows + queries) * width * 8 + allowance
+
+
+def test_one_epoch_fit_peak_grows_by_less_than_the_added_rows():
+    """A 1-epoch ``pcc_ce`` fit on 2n train rows peaks less than the added
+    rows' float32 bytes above the fit on n rows: the workspace does not
+    depend on n and the rows are read in place, so a float64 copy of the
+    split (twice the added rows' bytes) breaks the bound."""
+    from odpc.trainer import TrainingConfig
+
+    peaks, n_rows = [], []
+    for per_class in (200, 400):
+        settings = replace(PipelineSettings(), training=TrainingConfig(epochs=1),
+                           synthetic=SyntheticSpec(train_per_class=per_class, test_per_class=20))
+        dataset = synthetic_feature_dataset(settings.synthetic, settings.encoder)
+        known = list(make_split("synthetic", ClassCatalog(classes=tuple(dataset.class_names)), 0).known_classes)
+        peers = generate_peer_classes(known, settings.peer, StubProvider(seed=0))
+        n_rows.append(dataset.rows_for(known, train=True).size)
+        tracemalloc.start()
+        try:
+            fit(dataset, peers, settings, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert n_rows == [1_200, 2_400]
+    assert peaks[1] - peaks[0] < (n_rows[1] - n_rows[0]) * dataset.features.dim * 4
 
 
 def _fit_inputs(variant="pcc_ce", encoder=None):

@@ -64,25 +64,28 @@ def test_zero_row_in_second_chunk_names_its_global_index(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_norms_bit_equal_to_linalg_norm(rng, dtype):
-    rows = (rng.standard_normal((37, 48)) * 3.0).astype(dtype)
-    got = row_norms(rows, np.empty(rows.shape))
-    assert got.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+    for n in (37, 0):
+        rows = (rng.standard_normal((n, 48)) * 3.0).astype(dtype)
+        want = np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+        for square in (np.empty(rows.shape), None):
+            assert row_norms(rows, square).tobytes() == want
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_normalize_rows_bit_equal_to_dividing_by_linalg_norm(rng, dtype):
-    rows = (rng.standard_normal((37, 48)) * 3.0).astype(dtype)
-    x = rows.astype(np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    want = x / norms[:, None]
-    out = np.empty(rows.shape)
-    assert normalize_rows(rows, out, "rows").tobytes() == norms.tobytes()
-    assert out.tobytes() == want.tobytes()
-    shared = np.empty(rows.shape)  # the squares go into the output first
-    normalize_rows(rows, shared, "rows", square=shared)
-    assert shared.tobytes() == want.tobytes()
-    normalize_rows(x, x, "rows", square=np.empty(rows.shape))  # in place
-    assert x.tobytes() == want.tobytes()
+    for n in (37, 0):
+        rows = (rng.standard_normal((n, 48)) * 3.0).astype(dtype)
+        x = rows.astype(np.float64)
+        norms = np.linalg.norm(x, axis=1)
+        want = x / norms[:, None]
+        out = np.empty(rows.shape)
+        assert normalize_rows(rows, out, "rows").tobytes() == norms.tobytes()
+        assert out.tobytes() == want.tobytes()
+        shared = np.empty(rows.shape)  # the squares go into the output first
+        normalize_rows(rows, shared, "rows", square=shared)
+        assert shared.tobytes() == want.tobytes()
+        normalize_rows(x, x, "rows", square=np.empty(rows.shape))  # in place
+        assert x.tobytes() == want.tobytes()
 
 
 def test_normalize_rows_names_a_zero_row_by_its_global_index(rng):

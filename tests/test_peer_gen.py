@@ -328,6 +328,9 @@ def test_peers_json_roundtrip(tmp_path):
     back, raw = load_peers(path)
     assert back == peer_set
     assert raw == doc
+    # A file written indented, as odpc wrote it before one-line JSON, loads the same.
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    assert load_peers(path) == (back, raw)
 
 
 def test_generated_peer_set_carries_the_config_template(tmp_path):

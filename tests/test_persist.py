@@ -144,6 +144,9 @@ def test_json_stable_key_order(tmp_path):
     text = path.read_text()
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1, "a": {"z": 0, "y": 1}}
+    # One line of sorted-key JSON, the layout of a checkpoint manifest.
+    assert text == json.dumps({"b": 1, "a": {"z": 0, "y": 1}}, sort_keys=True) + "\n"
+    assert len(text.splitlines()) == 1
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -161,6 +162,21 @@ def test_train_zero_epochs_leaves_head_unchanged():
     assert [f.name for f in fields(state)] == ["head", "history"]
     assert state.history == []
     assert np.array_equal(state.head.params, before)
+
+
+def test_train_zero_epochs_allocates_no_training_buffers():
+    """With ``epochs=0`` no step runs, so neither the velocity nor the
+    workspace's float64 mirror and gradient is allocated: the peak stays
+    below one float64 copy of the parameters."""
+    features, labels, class_text, peer_text = _toy_training_setup(dim=512)
+    head = init_head(3, 6, seed=1, feature_dim=512)
+    tracemalloc.start()
+    try:
+        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < head.params.size * 8
 
 
 def test_train_loss_decreases_on_toy_data():
