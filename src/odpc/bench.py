@@ -444,9 +444,10 @@ def fit(dataset: FeatureDataset, peers: PeerClassSet, settings: PipelineSettings
     Class i is the i-th key of ``peers.peers`` and gets local label i. The
     classes' descriptions and then each class's peer descriptions, in order,
     are rendered with ``peers.description_template`` and encoded with
-    ``settings.encoder`` in one call; the classifier gets one peer output per
-    distinct peer label. ``seed`` seeds the head and the training run, and
-    ``settings.variant`` picks the loss terms.
+    ``settings.encoder`` in one call, into the one matrix ``train`` takes;
+    the classifier gets one peer output per distinct peer label. ``seed``
+    seeds the head and the training run, and ``settings.variant`` picks the
+    loss terms; a variant that mixes needs peers for every class.
     """
     if settings.variant == "passthrough":
         raise ConfigError("variant 'passthrough' trains no head")
@@ -454,21 +455,22 @@ def fit(dataset: FeatureDataset, peers: PeerClassSet, settings: PipelineSettings
     missing = set(classes) - set(dataset.class_names)
     if missing:
         raise ConfigError(f"the peer set names classes {sorted(missing)} that the dataset lacks")
+    loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
+    bare = [name for name, labels in zip(classes, peer_lists) if not labels]
+    if loss.use_pcc and loss.use_mixup and bare:
+        raise ConfigError(f"variant {settings.variant!r} mixes each class with one of its peers, "
+                          f"but the peer set gives classes {bare} none")
     rows = dataset.rows_for(classes, train=True)
     local_label = np.full(len(dataset.class_names), -1)
     local_label[[dataset.class_names.index(name) for name in classes]] = np.arange(len(classes))
     texts = [render_description(label, peers.description_template)
              for label in [*classes, *(p for labels in peer_lists for p in labels)]]
-    encoded = toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
-    # A class without peers gets a 0-row matrix, which ``train`` rejects when it needs peers.
-    bounds = np.cumsum([len(classes)] + [len(labels) for labels in peer_lists[:-1]])
-    class_texts, *peer_rows = np.split(encoded, bounds)
+    peer_bounds = np.cumsum([len(classes), *map(len, peer_lists)])
     head = init_head(len(classes), peers.distinct_peer_count(), seed=seed,
                      feature_dim=dataset.features.dim, hidden_dims=settings.hidden_dims)
-    loss = replace(settings.training.loss, **VARIANT_LOSS[settings.variant])
     cfg = replace(settings.training, seed=seed, loss=loss)
-    return train(dataset.features.values, local_label[dataset.labels[rows]], class_texts,
-                 dict(enumerate(peer_rows)), head, cfg, rows)
+    return train(dataset.features.values, local_label[dataset.labels[rows]],
+                 toy_encode_texts(texts, settings.encoder).values, peer_bounds, head, cfg, rows)
 
 
 def run_single(dataset: FeatureDataset, split: BenchmarkSplit, settings: PipelineSettings, seed: int) -> float:

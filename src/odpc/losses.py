@@ -22,23 +22,25 @@ image, mixed text; without mixup the list is shorter). Each set's exponent
 matrix has its diagonal (k == i) set to -inf in place, and exp(-inf) is
 exactly 0, so the gradient weights need no second mask.
 
-A batch holds each text row once. Image i pairs with class_texts[labels[i]],
-and NegativeSet holds one mixed text per distinct (label, peer) pair, batch
-row i using mixed_texts[text_index[i]]. loss_and_grad forwards the images,
-the descriptions of the classes in the batch, the mixed images and the mixed
-texts, gathers the per-row text activations for the contrastive terms, and
-sums their adjoints back into the rows they came from.
+A batch holds each text row once. Image i pairs with texts[labels[i]] (see
+``trainer.train`` for the layout), and NegativeSet holds one mixed text per
+distinct (label, peer) pair, batch row i using mixed_texts[text_index[i]].
+loss_and_grad forwards the images, the class descriptions in the batch, the
+mixed images and the mixed texts, gathers the per-row text activations for
+the contrastive terms, and sums their adjoints back into their rows.
 
 A training run's float64 buffers live in one Workspace in the head's
 layout: the parameter mirror the forward and backward read, which
 ``trainer.sgd_step`` refreshes as it writes the parameters, and the gradient,
 which loss_and_grad writes in place with ``out=``.
 
-The step functions (build_negative_set, loss_and_grad and the contrastive
-core) raise nothing: they take the float64 rows and int64 labels
-``trainer.train`` prepared and trust its one check of labels, peers and
-widths before the first epoch, and train skips single-class batches. The
-standalone pcc_loss and ce_loss check their inputs.
+The step functions (build_negative_set, loss_and_grad, and the contrastive and
+cross-entropy cores) raise nothing of their own: they take the float64 rows
+and int64 labels ``trainer.train`` prepared and trust its one check of
+labels, peers and widths before the first epoch, and train skips
+single-class batches; a layer that switches off every unit of a row fails
+normalize_rows, which train reports as DivergenceError. The standalone
+pcc_loss and ce_loss check their inputs.
 """
 
 from __future__ import annotations
@@ -90,16 +92,16 @@ class NegativeSet:
 def build_negative_set(
     images: np.ndarray,
     labels: np.ndarray,
-    class_texts: np.ndarray,
-    peer_text_features: dict[int, np.ndarray],
+    texts: np.ndarray,
+    peer_bounds: np.ndarray,
     lam: float,
     rng: np.random.Generator,
 ) -> NegativeSet:
     """Sample mixup negatives for a batch of float64 ``images`` rows.
 
     Mixed image i blends image i with a uniformly chosen same-batch image of
-    a different class; the mixed text of row i blends the description of
-    class labels[i] with a uniformly chosen peer description of that class,
+    a different class; the mixed text of row i blends texts[y], y = labels[i],
+    with a uniformly chosen peer row of texts[peer_bounds[y]:peer_bounds[y+1]],
     and each distinct (label, peer) blend is made once. A blend of a and b
     is lam * a + (1 - lam) * b. Deterministic given the rng. The batch holds
     at least two classes and each of them has peers: ``trainer.train`` skips
@@ -111,14 +113,14 @@ def build_negative_set(
     for i in range(n):
         candidates = np.flatnonzero(labels != labels[i])
         q_indices[i] = candidates[rng.integers(len(candidates))]
-        p_choices[i] = rng.integers(len(peer_text_features[int(labels[i])]))
+        p_choices[i] = rng.integers(peer_bounds[labels[i] + 1] - peer_bounds[labels[i]])
 
     # One integer per (label, peer) pair, ascending in (label, peer) order.
     pair_keys = labels * (p_choices.max() + 1) + p_choices
     _, first, text_index = np.unique(pair_keys, return_index=True, return_inverse=True)
-    peer_rows = np.stack([peer_text_features[int(labels[i])][p_choices[i]] for i in first])
     mixed_images = lam * images + (1.0 - lam) * images[q_indices]
-    mixed_texts = lam * class_texts[labels[first]] + (1.0 - lam) * peer_rows
+    mixed_texts = (lam * texts[labels[first]]
+                   + (1.0 - lam) * texts[peer_bounds[labels[first]] + p_choices[first]])
     return NegativeSet(mixed_images, mixed_texts, text_index)
 
 
@@ -238,7 +240,12 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         raise InvalidArgumentError(
             f"label out of range [0, {m}): {labels.min()}..{labels.max()}"
         )
-    return float(np.mean(_logsumexp_rows([logits]) - logits[np.arange(n), labels]))
+    return _cross_entropy(logits, labels)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """ce_loss without its checks: float64 (N, M) logits, N >= 1 int64 labels in [0, M)."""
+    return float(np.mean(_logsumexp_rows([logits]) - logits[np.arange(len(labels)), labels]))
 
 
 @dataclass
@@ -275,13 +282,13 @@ def loss_and_grad(
     work: Workspace,
     images: np.ndarray,
     labels: np.ndarray,
-    class_texts: np.ndarray,
+    texts: np.ndarray,
     negatives: NegativeSet | None,
     cfg: LossConfig,
 ) -> tuple[LossBreakdown, MlpHead]:
     """Objective value and gradients at the parameters ``work.mirror`` for one
     batch of float64 ``images`` rows, image i of class labels[i] and paired
-    with class_texts[labels[i]].
+    with its class description texts[labels[i]].
 
     The objective is the sum of the contrastive term at each shared layer
     plus cross-entropy on the image logits, with terms switched by cfg.
@@ -296,7 +303,7 @@ def loss_and_grad(
     use_mix = cfg.use_pcc and cfg.use_mixup
 
     classes, text_inv = np.unique(labels, return_inverse=True)
-    streams = [images, class_texts[classes]]
+    streams = [images, texts[classes]]
     if use_mix:
         mixed_inv = negatives.text_index
         streams += [negatives.mixed_images, negatives.mixed_texts]
@@ -315,11 +322,11 @@ def loss_and_grad(
     if cfg.use_pcc:
         for l in range(1, n_layers + 1):
             h = hs[l]
-            anchors = _normalized(block(h, 0), "image features")
-            sets = [_normalized(block(h, 1)[text_inv], "paired text features")]
+            anchors = _normalized(block(h, 0), f"layer {l} image features")
+            sets = [_normalized(block(h, 1)[text_inv], f"layer {l} paired text features")]
             if use_mix:
-                sets.append(_normalized(block(h, 2), "mixed image features"))
-                sets.append(_normalized(block(h, 3)[mixed_inv], "mixed text features"))
+                sets.append(_normalized(block(h, 2), f"layer {l} mixed image features"))
+                sets.append(_normalized(block(h, 3)[mixed_inv], f"layer {l} mixed text features"))
             value, (g_img, g_pos, g_negs) = _pcc_value_and_input_grads(
                 anchors, sets[0], sets, cfg.temperature, cfg.pcc_form
             )
@@ -335,7 +342,7 @@ def loss_and_grad(
     ce_value = 0.0
     if cfg.use_ce:
         logits_img = block(logits_all, 0)
-        ce_value = ce_loss(logits_img, labels)
+        ce_value = _cross_entropy(logits_img, labels)
         g_logits = softmax(logits_img)
         g_logits[np.arange(n), labels] -= 1.0
         g_logits /= n

@@ -6,9 +6,9 @@ negative-sampling generators are derived from (seed, epoch, batch) seed
 sequences, parameters update in a fixed order, and float64 does the math
 while parameters stay float32.
 
-``train`` checks a run's inputs once, before the first epoch (see its
-docstring); the per-step code it calls, in ``losses`` and ``sgd_step``,
-trusts that and only computes.
+``train`` checks a run's inputs, the one description matrix and its peer
+offsets among them, once, before the first epoch (see its docstring); the
+per-step code it calls, in ``losses`` and ``sgd_step``, only computes.
 
 ``train`` allocates its large buffers once per run, so a step allocates
 nothing the size of the parameters: a float64 velocity and a
@@ -135,8 +135,8 @@ def _batch_rng(seed: int, epoch: int, batch_idx: int) -> np.random.Generator:
 def train(
     features: np.ndarray,
     labels: np.ndarray,
-    class_text_features: np.ndarray,
-    peer_text_features: dict[int, np.ndarray],
+    texts: np.ndarray,
+    peer_bounds: np.ndarray,
     head: MlpHead,
     cfg: TrainingConfig,
     rows: np.ndarray | None = None,
@@ -144,26 +144,27 @@ def train(
     """Train the head on the frozen ``features`` rows that ``rows`` indexes
     (default: every row), row ``rows[j]`` of class ``labels[j]``.
 
-    class_text_features row c is the encoded description of class c;
-    peer_text_features maps class index -> (n_peers, dim) matrix. Batches
-    are drawn by a seeded shuffle each epoch, the last partial batch is
-    dropped, and single-class batches are skipped; an epoch that skips any
-    logs one warning with their count.
+    ``texts`` is one (C + P, dim) matrix: row c < C describes class c, and
+    rows peer_bounds[c]:peer_bounds[c + 1] are its peers. Batches are drawn
+    by a seeded shuffle each epoch, the last partial batch is dropped, and
+    single-class batches are skipped; an epoch that skips any logs one
+    warning with their count.
 
     The one check of a run's inputs comes first, also with ``epochs=0``:
     a ConfigError unless the features are (n, dim), ``rows`` holds 1-D
-    integer indices in [0, n) with one label per row, the head, the class
-    descriptions and every peer matrix are dim wide and those matrices
-    finite, the labels cover 2+ classes within [0, min(class descriptions,
-    ID classes)), and with mixup on every present class has peers. A batch
-    whose loss is not finite raises DivergenceError before its update, and
-    one whose update overflows the parameters raises it naming that batch.
+    integer indices in [0, n) with one label per row, the head and ``texts``
+    are dim wide, ``texts`` is finite, ``peer_bounds`` runs from C to
+    len(texts) without decreasing, the labels cover 2+ classes within
+    [0, min(C, ID classes)), and with mixup on every present class has peers.
+    A batch whose loss is not finite, or in which a layer switches off every
+    unit of a row, raises DivergenceError before its update, and one whose
+    update overflows the parameters raises it naming that batch.
     """
     # Every cast of the step inputs is made here; the step functions cast
-    # nothing. The labels, class descriptions and peer matrices are cast
-    # once, each batch's rows as the batch is drawn, so the feature matrix
-    # is never copied whole. float32 -> float64 is exact, so float32 inputs
-    # give the same bits as their float64 casts.
+    # nothing. The labels and descriptions are cast once, each batch's rows
+    # as the batch is drawn, so the feature matrix is never copied whole.
+    # float32 -> float64 is exact, so float32 inputs give the same bits as
+    # their float64 casts.
     x = np.asarray(features)
     if x.ndim != 2:
         raise ConfigError(f"features must be (n, dim), got shape {x.shape}")
@@ -174,32 +175,34 @@ def train(
         raise ConfigError(f"rows {rows.min()}..{rows.max()} do not lie in [0, {x.shape[0]}) "
                           "for the feature rows")
     labels = np.asarray(labels, dtype=np.int64)
-    class_text = np.asarray(class_text_features, dtype=np.float64)
-    peers = {c: np.asarray(p, dtype=np.float64) for c, p in peer_text_features.items()}
+    texts = np.asarray(texts, dtype=np.float64)
+    bounds = np.asarray(peer_bounds)
     if labels.shape != rows.shape:
         raise ConfigError(f"labels of shape {labels.shape} do not give one label per row "
                           f"of the {rows.size} rows")
     dim = x.shape[1]
     if head.feature_dim != dim:
         raise ConfigError(f"the features are {dim}-d but the head takes {head.feature_dim}-d rows")
-    matrices = {"the class descriptions": class_text,
-                **{f"class {c}'s peer descriptions": p for c, p in peers.items()}}
-    for what, matrix in matrices.items():
-        if np.ndim(matrix) != 2 or np.shape(matrix)[1] != dim:
-            raise ConfigError(f"the features are {dim}-d but {what} have shape {np.shape(matrix)}")
-        if not np.isfinite(matrix).all():
-            raise ConfigError(f"{what} hold a value that is not finite")
+    if texts.ndim != 2 or texts.shape[1] != dim:
+        raise ConfigError(f"the features are {dim}-d but the descriptions have shape {texts.shape}")
+    finite = np.isfinite(texts).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"description row {int(np.argmin(finite))} holds a value that is not finite")
+    n_class_rows = bounds.size - 1
+    if (bounds.ndim != 1 or not np.issubdtype(bounds.dtype, np.integer) or n_class_rows < 0
+            or bounds[0] != n_class_rows or bounds[-1] != len(texts) or (np.diff(bounds) < 0).any()):
+        raise ConfigError(f"peer_bounds {bounds.tolist()} must be 1-D integers that start at "
+                          f"{n_class_rows}, never decrease and end at the {len(texts)} description rows")
     present = np.unique(labels)
     if present.size < 2:
         raise ConfigError("training data must cover at least 2 classes")
-    n_classes = min(len(class_text), head.num_id_classes)
+    n_classes = min(n_class_rows, head.num_id_classes)
     if present[0] < 0 or present[-1] >= n_classes:
         raise ConfigError(f"labels {present[0]}..{present[-1]} do not lie in [0, {n_classes}) for "
-                          f"{len(class_text)} class descriptions and {head.num_id_classes} ID classes")
-    if cfg.loss.use_pcc and cfg.loss.use_mixup:
-        for cls in map(int, present):
-            if len(peers.get(cls, ())) == 0:
-                raise ConfigError(f"class {cls} has no peer description features")
+                          f"{n_class_rows} class descriptions and {head.num_id_classes} ID classes")
+    bare = present[bounds[present + 1] == bounds[present]]
+    if cfg.loss.use_pcc and cfg.loss.use_mixup and bare.size:
+        raise ConfigError(f"class {bare[0]} has no peer description features")
     if cfg.epochs == 0:
         return TrainingState(head, [])
 
@@ -230,10 +233,14 @@ def train(
             negatives = None
             if cfg.loss.use_pcc and cfg.loss.use_mixup:
                 negatives = build_negative_set(
-                    images, batch_labels, class_text, peers, cfg.loss.mix_lambda,
+                    images, batch_labels, texts, bounds, cfg.loss.mix_lambda,
                     _batch_rng(cfg.seed, epoch, b),
                 )
-            breakdown, grads = loss_and_grad(work, images, batch_labels, class_text, negatives, cfg.loss)
+            try:
+                breakdown, grads = loss_and_grad(work, images, batch_labels, texts, negatives, cfg.loss)
+            except InvalidArgumentError as exc:
+                raise DivergenceError(f"epoch {epoch}, batch {b}: {exc} at lr {lr!r}: the layer "
+                                      "switched off every unit of that row") from exc
             if not math.isfinite(breakdown.total):
                 raise DivergenceError(f"epoch {epoch}, batch {b}: the loss is {breakdown.total} "
                                       f"at lr {lr!r}; lower the lr")

@@ -84,17 +84,25 @@ def ce_reference(logits, labels):
 
 # ---------------------------------------------------------------------------
 # seeded (head, batch, negatives) instances for gradient checks; a batch is
-# the (images, labels, class_texts) arrays loss_and_grad takes
+# the (images, labels, texts) arrays loss_and_grad takes
 
 def unit_rows(rng, n, dim):
     x = rng.standard_normal((n, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _min_abs_preactivation(head: MlpHead, images, labels, class_texts, negatives: NegativeSet | None):
+def stack_texts(class_texts, peers):
+    """``(texts, peer_bounds)`` as ``bench.fit`` passes them to ``train``: the
+    class rows, then the rows of ``peers[c]`` for each class c in order. A
+    class that ``peers`` lacks gets an empty range."""
+    per_class = [peers.get(c, class_texts[:0]) for c in range(len(class_texts))]
+    return np.vstack([class_texts, *per_class]), np.cumsum([len(class_texts), *map(len, per_class)])
+
+
+def _min_abs_preactivation(head: MlpHead, images, labels, texts, negatives: NegativeSet | None):
     from odpc.head import forward_with_cache
 
-    streams = [images, class_texts[labels]]
+    streams = [images, texts[labels]]
     if negatives is not None:
         streams += [negatives.mixed_images, negatives.mixed_texts]
     stacked = np.vstack(streams)
@@ -109,9 +117,10 @@ def _min_abs_preactivation(head: MlpHead, images, labels, class_texts, negatives
 def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
                        use_mixup: bool = True, tau: float = 0.05,
                        form: str = "per_anchor"):
-    """Deterministic (head, (images, labels, class_texts), negatives, cfg)
-    with pre-activations bounded away from the ReLU kink so central
-    differences are valid at h=1e-4."""
+    """Deterministic (head, (images, labels, texts), negatives, cfg) with
+    pre-activations bounded away from the ReLU kink so central differences
+    are valid at h=1e-4. With mixup, texts holds two peers per class after
+    the class rows; without, only the class rows."""
     cfg = LossConfig(temperature=tau, pcc_form=form, use_mixup=use_mixup)
     head = init_head(n_id, 2 * n_id, seed=seed, feature_dim=dim)
     brng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -122,14 +131,14 @@ def make_grad_instance(seed: int, dim: int = 16, n: int = 4, n_id: int = 3,
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(102, attempt)))
         labels = np.concatenate([np.arange(n_id), rng.integers(0, n_id, size=n - n_id)])
         img = unit_rows(rng, n, dim)
-        class_txt = unit_rows(rng, n_id, dim)
+        texts = unit_rows(rng, n_id, dim)
         negatives = None
         if use_mixup:
-            peers = {c: unit_rows(rng, 2, dim) for c in range(n_id)}
-            negatives = build_negative_set(img, labels, class_txt, peers, 0.5, rng)
-        min_z, min_norm = _min_abs_preactivation(head, img, labels, class_txt, negatives)
+            texts, peer_bounds = stack_texts(texts, {c: unit_rows(rng, 2, dim) for c in range(n_id)})
+            negatives = build_negative_set(img, labels, texts, peer_bounds, 0.5, rng)
+        min_z, min_norm = _min_abs_preactivation(head, img, labels, texts, negatives)
         if min_z > 1e-3 and min_norm > 0.05:
-            return head, (img, labels, class_txt), negatives, cfg
+            return head, (img, labels, texts), negatives, cfg
     raise RuntimeError(f"no kink-free gradient instance found for seed {seed}")
 
 
@@ -200,17 +209,17 @@ def loss_and_grad_per_row_reference(head: MlpHead, images, labels, class_texts,
     return total, [d_w[0], d_b[0], d_w[1], d_b[1], d_w[2], d_b[2], d_clf_w, d_clf_b]
 
 
-def fd_max_rel_error(head: MlpHead, images, labels, class_texts, negatives: NegativeSet | None,
+def fd_max_rel_error(head: MlpHead, images, labels, texts, negatives: NegativeSet | None,
                      cfg: LossConfig, h: float = 1e-4) -> float:
     """Max relative error between analytic gradients and central differences,
     over every parameter of the head, in float64. The analytic gradient comes
     from one workspace; the differences perturb a second one's mirror."""
-    _, grads = loss_and_grad(Workspace.of(head), images, labels, class_texts, negatives, cfg)
+    _, grads = loss_and_grad(Workspace.of(head), images, labels, texts, negatives, cfg)
     probe = Workspace.of(head)
     flat = probe.mirror.params
 
     def loss_at():
-        return loss_and_grad(probe, images, labels, class_texts, negatives, cfg)[0].total
+        return loss_and_grad(probe, images, labels, texts, negatives, cfg)[0].total
 
     worst = 0.0
     gflat = grads.params

@@ -528,7 +528,9 @@ def test_fit_rejects_known_class_without_peers():
     dataset, peers, settings = _fit_inputs()
     known = list(peers.peers)
     peers.peers[known[1]] = []
-    with pytest.raises(ConfigError, match="class 1 has no peer description features"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "variant 'pcc_ce' mixes each class with one of its peers, but the peer set gives "
+            f"classes {[known[1]]} none")):
         fit(dataset, peers, settings, seed=0)
 
 
@@ -540,7 +542,8 @@ def test_fit_rejects_a_peer_class_the_dataset_lacks():
 
 
 def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(monkeypatch):
-    dataset, peers, settings = _fit_inputs()
+    # Without mixup a class may have no peers; its range of rows is empty.
+    dataset, peers, settings = _fit_inputs("pcc_ce_nomix")
     known = list(peers.peers)
     peers = replace(peers, description_template="A sketch of a [CLASS]")
     peers.peers[known[2]] = []
@@ -550,9 +553,8 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
         calls.append(list(texts))
         return toy_encode_texts(texts, cfg)
 
-    def capture(features, labels, class_texts, peer_texts, head, cfg, rows):
-        seen.update(features=features, labels=labels, class_texts=class_texts,
-                    peer_texts=peer_texts, rows=rows)
+    def capture(features, labels, texts, peer_bounds, head, cfg, rows):
+        seen.update(features=features, labels=labels, texts=texts, peer_bounds=peer_bounds, rows=rows)
         return "state"
 
     monkeypatch.setattr("odpc.bench.toy_encode_texts", counting_encode)
@@ -568,14 +570,14 @@ def test_fit_encodes_every_description_in_one_call_bit_equal_to_per_class_calls(
 
     def per_class(labels):
         texts = [f"A sketch of a {label}" for label in labels]
-        return toy_encode_texts(texts, settings.encoder).values.astype(np.float64)
+        return toy_encode_texts(texts, settings.encoder).values
 
-    expected = [per_class(known)] + [per_class(peers.peers[name]) for name in known]
-    got = [seen["class_texts"]] + [seen["peer_texts"][i] for i in range(len(known))]
-    assert sorted(seen["peer_texts"]) == list(range(len(known)))
-    assert got[3].shape == (0, settings.encoder.out_dim)
-    for g, e in zip(got, expected):
-        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
+    # The encoder's float32 matrix: the class rows, then each class's peer rows.
+    expected = np.vstack([per_class(known)] + [per_class(peers.peers[name]) for name in known])
+    got = seen["texts"]
+    assert got.dtype == np.float32 and got.shape == expected.shape == (7, settings.encoder.out_dim)
+    assert got.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(seen["peer_bounds"], [3, 5, 7, 7])
 
 
 def test_fit_default_settings_build_512_wide_layers_like_the_cli():

@@ -575,11 +575,11 @@ def _edited_manifest(tmp_path, inputs, edit):
 DIVERGING = {"epochs": 3, "lr": 1e6, "momentum": 0.0}
 
 
-def _diverging_argv(tmp_path, inputs, command):
-    """``command`` under the DIVERGING config, writing only into ``tmp_path / "out"``."""
+def _diverging_argv(tmp_path, inputs, command, config=DIVERGING):
+    """``command`` under ``config``, writing only into ``tmp_path / "out"``."""
     out = tmp_path / "out"
     out.mkdir()
-    cfg = write_config(tmp_path, DIVERGING)
+    cfg = write_config(tmp_path, config)
     if command == "train":
         return out, ["train", "--config", cfg, "--features", inputs["features"],
                      "--labels", inputs["labels"], "--peers", inputs["peers"],
@@ -620,6 +620,33 @@ def test_eval_divergence_names_the_repeat_and_its_seed(tmp_path, capsys):
     assert re.match(r"repeat 0 \(seed 3\): epoch 0, batch \d+: the update at lr 1000000\.0 overflows",
                     doc["message"])
     assert not out.exists()
+
+
+# Configs under which a layer switches off every unit of a row: a large lr
+# within a few batches, or layers one unit wide from the first batch.
+DEAD_ROW = {
+    "train-lr": ("train", {"lr": 1.0, "momentum": 0.0, "epochs": 3}),
+    "eval-lr": ("eval", {"lr": 0.1, "momentum": 0.0, "epochs": 3, "seed": 0}),
+    "eval-one-unit": ("eval", {"hidden_dims": [1, 1, 1], "epochs": 1, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(DEAD_ROW))
+def test_a_dead_row_is_divergence_error_naming_the_batch_and_layer(tmp_path, capsys, train_inputs, case):
+    command, config = DEAD_ROW[case]
+    out, argv = _diverging_argv(tmp_path, train_inputs, command, config)
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "DivergenceError"
+    repeat = "" if command == "train" else r"repeat 0 \(seed 0\): "
+    lr = re.escape(repr(config.get("lr", 1e-5)))
+    assert re.match(repeat + r"epoch \d+, batch \d+: layer [123] [a-z ]+ features row \d+ has "
+                    rf"\(near-\)zero norm at lr {lr}: the layer switched off every unit of that row$",
+                    doc["message"]), doc["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_failed_allocation_is_runtime_error_with_one_stderr_line(tmp_path, capsys):
@@ -749,6 +776,32 @@ def test_train_peers_without_a_trained_class_is_usage_error(tmp_path, capsys, tr
     error = _train_usage_error(tmp_path, capsys, train_inputs, peers=peers)
     assert error["error"] == "ConfigError"
     assert str(peers) in error["message"] and repr(lacking) in error["message"]
+
+
+def test_train_class_without_peers_is_usage_error_naming_it(tmp_path, capsys, train_inputs):
+    doc = persist.read_json(train_inputs["peers"])
+    bare = sorted(doc["classes"])[3]
+    doc["classes"][bare] = []
+    peers = tmp_path / "peers.json"
+    persist.write_json(peers, doc)
+    error = _train_usage_error(tmp_path, capsys, train_inputs, peers=peers)
+    assert error == {"error": "ConfigError",
+                     "message": "variant 'pcc_ce' mixes each class with one of its peers, "
+                                f"but the peer set gives classes {[bare]} none"}
+
+
+def test_eval_without_peers_is_usage_error_naming_the_classes(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    cfg = write_config(tmp_path, {"peers_per_class": 0})
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--repeats", "1", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ConfigError"
+    assert re.match(r"variant 'pcc_ce' mixes each class with one of its peers, but the peer set "
+                    r"gives classes \['[a-z ]+'(, '[a-z ]+'){5}\] none$", doc["message"]), doc["message"]
+    assert not out.exists()
 
 
 def test_train_sizes_classifier_by_the_peers_of_trained_classes_only(tmp_path, train_inputs):

@@ -15,6 +15,7 @@ from conftest import (
     named_views,
     negative_draws_reference,
     pcc_reference,
+    stack_texts,
     unit_rows,
 )
 from odpc.bench import VARIANT_LOSS
@@ -39,23 +40,24 @@ from odpc.losses import (
 # negative set construction
 
 def _small_batch(rng, labels):
-    """(images, labels, class_texts) of 8-d unit rows, as ``train`` passes them."""
+    """(images, labels, class_texts) of 8-d unit rows, as ``train`` passes them;
+    class_texts alone is the ``texts`` of classes without peers."""
     labels = np.asarray(labels, dtype=np.int64)
     return unit_rows(rng, len(labels), 8), labels, unit_rows(rng, int(labels.max()) + 1, 8)
 
 
 def test_negative_set_two_rows_forced_swap(rng):
     img, labels, class_txt = _small_batch(rng, [0, 1])
-    peers = {0: unit_rows(rng, 2, 8), 1: unit_rows(rng, 2, 8)}
-    neg = build_negative_set(img, labels, class_txt, peers, 0.5, np.random.default_rng(0))
+    texts, bounds = stack_texts(class_txt, {0: unit_rows(rng, 2, 8), 1: unit_rows(rng, 2, 8)})
+    neg = build_negative_set(img, labels, texts, bounds, 0.5, np.random.default_rng(0))
     assert np.array_equal(neg.mixed_images, 0.5 * img + 0.5 * img[[1, 0]])
 
 
 def test_negative_set_deterministic(rng):
-    batch = _small_batch(rng, [0, 1, 2, 0])
-    peers = {c: unit_rows(rng, 3, 8) for c in range(3)}
-    a = build_negative_set(*batch, peers, 0.5, np.random.default_rng(42))
-    b = build_negative_set(*batch, peers, 0.5, np.random.default_rng(42))
+    img, labels, class_txt = _small_batch(rng, [0, 1, 2, 0])
+    texts, bounds = stack_texts(class_txt, {c: unit_rows(rng, 3, 8) for c in range(3)})
+    a = build_negative_set(img, labels, texts, bounds, 0.5, np.random.default_rng(42))
+    b = build_negative_set(img, labels, texts, bounds, 0.5, np.random.default_rng(42))
     assert np.array_equal(a.mixed_images, b.mixed_images)
     assert np.array_equal(a.mixed_texts, b.mixed_texts)
     assert np.array_equal(a.text_index, b.text_index)
@@ -63,8 +65,8 @@ def test_negative_set_deterministic(rng):
 
 def test_negative_set_respects_class_constraint(rng):
     img, labels, class_txt = _small_batch(rng, [0, 0, 1, 2, 1, 2])
-    peers = {c: unit_rows(rng, 2, 8) for c in range(3)}
-    neg = build_negative_set(img, labels, class_txt, peers, 0.5, np.random.default_rng(3))
+    texts, bounds = stack_texts(class_txt, {c: unit_rows(rng, 2, 8) for c in range(3)})
+    neg = build_negative_set(img, labels, texts, bounds, 0.5, np.random.default_rng(3))
     q, _ = negative_draws_reference(labels.tolist(), [2, 2, 2], np.random.default_rng(3))
     assert all(labels[k] != labels[i] for i, k in enumerate(q))
     assert np.array_equal(neg.mixed_images, 0.5 * img + 0.5 * img[q])
@@ -81,7 +83,7 @@ def test_negative_set_holds_each_blend_once(labels, peer_counts, seed, lam):
     class_texts = unit_rows(data, 5, 6)
     peers = {c: unit_rows(data, count, 6) for c, count in enumerate(peer_counts)}
     img = unit_rows(data, len(labels), 6)
-    neg = build_negative_set(img, np.array(labels), class_texts, peers, lam,
+    neg = build_negative_set(img, np.array(labels), *stack_texts(class_texts, peers), lam,
                              np.random.default_rng([seed, 1]))
 
     q, p = negative_draws_reference(labels, peer_counts, np.random.default_rng([seed, 1]))
@@ -240,9 +242,9 @@ def test_total_loss_breakdown_sums(rng):
 
 
 def test_total_loss_composes_constituent_oracles():
-    head, (img, labels, class_txt), negatives, cfg = make_grad_instance(1)
+    head, (img, labels, texts), negatives, cfg = make_grad_instance(1)
     streams = np.vstack([
-        img, class_txt[labels],
+        img, texts[labels],
         negatives.mixed_images, negatives.mixed_texts[negatives.text_index],
     ])
     hs, logits = forward_with_cache(head, streams)
@@ -254,7 +256,7 @@ def test_total_loss_composes_constituent_oracles():
             h[:n], h[n : 2 * n], h[n : 2 * n], h[2 * n : 3 * n], h[3 * n :], cfg.temperature
         )
     expected += ce_reference(logits[:n], labels)
-    bd = loss_and_grad(Workspace.of(head), img, labels, class_txt, negatives, cfg)[0]
+    bd = loss_and_grad(Workspace.of(head), img, labels, texts, negatives, cfg)[0]
     assert abs(bd.total - expected) <= 1e-6 * abs(expected)
 
 
@@ -268,11 +270,11 @@ def test_total_loss_tau_large_limit():
 
 
 def test_total_loss_invariant_to_consistent_reordering():
-    head, (img, labels, class_txt), negatives, cfg = make_grad_instance(3)
+    head, (img, labels, texts), negatives, cfg = make_grad_instance(3)
     perm = np.array([2, 0, 3, 1])
     reneg = NegativeSet(negatives.mixed_images[perm], negatives.mixed_texts, negatives.text_index[perm])
-    a = loss_and_grad(Workspace.of(head), img, labels, class_txt, negatives, cfg)[0]
-    b = loss_and_grad(Workspace.of(head), img[perm], labels[perm], class_txt, reneg, cfg)[0]
+    a = loss_and_grad(Workspace.of(head), img, labels, texts, negatives, cfg)[0]
+    b = loss_and_grad(Workspace.of(head), img[perm], labels[perm], texts, reneg, cfg)[0]
     assert abs(a.total - b.total) < 1e-9
 
 
@@ -297,9 +299,10 @@ def _mixup_batch(seed, n=32, n_classes=6, n_peers=3, dim=16):
     rng = np.random.default_rng(seed)
     labels = np.concatenate([[0, 1], rng.integers(0, n_classes, size=n - 2)])
     class_txt = unit_rows(rng, n_classes, dim)
-    batch = (unit_rows(rng, n, dim), labels, class_txt)
-    peers = {c: unit_rows(rng, n_peers, dim) for c in range(n_classes)}
-    return batch, build_negative_set(*batch, peers, 0.5, rng)
+    img = unit_rows(rng, n, dim)
+    texts, bounds = stack_texts(class_txt, {c: unit_rows(rng, n_peers, dim) for c in range(n_classes)})
+    batch = (img, labels, texts)
+    return batch, build_negative_set(*batch, bounds, 0.5, rng)
 
 
 @pytest.mark.parametrize("use_mixup", [True, False])
@@ -341,9 +344,9 @@ def test_gradients_with_repeated_rows_match_per_row_oracle(form, use_mixup):
 
 
 def test_ce_classifier_bias_gradient_closed_form(rng):
-    head, (img, labels, class_txt), _, _ = make_grad_instance(4)
+    head, (img, labels, texts), _, _ = make_grad_instance(4)
     cfg = LossConfig(use_pcc=False)
-    grads = loss_and_grad(Workspace.of(head), img[:1], labels[:1], class_txt, None, cfg)[1]
+    grads = loss_and_grad(Workspace.of(head), img[:1], labels[:1], texts, None, cfg)[1]
     probs = softmax(forward_with_cache(head, img[:1])[1])[0]
     onehot = np.zeros_like(probs)
     onehot[labels[0]] = 1.0
@@ -355,7 +358,7 @@ def test_loss_and_grad_names_a_zero_activation_row():
     img, labels, class_txt = _small_batch(np.random.default_rng(0), [0, 1, 0, 1])
     img[2] = 0.0
     head = init_head(2, 1, seed=0, feature_dim=8)
-    with pytest.raises(InvalidArgumentError, match=r"^image features row 2 has \(near-\)zero norm$"):
+    with pytest.raises(InvalidArgumentError, match=r"^layer 1 image features row 2 has \(near-\)zero norm$"):
         loss_and_grad(Workspace.of(head), img, labels, class_txt, None, LossConfig(use_mixup=False))
 
 
@@ -404,7 +407,8 @@ def test_loss_config_validation():
 
 def _step_functions() -> dict[str, ast.FunctionDef]:
     """The syntax trees of the functions ``trainer.train`` calls per step."""
-    steps = {odpc.losses: {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads"},
+    steps = {odpc.losses: {"build_negative_set", "loss_and_grad", "_pcc_value_and_input_grads",
+                           "_cross_entropy"},
              odpc.trainer: {"sgd_step"}}
     found = {}
     for module, names in steps.items():

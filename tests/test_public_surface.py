@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
     "losses.pcc_loss": "acceptance criterion 3 checks the standalone PCC term",
+    "losses.ce_loss": "acceptance criterion 3 checks the standalone cross-entropy term",
     "knn_detector.calibrate_threshold": "acceptance criterion 8 checks the calibrated threshold",
     "knn_detector.export_scores": "the score writer the planned `odpc score` command will call",
 }

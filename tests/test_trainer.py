@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import assert_views_follow_layout, unit_rows
+from conftest import assert_views_follow_layout, stack_texts, unit_rows
 from odpc.errors import ConfigError, DivergenceError, InvalidArgumentError
 import odpc.trainer
 from odpc.head import init_head
@@ -97,18 +97,18 @@ def _toy_training_setup(seed=0, n_per_class=20, n_classes=3, dim=16):
     features = np.vstack(rows)
     labels = np.array(labels)
     class_text = unit_rows(rng, n_classes, dim)
-    peer_text = {c: unit_rows(rng, 2, dim) for c in range(n_classes)}
-    return features, labels, class_text, peer_text
+    return (features, labels,
+            *stack_texts(class_text, {c: unit_rows(rng, 2, dim) for c in range(n_classes)}))
 
 
 def test_train_deterministic_given_seed():
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
                          loss=LossConfig(temperature=0.05))
     runs = []
     for _ in range(2):
         head = init_head(3, 6, seed=1, feature_dim=16)
-        state = train(features, labels, class_text, peer_text, head, cfg)
+        state = train(features, labels, texts, bounds, head, cfg)
         runs.append(state)
     for a, b in zip(runs[0].history, runs[1].history):
         assert a.total == b.total and a.ce == b.ce and a.pcc_layers == b.pcc_layers
@@ -118,19 +118,17 @@ def test_train_deterministic_given_seed():
 
 
 def test_train_float32_features_bit_equal_to_float64_cast():
-    """Image features, class descriptions and peer matrices all in float32
-    train the same head as their float64 casts: ``train`` makes every cast
-    the step functions need, and float32 -> float64 is exact."""
-    features, labels, class_text, peer_text = _toy_training_setup()
-    f32 = (features.astype(np.float32), class_text.astype(np.float32),
-           {c: p.astype(np.float32) for c, p in peer_text.items()})
-    f64 = (f32[0].astype(np.float64), f32[1].astype(np.float64),
-           {c: p.astype(np.float64) for c, p in f32[2].items()})
+    """Image features and descriptions in float32 train the same head as
+    their float64 casts: ``train`` makes every cast the step functions need,
+    and float32 -> float64 is exact."""
+    features, labels, texts, bounds = _toy_training_setup()
+    f32 = (features.astype(np.float32), texts.astype(np.float32))
+    f64 = (f32[0].astype(np.float64), f32[1].astype(np.float64))
     # A mix weight of 0.3, not a power of two, rounds differently in float32.
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
                          loss=LossConfig(temperature=0.05, mix_lambda=0.3))
-    runs = [train(x, labels, texts, peers, init_head(3, 6, seed=1, feature_dim=16), cfg)
-            for x, texts, peers in (f32, f64)]
+    runs = [train(x, labels, t, bounds, init_head(3, 6, seed=1, feature_dim=16), cfg)
+            for x, t in (f32, f64)]
     assert runs[0].history == runs[1].history
     assert runs[0].head.params.tobytes() == runs[1].head.params.tobytes()
 
@@ -138,26 +136,26 @@ def test_train_float32_features_bit_equal_to_float64_cast():
 def test_train_rows_in_place_bit_equal_to_the_gathered_rows():
     """``rows`` that are shuffled and non-contiguous train the head that the
     gathered rows train, with the same history."""
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     rng = np.random.default_rng(9)
     matrix = rng.standard_normal((3 * len(features), features.shape[1])).astype(np.float32)
     rows = rng.permutation(len(matrix))[: len(features)]
     matrix[rows] = features
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-4, seed=5,
                          loss=LossConfig(temperature=0.05))
-    gathered = train(matrix[rows], labels, class_text, peer_text,
+    gathered = train(matrix[rows], labels, texts, bounds,
                      init_head(3, 6, seed=1, feature_dim=16), cfg)
-    in_place = train(matrix, labels, class_text, peer_text,
+    in_place = train(matrix, labels, texts, bounds,
                      init_head(3, 6, seed=1, feature_dim=16), cfg, rows=rows)
     assert in_place.history == gathered.history
     assert in_place.head.params.tobytes() == gathered.head.params.tobytes()
 
 
 def test_train_zero_epochs_leaves_head_unchanged():
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     head = init_head(3, 6, seed=1, feature_dim=16)
     before = head.params.copy()
-    state = train(features, labels, class_text, peer_text, head,
+    state = train(features, labels, texts, bounds, head,
                   TrainingConfig(epochs=0, batch_size=8))
     assert [f.name for f in fields(state)] == ["head", "history"]
     assert state.history == []
@@ -168,11 +166,11 @@ def test_train_zero_epochs_allocates_no_training_buffers():
     """With ``epochs=0`` no step runs, so neither the velocity nor the
     workspace's float64 mirror and gradient is allocated: the peak stays
     below one float64 copy of the parameters."""
-    features, labels, class_text, peer_text = _toy_training_setup(dim=512)
+    features, labels, texts, bounds = _toy_training_setup(dim=512)
     head = init_head(3, 6, seed=1, feature_dim=512)
     tracemalloc.start()
     try:
-        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8))
+        train(features, labels, texts, bounds, head, TrainingConfig(epochs=0, batch_size=8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,20 +178,20 @@ def test_train_zero_epochs_allocates_no_training_buffers():
 
 
 def test_train_loss_decreases_on_toy_data():
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     head = init_head(3, 6, seed=1, feature_dim=16)
     cfg = TrainingConfig(epochs=8, batch_size=8, lr=1e-4, seed=2,
                          loss=LossConfig(temperature=0.05))
-    state = train(features, labels, class_text, peer_text, head, cfg)
+    state = train(features, labels, texts, bounds, head, cfg)
     assert state.history[-1].total < state.history[0].total
     assert all(np.isfinite(st.total) for st in state.history)
 
 
 def test_train_inputs_stay_frozen():
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     snap = features.copy()
     head = init_head(3, 6, seed=1, feature_dim=16)
-    train(features, labels, class_text, peer_text, head,
+    train(features, labels, texts, bounds, head,
           TrainingConfig(epochs=1, batch_size=8))
     assert np.array_equal(features, snap)
 
@@ -204,13 +202,12 @@ def test_train_skips_single_class_batches(caplog):
     # seed chosen freely; skipped batches must be logged, not fatal
     features = unit_rows(rng, 16, 8)
     labels = np.array([0] * 8 + [1] * 8)
-    class_text = unit_rows(rng, 2, 8)
-    peer_text = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
+    texts, bounds = stack_texts(unit_rows(rng, 2, 8), {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)})
     head = init_head(2, 2, seed=0, feature_dim=8)
     cfg = TrainingConfig(epochs=6, batch_size=8, lr=1e-4, seed=0,
                          loss=LossConfig(temperature=0.05))
     with caplog.at_level("WARNING"):
-        state = train(features, labels, class_text, peer_text, head, cfg)
+        state = train(features, labels, texts, bounds, head, cfg)
     total_skipped = sum(st.skipped for st in state.history)
     if total_skipped:
         assert any("single-class batch" in rec.message for rec in caplog.records)
@@ -223,11 +220,11 @@ def test_train_logs_one_skip_warning_per_epoch(caplog):
     # class 0 alone in every epoch
     features = unit_rows(rng, 16, 8)
     labels = np.array([0] * 15 + [1])
-    peer_text = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
+    peers = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
     cfg = TrainingConfig(epochs=3, batch_size=4, lr=1e-4, seed=0,
                          loss=LossConfig(temperature=0.05))
     with caplog.at_level("WARNING", logger="odpc.trainer"):
-        state = train(features, labels, unit_rows(rng, 2, 8), peer_text,
+        state = train(features, labels, *stack_texts(unit_rows(rng, 2, 8), peers),
                       init_head(2, 2, seed=0, feature_dim=8), cfg)
     warnings = [rec.getMessage() for rec in caplog.records if "single-class batch" in rec.getMessage()]
     assert len(warnings) == 3
@@ -242,10 +239,10 @@ def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
     # that row in the dropped tail, so both of its batches hold class 0 alone
     features = unit_rows(rng, 5, 8)
     labels = np.array([0, 0, 0, 0, 1])
-    peer_text = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
+    peers = {0: unit_rows(rng, 1, 8), 1: unit_rows(rng, 1, 8)}
     cfg = TrainingConfig(epochs=2, batch_size=2, lr=1e-4, seed=1,
                          loss=LossConfig(temperature=0.05))
-    state = train(features, labels, unit_rows(rng, 2, 8), peer_text,
+    state = train(features, labels, *stack_texts(unit_rows(rng, 2, 8), peers),
                   init_head(2, 2, seed=0, feature_dim=8), cfg)
     empty, trained = state.history
     assert empty.skipped == len(labels) // cfg.batch_size and empty.batches == 0
@@ -265,7 +262,7 @@ def test_epoch_with_every_batch_skipped_records_nan(tmp_path):
 
 def test_train_stops_at_the_first_non_finite_loss(monkeypatch):
     # A step that reports a nan loss stops the run before any update.
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     loss_and_grad = odpc.trainer.loss_and_grad
 
     def nan_loss(*args):
@@ -278,7 +275,7 @@ def test_train_stops_at_the_first_non_finite_loss(monkeypatch):
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e-3, momentum=0.0, seed=5,
                          loss=LossConfig(temperature=0.05))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-        train(features, labels, class_text, peer_text, head, cfg)
+        train(features, labels, texts, bounds, head, cfg)
     message = str(err.value)
     assert re.match(r"epoch 0, batch \d+: the loss is (nan|-?inf) at lr 0\.001", message), message
     assert head.params.tobytes() == before.tobytes()
@@ -287,12 +284,12 @@ def test_train_stops_at_the_first_non_finite_loss(monkeypatch):
 def test_a_diverging_update_names_its_own_batch(monkeypatch):
     """The batch DivergenceError names is the first whose update leaves a
     parameter non-finite, as a replay with the overflow ignored shows."""
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     cfg = TrainingConfig(epochs=3, batch_size=8, lr=1e6, momentum=0.0, seed=5,
                          loss=LossConfig(temperature=0.05))
 
     def run():
-        train(features, labels, class_text, peer_text, init_head(3, 6, seed=1, feature_dim=16), cfg)
+        train(features, labels, texts, bounds, init_head(3, 6, seed=1, feature_dim=16), cfg)
 
     with pytest.raises(DivergenceError, match=r"^epoch \d+, batch \d+: the update at lr 1000000\.0 "
                                               r"overflows the float32 parameters; lower the lr$") as err:
@@ -325,29 +322,35 @@ def test_train_requires_two_classes():
     features = unit_rows(rng, 10, 8)
     labels = np.zeros(10, dtype=int)
     with pytest.raises(ConfigError):
-        train(features, labels, unit_rows(rng, 1, 8), {0: unit_rows(rng, 1, 8)},
+        train(features, labels, *stack_texts(unit_rows(rng, 1, 8), {0: unit_rows(rng, 1, 8)}),
               init_head(2, 0, seed=0, feature_dim=8), TrainingConfig(epochs=1, batch_size=4))
 
 
 def test_train_missing_peers_rejected():
-    features, labels, class_text, peer_text = _toy_training_setup()
-    del peer_text[1]
-    with pytest.raises(ConfigError):
-        train(features, labels, class_text, peer_text,
+    features, labels, texts, bounds = _toy_training_setup()
+    texts, bounds = stack_texts(texts[:3], {c: texts[bounds[c] : bounds[c + 1]] for c in (0, 2)})
+    with pytest.raises(ConfigError, match="^class 1 has no peer description features$"):
+        train(features, labels, texts, bounds,
               init_head(3, 6, seed=1, feature_dim=16),
               TrainingConfig(epochs=1, batch_size=8))
 
 
-# Each of train's input checks, by the ConfigError message it gives.
+# Each of train's input checks, by the ConfigError message it gives. The
+# descriptions are one matrix, so no class's peers can differ in width from
+# the rest, and that case has no check.
 BOUNDARY_MESSAGES = {
     "negative-label": "labels -1..2 do not lie in [0, 3)",
     "label-past-head": "labels 0..2 do not lie in [0, 2) for 3 class descriptions and 2 ID",
     "label-past-class-texts": "labels 0..2 do not lie in [0, 2) for 2 class descriptions and 3 ID",
     "features-width": "the features are 15-d but the head takes 16-d rows",
-    "class-texts-width": "the features are 16-d but the class descriptions have shape (3, 15)",
-    "peer-width": "the features are 16-d but class 1's peer descriptions have shape (2, 15)",
-    "class-texts-inf": "the class descriptions hold a value that is not finite",
-    "peer-nan": "class 1's peer descriptions hold a value that is not finite",
+    "class-texts-width": "the features are 16-d but the descriptions have shape (9, 15)",
+    "class-texts-inf": "description row 1 holds a value that is not finite",
+    "peer-nan": "description row 5 holds a value that is not finite",
+    "bounds-first": "peer_bounds [2, 5, 7, 9] must be 1-D integers that start at 3, never "
+                    "decrease and end at the 9 description rows",
+    "bounds-decrease": "peer_bounds [3, 7, 5, 9] must be 1-D integers that start at 3",
+    "bounds-last": "peer_bounds [3, 5, 7, 8] must be 1-D integers that start at 3",
+    "bounds-2d": "peer_bounds [[3], [5], [7], [9]] must be 1-D integers",
     "head-width": "the features are 16-d but the head takes 17-d rows",
     "rows-past-features": "rows 0..60 do not lie in [0, 60)",
     "negative-row": "rows -1..59 do not lie in [0, 60)",
@@ -359,24 +362,30 @@ BOUNDARY_MESSAGES = {
 
 @pytest.mark.parametrize("case", list(BOUNDARY_MESSAGES))
 def test_train_checks_its_inputs_before_the_first_epoch(case):
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     n_id, dim, rows = 3, 16, np.arange(len(features))
     if case == "negative-label":
         labels[0] = -1
     elif case == "label-past-head":
         n_id = 2
     elif case == "label-past-class-texts":
-        class_text = class_text[:2]
+        texts, bounds = stack_texts(texts[:2], {c: texts[bounds[c] : bounds[c + 1]] for c in (0, 1)})
     elif case == "features-width":
         features = features[:, :-1]
     elif case == "class-texts-width":
-        class_text = class_text[:, :-1]
-    elif case == "peer-width":
-        peer_text[1] = peer_text[1][:, :-1]
+        texts = texts[:, :-1]
     elif case == "class-texts-inf":
-        class_text[1, 0] = np.inf
+        texts[1, 0] = np.inf
     elif case == "peer-nan":
-        peer_text[1][0, 3] = np.nan
+        texts[bounds[1], 3] = np.nan
+    elif case == "bounds-first":
+        bounds[0] = 2
+    elif case == "bounds-decrease":
+        bounds[1:3] = bounds[2:0:-1]
+    elif case == "bounds-last":
+        bounds[-1] -= 1
+    elif case == "bounds-2d":
+        bounds = bounds[:, None]
     elif case == "rows-past-features":
         rows[-1] = len(features)
     elif case == "negative-row":
@@ -391,16 +400,16 @@ def test_train_checks_its_inputs_before_the_first_epoch(case):
         dim = 17
     head = init_head(n_id, 6, seed=1, feature_dim=dim)
     with pytest.raises(ConfigError, match=re.escape(BOUNDARY_MESSAGES[case])):
-        train(features, labels, class_text, peer_text, head, TrainingConfig(epochs=0, batch_size=8),
+        train(features, labels, texts, bounds, head, TrainingConfig(epochs=0, batch_size=8),
               rows=rows)
 
 
 def test_loss_history_csv(tmp_path):
-    features, labels, class_text, peer_text = _toy_training_setup()
+    features, labels, texts, bounds = _toy_training_setup()
     head = init_head(3, 6, seed=1, feature_dim=16)
     cfg = TrainingConfig(epochs=2, batch_size=8, lr=1e-4, seed=3,
                          loss=LossConfig(temperature=0.05))
-    state = train(features, labels, class_text, peer_text, head, cfg)
+    state = train(features, labels, texts, bounds, head, cfg)
     path = tmp_path / "loss_history.csv"
     write_loss_history(state.history, path)
     lines = path.read_text().strip().splitlines()
