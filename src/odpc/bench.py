@@ -385,8 +385,8 @@ def write_manifest(
     sample_ids: list[str],
 ) -> None:
     samples = [
-        {"id": sid, "class": class_names[int(lb)], "split": "train" if tr else "test"}
-        for sid, lb, tr in zip(sample_ids, labels, is_train)
+        {"id": sid, "class": class_names[lb], "split": "train" if tr else "test"}
+        for sid, lb, tr in zip(sample_ids, labels.tolist(), is_train.tolist())
     ]
     persist.write_json(
         path,

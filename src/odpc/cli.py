@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, persist
-from .encoders import import_embeddings
+from .encoders import EmbeddingMatrix, import_embeddings
 from .errors import ConfigError, InvalidArgumentError, OdpcError, ShapeError
 from .head import save_checkpoint
 from .peer_gen import (
@@ -211,9 +211,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     settings = _command_config(args).settings
     out_dir = Path(args.out)
     if args.import_path:
-        matrix = import_embeddings(args.import_path)
-        persist.write_bank(matrix.values, out_dir if out_dir.suffix else out_dir / "features.fb",
-                           normalized=matrix.normalized)
+        # Checked as import_embeddings checks it, then written back byte for byte.
+        matrix = persist.republish_bank(
+            args.import_path, out_dir if out_dir.suffix else out_dir / "features.fb", EmbeddingMatrix)
         print(f"validated and re-wrote {matrix.rows}x{matrix.dim} bank")
         return 0
     if args.protocol != "synthetic":

@@ -6,14 +6,19 @@ tests and desk-scale runs, and an import path for feature banks computed
 elsewhere by a real vision-language model. Nothing in this module has
 trainable state, and nothing here ever mutates after construction.
 
-Whole matrices are processed in row blocks, never as one float64 copy.
-``EmbeddingMatrix`` checks finiteness and, for normalized matrices, each
-row's float64 norm one block at a time. The toy encoder projects
-near-equal row chunks (``blocks.row_chunks``) and normalizes each straight
-into a preallocated float32 output (``blocks.normalize_rows``), squaring
-into one reused buffer. Per row everything is the same float64
-arithmetic as on the whole matrix, so the same rows are accepted or
-rejected and the encoding is bit-equal to it.
+Whole matrices are processed in row blocks, never as one float64 copy, and
+each row is checked in one pass. ``EmbeddingMatrix`` checks a normalized
+matrix by each row's float64 norm, one block at a time: a float32 value
+squared in float64 cannot overflow, so the norm is finite exactly when the
+row is, and the one norm pass checks finiteness and unit length together.
+Other matrices get ``np.isfinite``. The toy encoder projects near-equal row
+chunks (``blocks.row_chunks``) and normalizes each straight into a
+preallocated float32 output (``blocks.normalize_rows``), squaring into one
+reused buffer. Per row everything is the same float64 arithmetic as on the
+whole matrix, so the same rows are accepted or rejected and the encoding is
+bit-equal to it. When every norm the encoder divided by is finite its rows
+are finite unit rows by construction and are not checked again; otherwise
+the full check runs on them and raises its own error.
 """
 
 from __future__ import annotations
@@ -70,11 +75,13 @@ class EmbeddingMatrix:
         square = np.empty((_largest(chunks), self.dim)) if self.normalized else None
         for lo, hi in chunks:
             block = self.values[lo:hi]
-            if not np.isfinite(block).all():
+            # A float32 value squared in float64 cannot overflow, so a row's
+            # float64 norm is finite exactly when all its values are.
+            norms = None if square is None else row_norms(block, square[: hi - lo])
+            if not np.isfinite(block if norms is None else norms).all():
                 raise InvalidArgumentError("embedding matrix contains non-finite values")
-            if square is not None and hi > lo:
-                norms = row_norms(block, square[: hi - lo])
-                worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+            if norms is not None:
+                worst = max(worst, float(np.max(np.abs(norms - 1.0), initial=0.0)))
         if worst > _NORM_TOL:
             raise InvalidArgumentError(
                 f"matrix flagged normalized but a row norm deviates by {worst:.2e}"
@@ -99,17 +106,29 @@ def _projection(cfg: ToyEncoderConfig) -> np.ndarray:
     return rng.standard_normal((cfg.raw_dim, cfg.out_dim)) / np.sqrt(cfg.out_dim)
 
 
-def _project_and_normalize(raw: np.ndarray, cfg: ToyEncoderConfig) -> np.ndarray:
-    """Project float64 rows, L2-normalize them and return them as float32."""
+def _project_and_normalize(raw: np.ndarray, cfg: ToyEncoderConfig) -> EmbeddingMatrix:
+    """Project float64 rows, L2-normalize them and return them as float32 unit rows.
+
+    Finite norms, none below ZERO_NORM (``normalize_rows`` rejects those), make
+    finite rows within about 1e-7 of unit length, so only rows divided by a
+    non-finite norm (non-finite input, or squares that overflow) go through
+    the full check, which raises its own error for them.
+    """
     projection = _projection(cfg)
     out = np.empty((raw.shape[0], cfg.out_dim), dtype=np.float32)
     chunks = row_chunks(raw.shape[0], ENCODE_CHUNK_ROWS)
     # One projection and one square buffer serve every chunk.
     buffers = np.empty((2, _largest(chunks), cfg.out_dim))
+    finite = True
     for lo, hi in chunks:
         projected = np.matmul(raw[lo:hi], projection, out=buffers[0, : hi - lo])
-        normalize_rows(projected, out[lo:hi], "projected", lo, square=buffers[1, : hi - lo])
-    return out
+        norms = normalize_rows(projected, out[lo:hi], "projected", lo, square=buffers[1, : hi - lo])
+        finite = finite and bool(np.isfinite(norms).all())
+    if not finite:
+        return EmbeddingMatrix(out, normalized=True)
+    unit = object.__new__(EmbeddingMatrix)  # the rows above are their own check
+    unit.values, unit.normalized = out, True
+    return unit
 
 
 def toy_encode_images(raw_vectors: np.ndarray, cfg: ToyEncoderConfig) -> EmbeddingMatrix:
@@ -119,7 +138,7 @@ def toy_encode_images(raw_vectors: np.ndarray, cfg: ToyEncoderConfig) -> Embeddi
         raise ShapeError(
             f"expected raw vectors of shape (n, {cfg.raw_dim}), got {raw.shape}"
         )
-    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True)
+    return _project_and_normalize(raw, cfg)
 
 
 def _token_index(token: str, raw_dim: int) -> int:
@@ -145,7 +164,7 @@ def toy_encode_texts(descriptions: list[str], cfg: ToyEncoderConfig) -> Embeddin
         if not isinstance(text, str) or not text.strip():
             raise InvalidArgumentError(f"description {i} is empty")
     raw = np.stack([bag_of_words_counts(t, cfg.raw_dim) for t in descriptions]) if descriptions else np.zeros((0, cfg.raw_dim))
-    return EmbeddingMatrix(_project_and_normalize(raw, cfg), normalized=True)
+    return _project_and_normalize(raw, cfg)
 
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:

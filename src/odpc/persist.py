@@ -27,6 +27,12 @@ writer and read by one reader without whole-file copies: the writer hands
 each array's own bytes to the file and the CRC; the reader checks the
 declared payload size against the file size before allocating anything,
 then reads the payload straight into the returned arrays.
+
+Each pass over a bank runs once: ``write_bank`` checks finiteness and
+computes the CRC while writing, and reading computes it once to compare
+with the stored one. ``republish_bank`` (``encode --import``) writes the
+header, payload and CRC bytes it has just read and verified, so the copy
+is the source file byte for byte and costs no second CRC pass.
 """
 
 from __future__ import annotations
@@ -119,9 +125,11 @@ def _write_payload(path: str | Path, prefix: bytes, arrays, crc_start: bytes = b
     atomic_write_bytes(path, prefix, *payloads, _U32.pack(_crc32(crc_start, payloads)))
 
 
-def _read_payload(fh, path: str | Path, shapes, crc_start: bytes = b"") -> list[np.ndarray]:
+def _read_payload(fh, path: str | Path, shapes,
+                  crc_start: bytes = b"") -> tuple[list[np.ndarray], bytes]:
     """Read what ``_write_payload`` wrote after its prefix, from ``fh``'s
-    position to the end of the file: float32 arrays of ``shapes``, then the CRC."""
+    position to the end of the file: float32 arrays of ``shapes``, then the
+    CRC, which is returned as the file's 4 bytes once it has matched."""
     expected = 4 * sum(math.prod(shape) for shape in shapes)
     held = os.fstat(fh.fileno()).st_size - fh.tell() - _U32.size
     if held != expected:
@@ -136,7 +144,7 @@ def _read_payload(fh, path: str | Path, shapes, crc_start: bytes = b"") -> list[
         raise FormatError(f"{path}: file changed size while it was read")
     if _crc32(crc_start, payloads) != _U32.unpack(crc)[0]:
         raise CorruptFileError(f"{path}: payload CRC mismatch")
-    return arrays
+    return arrays, crc
 
 
 def write_manifest_frame(path: str | Path, magic: bytes, manifest: dict, arrays) -> None:
@@ -168,7 +176,7 @@ def read_manifest_frame(path: str | Path, magic: bytes, shapes_of) -> tuple[dict
             raise FormatError(f"{path}: manifest cannot be parsed as JSON") from exc
         if not isinstance(manifest, dict):
             raise FormatError(f"{path}: manifest is not a JSON object")
-        arrays = _read_payload(fh, path, shapes_of(path, manifest), crc_start=manifest_bytes)
+        arrays, _ = _read_payload(fh, path, shapes_of(path, manifest), crc_start=manifest_bytes)
     return manifest, arrays
 
 
@@ -189,12 +197,9 @@ def write_bank(matrix: np.ndarray, path: str | Path, normalized: bool = False) -
     _write_payload(path, prefix, [arr])
 
 
-def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
-    """Read a feature bank file; returns (float32 matrix, normalized flag).
-
-    Raises FormatError on a bad magic/version/flag/size, CorruptFileError
-    on a CRC mismatch.
-    """
+def _read_bank_frame(path: str | Path) -> tuple[bytes, np.ndarray, bool, bytes]:
+    """The bank at ``path`` in file order: its checked magic and header bytes,
+    its payload, its normalized flag (from the header) and its matched CRC bytes."""
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX)
         if os.fstat(fh.fileno()).st_size < _PREFIX + _U32.size:
@@ -206,5 +211,26 @@ def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
             raise FormatError(f"{path}: unsupported bank version {version}")
         if norm_flag not in (0, 1):
             raise FormatError(f"{path}: normalized flag must be 0 or 1, got {norm_flag}")
-        (matrix,) = _read_payload(fh, path, [(n_rows, dim)])
-    return matrix, bool(norm_flag)
+        (matrix,), crc = _read_payload(fh, path, [(n_rows, dim)])
+    return prefix, matrix, bool(norm_flag), crc
+
+
+def read_bank(path: str | Path) -> tuple[np.ndarray, bool]:
+    """Read a feature bank file; returns (float32 matrix, normalized flag).
+
+    Raises FormatError on a bad magic/version/flag/size, CorruptFileError
+    on a CRC mismatch.
+    """
+    _, matrix, normalized, _ = _read_bank_frame(path)
+    return matrix, normalized
+
+
+def republish_bank(src: str | Path, dst: str | Path, check):
+    """Read the bank at ``src`` as ``read_bank`` does, pass its matrix and
+    normalized flag to ``check`` (which raises to refuse them) and write the
+    frame it verified to ``dst`` atomically: the same header, payload and CRC
+    bytes, with no second CRC pass. Returns what ``check`` returned."""
+    prefix, matrix, normalized, crc = _read_bank_frame(src)
+    checked = check(matrix, normalized)
+    atomic_write_bytes(dst, prefix, matrix.reshape(-1).view(np.uint8), crc)
+    return checked

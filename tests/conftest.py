@@ -358,6 +358,20 @@ def toy_encode_reference(raw, cfg) -> np.ndarray:
     return (projected / np.linalg.norm(projected, axis=1)[:, None]).astype(np.float32)
 
 
+def embedding_check_reference(values, normalized: bool) -> str | None:
+    """The message ``EmbeddingMatrix(values, normalized)`` raises, or None,
+    decided on the whole float32 matrix at once: any non-finite value first,
+    then the largest float64 row-norm deviation from 1 above 1e-4."""
+    values = np.asarray(values, dtype=np.float32)
+    if not np.isfinite(values).all():
+        return "embedding matrix contains non-finite values"
+    if normalized and values.shape[0]:
+        worst = float(np.max(np.abs(np.linalg.norm(values.astype(np.float64), axis=1) - 1.0)))
+        if worst > 1e-4:
+            return f"matrix flagged normalized but a row norm deviates by {worst:.2e}"
+    return None
+
+
 def shipped_class_names(dataset: str, key: str = "classes") -> tuple[str, ...]:
     """``key`` (``classes`` or ``animal_classes``) of ``dataset`` (``cifar10``
     or ``cifar100``) in the shipped CIFAR catalog, in its order."""

@@ -10,23 +10,25 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import json_paths, shipped_class_names, unit_rows
+from conftest import bank_bytes_reference, json_paths, shipped_class_names, unit_rows
 import odpc
-from odpc import bench, persist
+from odpc import bench, blocks, encoders, persist
 from odpc.bench import PipelineSettings
 from odpc.cli import CONFIG_KEYS, load_config, main
 from odpc.errors import ConfigError
 from odpc.head import load_checkpoint
-from odpc.peer_gen import normalize_label
+from odpc.peer_gen import load_peers, normalize_label
 
 
 FAST_CONFIG = {
@@ -517,13 +519,58 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 
 
 def test_encode_import_validates_and_rewrites(tmp_path, rng):
+    for normalized in (False, True):
+        src = tmp_path / f"in-{normalized}.fb"
+        persist.write_bank(unit_rows(rng, 5, 8).astype(np.float32) * (1 if normalized else 3), src,
+                           normalized=normalized)
+        out = tmp_path / f"out-{normalized}.fb"
+        assert main(["encode", "--import", str(src), "--out", str(out)]) == 0
+        a, _ = persist.read_bank(src)
+        b, flag = persist.read_bank(out)
+        assert np.array_equal(a, b) and flag == normalized
+        assert out.read_bytes() == src.read_bytes()
+
+
+def _flip_payload_byte(rng):
+    blob = bytearray(bank_bytes_reference(unit_rows(rng, 5, 8), True))
+    blob[30] ^= 0x01
+    return bytes(blob)
+
+
+def _nan_payload(rng):
+    values = unit_rows(rng, 5, 8)
+    values[3, 2] = np.nan
+    return bank_bytes_reference(values, False)  # its CRC matches the payload
+
+
+def _off_unit_row(rng):
+    values = unit_rows(rng, 5, 8)
+    values[4] *= 1.5
+    return bank_bytes_reference(values, True)
+
+
+@pytest.mark.parametrize(
+    ("make", "error", "code", "message"),
+    [
+        (_flip_payload_byte, "CorruptFileError", 1, "{src}: payload CRC mismatch"),
+        (_nan_payload, "InvalidArgumentError", 2, "embedding matrix contains non-finite values"),
+        (_off_unit_row, "InvalidArgumentError", 2,
+         "matrix flagged normalized but a row norm deviates by 5.00e-01"),
+    ],
+    ids=["flipped-payload-byte", "nan-with-matching-crc", "off-unit-row-flagged-normalized"],
+)
+def test_encode_import_refuses_bad_bank(tmp_path, rng, capsys, make, error, code, message):
+    """The bank's own error, as one JSON line; nothing is written. Only read
+    errors name the file: the matrix check's messages never did."""
     src = tmp_path / "in.fb"
-    persist.write_bank(rng.standard_normal((5, 8)).astype(np.float32), src, normalized=False)
-    out = tmp_path / "out.fb"
-    assert main(["encode", "--import", str(src), "--out", str(out)]) == 0
-    a, _ = persist.read_bank(src)
-    b, _ = persist.read_bank(out)
-    assert np.array_equal(a, b)
+    src.write_bytes(make(rng))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["encode", "--import", str(src), "--out", str(out_dir / "imported.fb")]) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message.format(src=src)}
+    assert [p.name for p in tmp_path.rglob("*")] == ["in.fb"]
 
 
 def test_gen_peers_http_without_endpoint_is_usage_error(tmp_path, capsys):
@@ -700,6 +747,54 @@ def test_train_zero_epochs_bank_of_another_width_is_usage_error(tmp_path, rng, c
     doc = json.loads(lines[0])
     assert doc["error"] == "ConfigError" and "64-d" in doc["message"] and "512" in doc["message"]
     assert not ckpt.exists() and not hist.exists()
+
+
+def test_ingest_runs_each_whole_bank_pass_once(tmp_path, monkeypatch, train_inputs):
+    """Spies on the bytes ``persist`` hashes with CRC32 and the rows
+    ``row_norms`` norms: one CRC pass per file read or written, and one norm
+    pass per row check, through the encoder, ``encode --import`` and
+    ``train --epochs 0``."""
+    hashed, normed = [], []
+    crc32, row_norms = zlib.crc32, blocks.row_norms
+
+    def counted_crc32(data, *start):
+        hashed.append(memoryview(data).nbytes)
+        return crc32(data, *start)
+
+    def counted_row_norms(rows, square=None):
+        normed.append(rows.shape[0])
+        return row_norms(rows, square)
+
+    monkeypatch.setattr(persist, "zlib", SimpleNamespace(crc32=counted_crc32))
+    monkeypatch.setattr(blocks, "row_norms", counted_row_norms)
+    monkeypatch.setattr(encoders, "row_norms", counted_row_norms)
+
+    def passes():
+        counts = (sum(hashed), sum(normed))
+        hashed.clear()
+        normed.clear()
+        return counts
+
+    raw = np.random.default_rng(0).standard_normal((700, 32))
+    encoders.toy_encode_images(raw, encoders.ToyEncoderConfig(raw_dim=32, out_dim=48))
+    assert passes() == (0, 700)
+
+    bank = Path(train_inputs["features"])
+    rows = persist.read_bank(bank)[0].shape[0]
+    payload = bank.stat().st_size - 25  # magic, header and CRC
+    passes()
+    imported = tmp_path / "imported.fb"
+    assert main(["encode", "--import", str(bank), "--out", str(imported)]) == 0
+    assert passes() == (payload, rows)
+
+    peer_set, _ = load_peers(train_inputs["peers"])
+    texts = len(peer_set.peers) + sum(map(len, peer_set.peers.values()))
+    ckpt = tmp_path / "head.ckpt"
+    assert main(["train", "--config", train_inputs["config"], "--features", str(imported),
+                 "--labels", train_inputs["labels"], "--peers", train_inputs["peers"],
+                 "--epochs", "0", "--out", str(ckpt), "--history", str(tmp_path / "h.csv")]) == 0
+    # The checkpoint's CRC covers all but its magic, length and CRC fields.
+    assert passes() == (payload + ckpt.stat().st_size - 16, rows + texts)
 
 
 def test_train_reads_its_train_rows_in_place(tmp_path, monkeypatch):

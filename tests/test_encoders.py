@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import toy_encode_reference, unit_rows
+from conftest import embedding_check_reference, toy_encode_reference, unit_rows
 from odpc import encoders, persist
-from odpc.blocks import CHECK_BLOCK_ELEMS, normalize_rows, row_norms, rows_per_block
+from odpc.blocks import CHECK_BLOCK_ELEMS, ZERO_NORM, normalize_rows, row_norms, rows_per_block
 from odpc.encoders import (
     EmbeddingMatrix,
     ToyEncoderConfig,
@@ -62,6 +64,56 @@ def test_zero_row_in_second_chunk_names_its_global_index(rng):
         toy_encode_images(raw, CFG)
 
 
+# Raw values that reach the encoder's error paths: NaN and infinities make
+# non-finite rows, 1e200 squares to infinity (the unit rows come out zero),
+# and zero or 1e-300 rows have no norm left to divide by.
+SPECIAL_RAW = (np.nan, np.inf, -np.inf, 1e200, 0.0, 1e-300)
+
+# Rows of 32 raw values: normal Gaussian ones, and some given a special value
+# in every entry (whole) or in its first entry only; the encoder takes them
+# in two chunks.
+_specials = st.lists(
+    st.tuples(st.integers(0, encoders.ENCODE_CHUNK_ROWS + 2), st.sampled_from(SPECIAL_RAW),
+              st.booleans()),
+    max_size=4,
+)
+
+
+def _raw_with(seed, specials):
+    raw = np.random.default_rng(seed).standard_normal((encoders.ENCODE_CHUNK_ROWS + 3, 32))
+    for row, value, whole in specials:
+        raw[row, : None if whole else 1] = value
+    return raw
+
+
+@given(seed=st.integers(0, 2**16), specials=_specials)
+@example(seed=0, specials=[(5, 1e200, True)])
+@example(seed=0, specials=[(5, 1e200, False), (300, np.nan, False)])
+@example(seed=0, specials=[(400, 0.0, True), (7, np.inf, True)])
+@example(seed=0, specials=[(2, 1e-300, True)])
+def test_toy_encoding_errors_match_whole_matrix_oracle(seed, specials):
+    """The encoding equals the whole-matrix reference and passes the full
+    check, or raises what the reference followed by that check raises."""
+    raw = _raw_with(seed, specials)
+    with np.errstate(all="ignore"):
+        want = toy_encode_reference(raw, CFG)
+        norms = np.linalg.norm(raw @ encoders._projection(CFG), axis=1)
+    small = np.flatnonzero(norms < ZERO_NORM)
+    if small.size:
+        message = f"projected row {small[0]} has (near-)zero norm"
+    else:
+        message = embedding_check_reference(want, normalized=True)
+    try:
+        with np.errstate(all="ignore"):
+            got = toy_encode_images(raw, CFG)
+    except InvalidArgumentError as exc:
+        assert str(exc) == message
+        return
+    assert message is None
+    assert got.normalized and got.values.tobytes() == want.tobytes()
+    EmbeddingMatrix(got.values, normalized=True)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_norms_bit_equal_to_linalg_norm(rng, dtype):
     for n in (37, 0):
@@ -113,6 +165,22 @@ def test_embedding_matrix_rejects_off_unit_row_in_last_block(rng):
     values[-1] *= np.float32(1.001)
     EmbeddingMatrix(values)
     with pytest.raises(InvalidArgumentError, match="deviates by 1.00e-03"):
+        EmbeddingMatrix(values, normalized=True)
+
+
+def test_embedding_matrix_float32_max_row_deviates_not_non_finite(rng):
+    """Squared in float64, float32's largest value is finite, so the norm
+    pass that checks finiteness reports this row as off the unit sphere."""
+    values = unit_rows(rng, 4, 48).astype(np.float32)
+    values[2] = np.finfo(np.float32).max
+    EmbeddingMatrix(values)
+    message = embedding_check_reference(values, normalized=True)
+    assert "deviates by" in message
+    with pytest.raises(InvalidArgumentError) as exc:
+        EmbeddingMatrix(values, normalized=True)
+    assert str(exc.value) == message
+    values[2, 0] = np.inf
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
         EmbeddingMatrix(values, normalized=True)
 
 
